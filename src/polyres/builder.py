@@ -591,13 +591,19 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
+    """Read a checkpoint written by :func:`save_checkpoint`. A malformed file
+    raises EngineError naming the path and, for tensor data, the tensor."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[: len(_CHECKPOINT_MAGIC)] != _CHECKPOINT_MAGIC:
         raise EngineError(f"{path}: not a checkpoint file")
     offset = len(_CHECKPOINT_MAGIC)
+    if len(buf) < offset + 8:
+        raise EngineError(f"{path}: truncated manifest length")
     (blob_len,) = struct.unpack_from("<q", buf, offset)
     offset += 8
+    if blob_len < 0 or len(buf) < offset + blob_len:
+        raise EngineError(f"{path}: truncated manifest ({blob_len} bytes declared)")
     manifest = json.loads(buf[offset : offset + blob_len].decode("utf-8"))
     offset += blob_len
 
@@ -622,11 +628,17 @@ def load_checkpoint(path) -> Model:
         input_channels=manifest["input_channels"],
     )
     model.meta.iteration = manifest["iteration"]
+    view = memoryview(buf)  # slices without copying the rest of the file
     for key, name in manifest["params"]:
-        tensor = Tensor.from_bytes(buf[offset:])
+        try:
+            tensor = Tensor.from_bytes(view[offset:])
+        except EngineError as e:
+            raise EngineError(f"{path}: tensor {key}/{name}: {e}") from None
         offset += tensor.byte_length()
         current = model.params.get(key, name)
         if current.shape != tensor.data.shape:
-            raise EngineError(f"checkpoint shape mismatch for {key}/{name}")
+            raise EngineError(f"{path}: checkpoint shape mismatch for {key}/{name}")
         model.params.set(key, name, tensor.data.astype(current.dtype, copy=False))
+    if offset != len(buf):
+        raise EngineError(f"{path}: {len(buf) - offset} trailing bytes after the last tensor")
     return model

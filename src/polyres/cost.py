@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .builder import BlockArch, Model, lower
 from .dsl import NetworkConfig, render_network
-from .engine import InputOp
+from .engine import _STATE_NAMES, InputOp
 
 __all__ = [
     "CostRow",
@@ -31,8 +31,6 @@ __all__ = [
     "rows_to_csv",
     "rows_to_json",
 ]
-
-_STATE_NAMES = {"running_mean", "running_var"}
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ equivalence tests, 32-bit by training.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -129,14 +130,31 @@ class Tensor:
         return header + a.astype(f"<f{bits // 8}", copy=False).tobytes(order="C")
 
     @classmethod
-    def from_bytes(cls, buf: bytes) -> "Tensor":
+    def from_bytes(cls, buf) -> "Tensor":
+        """Parse the tensor at the start of ``buf`` (bytes or a memoryview).
+        Bytes after it are left to the caller; a buffer shorter than the
+        header or than the data the header declares raises EngineError."""
+        if len(buf) < 8:
+            raise EngineError(f"truncated tensor header: buffer has {len(buf)} bytes")
         (rank,) = struct.unpack_from("<q", buf, 0)
+        offset = 8 * (rank + 2)
+        if rank < 0 or len(buf) < offset:
+            raise EngineError(
+                f"truncated tensor header: rank {rank}, buffer has {len(buf)} bytes"
+            )
         extents = struct.unpack_from(f"<{rank}q", buf, 8)
         (bits,) = struct.unpack_from("<q", buf, 8 + 8 * rank)
         if bits not in (32, 64):
             raise EngineError(f"bad precision tag {bits}")
-        offset = 8 * (rank + 2)
-        count = int(np.prod(extents)) if rank else 1
+        if any(e < 0 for e in extents):
+            raise EngineError(f"bad tensor extents {extents}")
+        count = math.prod(extents)
+        end = offset + count * (bits // 8)
+        if len(buf) < end:
+            raise EngineError(
+                f"truncated tensor: shape {extents} at f{bits} needs {end} bytes, "
+                f"buffer has {len(buf)}"
+            )
         data = np.frombuffer(buf, dtype=f"<f{bits // 8}", count=count, offset=offset)
         dtype = DTYPES["f32"] if bits == 32 else DTYPES["f64"]
         return cls(data.reshape(extents).astype(dtype, copy=True))
@@ -150,8 +168,18 @@ class Tensor:
 
     @classmethod
     def load(cls, path) -> "Tensor":
+        """Read a file holding exactly one tensor."""
         with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
+            buf = fh.read()
+        try:
+            tensor = cls.from_bytes(buf)
+        except EngineError as e:
+            raise EngineError(f"{path}: {e}") from None
+        if tensor.byte_length() != len(buf):
+            raise EngineError(
+                f"{path}: {len(buf) - tensor.byte_length()} trailing bytes after the tensor"
+            )
+        return tensor
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +363,12 @@ def _conv_geometry(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, 
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+    """Lower (b, c, h, w) to columns (b, c*k*k, hout*wout): one copy of the
+    input into a zero-bordered buffer, then one strided copy per kernel tap."""
     b, c, h, w = x.shape
     hout, wout = _conv_geometry(h, w, k, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
     cols = np.empty((b, c, k, k, hout, wout), dtype=x.dtype)
     for i in range(k):
         for j in range(k):
@@ -350,6 +381,8 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
 def _col2im(
     dcols: np.ndarray, x_shape, k: int, stride: int, pad: int
 ) -> np.ndarray:
+    """Adjoint of :func:`_im2col`: scatter-add the columns back onto the
+    (bordered) input grid and return its interior."""
     b, c, h, w = x_shape
     hout, wout = _conv_geometry(h, w, k, stride, pad)
     dxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
@@ -359,11 +392,20 @@ def _col2im(
             dxp[
                 :, :, i : i + stride * hout : stride, j : j + stride * wout : stride
             ] += dc[:, :, i, j]
-    return dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
+    return dxp[:, :, pad : pad + h, pad : pad + w]
 
 
 class Conv2D(Op):
-    """2D convolution, same padding at stride 1 (kernel 1x1 or 3x3)."""
+    """2D convolution, same padding at stride 1 (kernel 1x1 or 3x3).
+
+    Every conv is a batched GEMM of the (c_out, c_in*k*k) weight matrix with
+    a (batch, c_in*k*k, pixels) column tensor. A 1x1 stride-1 conv uses the
+    input itself, reshaped to (batch, c_in, h*w), as its columns: no copy,
+    so the saved view aliases the input and nothing may write to it. Other
+    convs build the columns with im2col from a zero-bordered copy of the
+    input. Backward is two more GEMMs, dw = sum_b g_b cols_b^T and
+    dcols = w^T g, then col2im (or a reshape, for 1x1 stride 1).
+    """
 
     name = "conv2d"
 
@@ -375,6 +417,7 @@ class Conv2D(Op):
         self.c_out = c_out
         self.stride = stride
         self.pad = kernel // 2
+        self.pointwise = kernel == 1 and stride == 1
 
     def init_params(self, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
         fan_in = self.kernel * self.kernel * self.c_in
@@ -395,23 +438,26 @@ class Conv2D(Op):
     def forward(self, inputs, params, mode, gates=None):
         (x,) = inputs
         w, b = params["w"], params["b"]
-        cols = _im2col(x, self.kernel, self.stride, self.pad)
-        w2 = w.reshape(self.c_out, -1)
-        hout, wout = _conv_geometry(
-            x.shape[2], x.shape[3], self.kernel, self.stride, self.pad
-        )
-        y = (w2 @ cols).reshape(x.shape[0], self.c_out, hout, wout)
+        n, _, h, wd = x.shape
+        hout, wout = _conv_geometry(h, wd, self.kernel, self.stride, self.pad)
+        if self.pointwise:
+            cols = x.reshape(n, self.c_in, h * wd)
+        else:
+            cols = _im2col(x, self.kernel, self.stride, self.pad)
+        y = (w.reshape(self.c_out, -1) @ cols).reshape(n, self.c_out, hout, wout)
         y += b[None, :, None, None]
         return y, (x.shape, w, cols)
 
     def backward(self, grad, saved):
         x_shape, w, cols = saved
-        b, c_out = grad.shape[0], grad.shape[1]
-        g2 = grad.reshape(b, c_out, -1)
-        dw = np.einsum("bop,bkp->ok", g2, cols).reshape(w.shape)
+        g2 = grad.reshape(grad.shape[0], self.c_out, -1)
+        dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         db = grad.sum(axis=(0, 2, 3))
-        dcols = np.einsum("ok,bop->bkp", w.reshape(c_out, -1), g2)
-        dx = _col2im(dcols, x_shape, self.kernel, self.stride, self.pad)
+        dcols = w.reshape(self.c_out, -1).T @ g2
+        if self.pointwise:
+            dx = dcols.reshape(x_shape)
+        else:
+            dx = _col2im(dcols, x_shape, self.kernel, self.stride, self.pad)
         return [dx], {"w": dw, "b": db}
 
     def macs(self, in_shapes, out_shape):

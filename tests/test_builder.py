@@ -14,7 +14,7 @@ from polyres.builder import (
     upgrade,
 )
 from polyres.dsl import parse_network, preset
-from polyres.engine import Dense, backward, forward, softmax_cross_entropy
+from polyres.engine import Dense, EngineError, backward, forward, softmax_cross_entropy
 
 DENSE = DenseBlock(4, 8)
 CONV = ConvBlock(4, 2)
@@ -289,7 +289,29 @@ class TestCheckpoints:
     def test_rejects_non_checkpoint_files(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint")
-        from polyres.engine import EngineError
-
         with pytest.raises(EngineError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [10, 40, -5])
+    def test_truncated_checkpoint_names_the_path(self, tmp_path, cut):
+        # Cuts inside the manifest length, the manifest, and the last tensor.
+        model = tiny("A: poly-2 -> 2-way", seed=11, beta=0.3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(EngineError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+        if cut < 0:
+            key, name, _ = list(model.params.flat_items())[-1]
+            assert f"tensor {key}/{name}" in str(err.value)
+
+    def test_checkpoint_with_trailing_bytes_is_rejected(self, tmp_path):
+        model = tiny("A: poly-2 -> 2-way", seed=11, beta=0.3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(EngineError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+        assert "4 trailing bytes" in str(err.value)

@@ -57,14 +57,9 @@ def scalar_loss_grad(y):
     return np.cos(y) + y
 
 
-def check_op_gradients(op, input_shape, key="p", rtol=1e-6):
-    """Backward vs central differences for one primitive, for both the
+def check_graph_gradients(graph, params, x, label, rtol=1e-6):
+    """Backward vs central differences for a whole graph, for both the
     parameters and the input."""
-    rng = np.random.default_rng(7)
-    graph = single_op_graph(op, input_shape[1:], key if hasattr(op, "init_params") else None)
-    params = params_for(op, key, rng)
-    x = rng.standard_normal(input_shape) + 0.1
-
     out, tape = forward(graph, params, x, "train")
     grads, dx = backward(tape, scalar_loss_grad(out.data), return_input_grad=True)
 
@@ -77,7 +72,7 @@ def check_op_gradients(op, input_shape, key="p", rtol=1e-6):
         for pkey, name, a in grads.flat_items():
             f = numeric.get(pkey, name)
             scale = max(np.abs(a).max(), np.abs(f).max(), 1e-12)
-            assert np.abs(a - f).max() / scale < rtol, f"{op.name}/{name}"
+            assert np.abs(a - f).max() / scale < rtol, f"{label}/{pkey}/{name}"
 
     # Input gradient against finite differences on a few random entries.
     flat = x.reshape(-1)
@@ -91,7 +86,33 @@ def check_op_gradients(op, input_shape, key="p", rtol=1e-6):
         down = loss_fn(params)
         flat[i] = orig
         fd = (up - down) / (2 * h)
-        assert abs(dx_flat[i] - fd) <= 1e-6 * max(1.0, abs(fd)), f"{op.name} input grad"
+        assert abs(dx_flat[i] - fd) <= 1e-6 * max(1.0, abs(fd)), f"{label} input grad"
+
+
+def check_op_gradients(op, input_shape, key="p", rtol=1e-6):
+    """Backward vs central differences for one primitive."""
+    rng = np.random.default_rng(7)
+    graph = single_op_graph(op, input_shape[1:], key if hasattr(op, "init_params") else None)
+    params = params_for(op, key, rng)
+    x = rng.standard_normal(input_shape) + 0.1
+    check_graph_gradients(graph, params, x, op.name, rtol)
+
+
+def conv_reference(x, w, b, stride, pad):
+    """Convolution as a direct sum over output pixels and kernel taps."""
+    n, _, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    hout = (h + 2 * pad - k) // stride + 1
+    wout = (wd + 2 * pad - k) // stride + 1
+    y = np.zeros((n, c_out, hout, wout))
+    for i in range(hout):
+        for j in range(wout):
+            for di in range(k):
+                for dj in range(k):
+                    r, c = i * stride + di - pad, j * stride + dj - pad
+                    if 0 <= r < h and 0 <= c < wd:
+                        y[:, :, i, j] += x[:, :, r, c] @ w[:, :, di, dj].T
+    return y + b[None, :, None, None]
 
 
 class TestPrimitiveGradients:
@@ -106,6 +127,14 @@ class TestPrimitiveGradients:
 
     def test_strided_downsample(self):
         check_op_gradients(StridedConvDownsample(3, 4), (2, 3, 8, 8))
+
+    @pytest.mark.parametrize("hw", [(7, 7), (7, 5), (6, 9)])
+    def test_strided_downsample_odd_and_non_square(self, hw):
+        check_op_gradients(StridedConvDownsample(3, 4), (2, 3, *hw))
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    def test_conv_non_square(self, kernel):
+        check_op_gradients(Conv2D(kernel, 3, 4), (2, 3, 7, 5))
 
     def test_relu(self):
         check_op_gradients(ReLU(), (4, 9))
@@ -156,6 +185,52 @@ class TestPrimitiveGradients:
             flat[i] = orig
             fd = (up - down) / (2 * h)
             assert abs(analytic.reshape(-1)[i] - fd) < 1e-8
+
+
+class TestConvReference:
+    """Conv kernels against a direct loop-sum reference at f64."""
+
+    @pytest.mark.parametrize("kernel,stride", [(1, 1), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("hw", [(6, 6), (7, 7), (7, 5), (4, 9)])
+    def test_forward_matches_loop_sum(self, kernel, stride, hw):
+        rng = np.random.default_rng(11)
+        op = Conv2D(kernel, 3, 5, stride=stride)
+        params = params_for(op, "c", rng)
+        x = rng.standard_normal((2, 3, *hw))
+        graph = single_op_graph(op, x.shape[1:], key="c")
+        out, _ = forward(graph, params, x, "train")
+        w, b = params.get("c", "w"), params.get("c", "b")
+        want = conv_reference(x, w, b, stride, kernel // 2)
+        assert out.shape == want.shape
+        assert np.abs(out.data - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+
+    def test_conv_input_feeding_other_nodes(self):
+        # Each 1x1 conv's input also feeds an Add, so a conv that saves a
+        # view of its input must neither write to it nor be corrupted by
+        # later nodes: y = v + conv(v), v = x + conv(x).
+        rng = np.random.default_rng(13)
+        c1, c2 = Conv2D(1, 3, 3), Conv2D(1, 3, 3)
+        nodes = [
+            GraphNode(0, InputOp(), ()),
+            GraphNode(1, c1, (0,), param_key="c1"),
+            GraphNode(2, Add(), (0, 1)),
+            GraphNode(3, c2, (2,), param_key="c2"),
+            GraphNode(4, Add(), (2, 3)),
+        ]
+        graph = ComputationGraph(nodes, (3, 5, 7))
+        params = ParamStore()
+        for key, op in (("c1", c1), ("c2", c2)):
+            for name, value in params_for(op, key, rng).group(key).items():
+                params.add(key, name, value)
+        x = rng.standard_normal((2, 3, 5, 7))
+        x_before = x.copy()
+        out, tape = forward(graph, params, x, "train")
+        backward(tape, scalar_loss_grad(out.data), return_input_grad=True)
+        assert np.array_equal(x, x_before)
+        v = x + conv_reference(x, params.get("c1", "w"), params.get("c1", "b"), 1, 0)
+        want = v + conv_reference(v, params.get("c2", "w"), params.get("c2", "b"), 1, 0)
+        assert np.abs(out.data - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+        check_graph_gradients(graph, params, x, "conv fan-out")
 
 
 class TestGatedSum:
@@ -343,6 +418,27 @@ class TestTensorSerialization:
         path = tmp_path / "x.tns"
         t.save(path)
         assert np.array_equal(Tensor.load(path).data, t.data)
+
+    def test_truncated_buffer_raises_engine_error(self):
+        buf = Tensor(np.arange(6.0).reshape(2, 3)).to_bytes()
+        for cut in range(len(buf)):
+            with pytest.raises(EngineError):
+                Tensor.from_bytes(buf[:cut])
+
+    def test_from_bytes_leaves_trailing_bytes_to_the_caller(self):
+        t = Tensor(np.arange(3.0))
+        back = Tensor.from_bytes(t.to_bytes() + b"\0" * 8)
+        assert np.array_equal(back.data, t.data)
+
+    def test_load_rejects_truncated_and_trailing_files(self, tmp_path):
+        buf = Tensor(np.arange(6.0)).to_bytes()
+        path = tmp_path / "x.tns"
+        for bad, word in ((buf[:-3], "truncated"), (buf + b"\0", "trailing")):
+            path.write_bytes(bad)
+            with pytest.raises(EngineError) as err:
+                Tensor.load(path)
+            assert str(path) in str(err.value)
+            assert word in str(err.value)
 
     def test_softmax_is_normalized(self):
         logits = np.random.default_rng(0).standard_normal((4, 6)) * 30
