@@ -222,9 +222,7 @@ class _GraphBuilder:
         return idx
 
     def graph(self) -> ComputationGraph:
-        g = ComputationGraph(self.nodes, self.input_shape, self.modules)
-        g.validate_acyclic()
-        return g
+        return ComputationGraph(self.nodes, self.input_shape, self.modules)
 
 
 # ---------------------------------------------------------------------------

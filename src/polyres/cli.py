@@ -419,19 +419,11 @@ def cmd_sweep(args) -> int:
     dataset = None
     if args.iters > 0:
         dataset = synth_dataset(args.data_n, base.classes, args.data_size, data_seed)
-    rows = []
-    for name, config in grid:
-        model = lower(config, arch, beta=args.beta, seed=init_seed, precision=args.precision)
-        report = cost.count_macs(model)
-        row = {
-            "config": name,
-            "params": report.params,
-            "macs": report.macs,
-            "block_apps": report.block_apps,
-            "accuracy": None,
-            "ms_per_iter": None,
-        }
+    rows = cost.efficiency_table(grid, arch, beta=args.beta)
+    for (name, config), row in zip(grid, rows):
+        row["ms_per_iter"] = None
         if dataset is not None:
+            model = lower(config, arch, beta=args.beta, seed=init_seed, precision=args.precision)
             hp = OptimizerHP.desk(args.iters, base_lr=args.lr)
             started = time.perf_counter()
             model, history = train(
@@ -444,7 +436,6 @@ def cmd_sweep(args) -> int:
             print(f"{name:<14} acc {row['accuracy']:.3f}  {row['ms_per_iter']:.1f} ms/iter")
         else:
             print(f"{name:<14} params {row['params']:>9} macs {row['macs']:>12}")
-        rows.append(row)
     (out / "sweep.csv").write_text(cost.rows_to_csv(rows))
     (out / "sweep.json").write_text(cost.rows_to_json(rows))
     print(f"table in: {out}")

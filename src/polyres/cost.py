@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .builder import BlockArch, Model, lower
 from .dsl import NetworkConfig, render_network
-from .engine import _STATE_NAMES, InputOp
+from .engine import _STATE_NAMES
 
 __all__ = [
     "CostRow",
@@ -109,22 +109,13 @@ def _segment_params(model: Model) -> dict[str, int]:
 
 
 def _segment_macs(model: Model, input_shape: Sequence[int] | None) -> dict[str, int]:
-    if input_shape is None:
-        input_shape = model.graph.input_shape
-    else:
-        input_shape = tuple(input_shape)
-        if len(input_shape) == len(model.graph.input_shape) + 1:
-            input_shape = input_shape[1:]  # drop an explicit batch extent
-    shapes: list[tuple[int, ...]] = []
+    graph = model.graph
+    if input_shape is not None and len(input_shape) == len(graph.input_shape) + 1:
+        input_shape = input_shape[1:]  # drop an explicit batch extent
+    shapes = graph.infer_shapes(input_shape)
     out: dict[str, int] = {}
-    for node in model.graph.nodes:
-        if isinstance(node.op, InputOp):
-            shapes.append((1, *input_shape))
-            continue
-        ins = [shapes[i] for i in node.inputs]
-        shape = node.op.infer_shape(ins, None)
-        shapes.append(shape)
-        macs = node.op.macs(ins, shape)
+    for node in graph.nodes:
+        macs = node.op.macs([shapes[i] for i in node.inputs], shapes[node.idx])
         if macs:
             out[node.segment] = out.get(node.segment, 0) + macs
     return out

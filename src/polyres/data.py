@@ -67,10 +67,6 @@ class Dataset:
         return len(self.labels)
 
     @property
-    def image_shape(self) -> tuple[int, int, int]:
-        return self.images.shape[1:]
-
-    @property
     def train_indices(self) -> np.ndarray:
         return np.flatnonzero(~self.val_mask)
 

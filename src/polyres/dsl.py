@@ -8,7 +8,7 @@ The shorthand ``IR a-b-c`` expands to three stages of plain residual units.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .algebra import AlgebraError, ModuleKind
 
@@ -65,17 +65,6 @@ class NetworkConfig:
         names = [s.name for s in self.stages]
         if len(set(names)) != len(names):
             raise ValueError(f"stage names must be unique, got {names}")
-
-    @property
-    def module_count(self) -> int:
-        return sum(len(s.modules) for s in self.stages)
-
-    def with_sizes(self, input_size: int | None = None, classes: int | None = None) -> "NetworkConfig":
-        return replace(
-            self,
-            input_size=self.input_size if input_size is None else input_size,
-            classes=self.classes if classes is None else classes,
-        )
 
 
 # ---------------------------------------------------------------------------

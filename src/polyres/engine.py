@@ -13,7 +13,6 @@ equivalence tests, 32-bit by training.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Literal, Sequence
@@ -39,7 +38,6 @@ __all__ = [
     "finite_diff_grad",
     "softmax",
     "softmax_cross_entropy",
-    "set_debug_checks",
     "InputOp",
     "Flatten",
     "Dense",
@@ -63,8 +61,6 @@ NORM_MOMENTUM = 0.9
 
 _STATE_NAMES = frozenset({"running_mean", "running_var"})
 
-_debug_checks = os.environ.get("POLYRES_DEBUG", "") not in ("", "0")
-
 
 class EngineError(RuntimeError):
     pass
@@ -76,12 +72,6 @@ class ShapeError(EngineError):
 
 class NumericError(EngineError):
     pass
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle per-node NaN/Inf tripwires (also via env POLYRES_DEBUG=1)."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +105,6 @@ class Tensor:
     @property
     def precision(self) -> Precision:
         return "f32" if self.data.dtype == DTYPES["f32"] else "f64"
-
-    def astype(self, precision: Precision) -> "Tensor":
-        return Tensor(self.data.astype(DTYPES[precision]))
 
     def to_bytes(self) -> bytes:
         """Little-endian binary: rank, extents (int64 each), precision tag
@@ -247,12 +234,6 @@ class ParamStore:
             out.add(key, name, value.copy())
         return out
 
-    def astype(self, precision: Precision) -> "ParamStore":
-        out = ParamStore()
-        for key, name, value in self.flat_items():
-            out.add(key, name, value.astype(DTYPES[precision]))
-        return out
-
     def zeros_like(self, trainable_only: bool = True) -> "ParamStore":
         out = ParamStore()
         for key, name, value in self.flat_items(trainable_only):
@@ -266,9 +247,6 @@ class ParamStore:
             return False
         return all(np.array_equal(mine[k], theirs[k]) for k in mine)
 
-    def __len__(self) -> int:
-        return len(self._groups)
-
 
 # ---------------------------------------------------------------------------
 # Primitives
@@ -280,7 +258,7 @@ class Op:
 
     name = "op"
 
-    def infer_shape(self, in_shapes: Sequence[tuple[int, ...]], params) -> tuple[int, ...]:
+    def infer_shape(self, in_shapes: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
         raise NotImplementedError
 
     def forward(self, inputs, params, mode, gates=None):
@@ -303,7 +281,7 @@ class Op:
 class InputOp(Op):
     name = "input"
 
-    def infer_shape(self, in_shapes, params):
+    def infer_shape(self, in_shapes):
         raise EngineError("input node has no shape rule")
 
 
@@ -312,7 +290,7 @@ class Flatten(Op):
 
     name = "flatten"
 
-    def infer_shape(self, in_shapes, params):
+    def infer_shape(self, in_shapes):
         (s,) = in_shapes
         return (s[0], int(np.prod(s[1:])))
 
@@ -340,7 +318,7 @@ class Dense(Op):
             "b": np.zeros(self.d_out, dtype=dtype),
         }
 
-    def infer_shape(self, in_shapes, params):
+    def infer_shape(self, in_shapes):
         (s,) = in_shapes
         if len(s) != 2 or s[1] != self.d_in:
             raise ShapeError(f"dense expects (batch, {self.d_in}), got {s}")
@@ -428,7 +406,7 @@ class Conv2D(Op):
             "b": np.zeros(self.c_out, dtype=dtype),
         }
 
-    def infer_shape(self, in_shapes, params):
+    def infer_shape(self, in_shapes):
         (s,) = in_shapes
         if len(s) != 4 or s[1] != self.c_in:
             raise ShapeError(f"conv expects (batch, {self.c_in}, h, w), got {s}")
@@ -477,7 +455,7 @@ class StridedConvDownsample(Conv2D):
 class ReLU(Op):
     name = "relu"
 
-    def infer_shape(self, in_shapes, params):
+    def infer_shape(self, in_shapes):
         return in_shapes[0]
 
     def forward(self, inputs, params, mode, gates=None):
@@ -494,7 +472,7 @@ class Add(Op):
 
     name = "add"
 
-    def infer_shape(self, in_shapes, params):
+    def infer_shape(self, in_shapes):
         if len(set(in_shapes)) != 1:
             raise ShapeError(f"add inputs disagree: {in_shapes}")
         return in_shapes[0]
@@ -519,7 +497,7 @@ class GatedSum(Op):
 
     name = "gated_sum"
 
-    def infer_shape(self, in_shapes, params):
+    def infer_shape(self, in_shapes):
         if len(set(in_shapes)) != 1:
             raise ShapeError(f"gated sum inputs disagree: {in_shapes}")
         return in_shapes[0]
@@ -549,7 +527,7 @@ class ScalarScale(Op):
     def __init__(self, beta: float):
         self.beta = float(beta)
 
-    def infer_shape(self, in_shapes, params):
+    def infer_shape(self, in_shapes):
         return in_shapes[0]
 
     def forward(self, inputs, params, mode, gates=None):
@@ -588,7 +566,7 @@ class ChannelNorm(Op):
             return (0, 2, 3), (1, self.channels, 1, 1)
         raise ShapeError(f"channel norm expects rank 2 or 4, got rank {ndim}")
 
-    def infer_shape(self, in_shapes, params):
+    def infer_shape(self, in_shapes):
         (s,) = in_shapes
         if len(s) not in (2, 4) or s[1] != self.channels:
             raise ShapeError(f"channel norm expects {self.channels} channels, got {s}")
@@ -636,7 +614,7 @@ class GlobalAvgPool(Op):
 
     name = "global_avg_pool"
 
-    def infer_shape(self, in_shapes, params):
+    def infer_shape(self, in_shapes):
         (s,) = in_shapes
         if len(s) != 4:
             raise ShapeError(f"global pool expects rank 4, got {s}")
@@ -682,6 +660,11 @@ class GraphNode:
             return local
         return self.param_names[local]
 
+    @property
+    def where(self) -> str:
+        """``node <idx> (<label>)``: how errors about this node name it."""
+        return f"node {self.idx} ({self.label or self.op.name})"
+
 
 @dataclass(frozen=True)
 class ModuleSite:
@@ -700,29 +683,51 @@ class ModuleSite:
 
 @dataclass
 class ComputationGraph:
+    """Nodes in topological order; the last one is the output. Building a
+    graph checks nothing: :meth:`infer_shapes` checks it at its first run
+    or costing and keeps the result, so its nodes must not change after."""
+
     nodes: list[GraphNode]
     input_shape: tuple[int, ...]  # per-sample shape, batch excluded
     modules: list[ModuleSite] = field(default_factory=list)
+    _shapes: tuple[tuple[int, ...], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def output(self) -> int:
         return self.nodes[-1].idx
 
-    def validate_acyclic(self) -> None:
-        for node in self.nodes:
-            for i in node.inputs:
-                if i >= node.idx:
-                    raise EngineError(f"node {node.idx} reads a later node {i}")
+    def infer_shapes(
+        self, input_shape: Sequence[int] | None = None
+    ) -> tuple[tuple[int, ...], ...]:
+        """Check the graph and return each node's output shape for one
+        sample of ``input_shape`` (default: the graph's own input).
 
-    def infer_shapes(self, batch: int = 1) -> list[tuple[int, ...]]:
+        The only shape pass; :func:`forward` and the cost counters use it.
+        A node reading itself or a later node raises EngineError, an op
+        whose shape rule rejects its inputs ShapeError; both name the node.
+        The result at the graph's own input shape is cached; a failure is
+        not, so it is raised again at every call.
+        """
+        input_shape = self.input_shape if input_shape is None else tuple(input_shape)
+        own = input_shape == self.input_shape
+        if own and self._shapes is not None:
+            return self._shapes
         shapes: list[tuple[int, ...]] = []
         for node in self.nodes:
+            if max(node.inputs, default=-1) >= node.idx:
+                raise EngineError(f"{node.where} reads a later node {max(node.inputs)}")
             if isinstance(node.op, InputOp):
-                shapes.append((batch, *self.input_shape))
-            else:
-                ins = [shapes[i] for i in node.inputs]
-                shapes.append(node.op.infer_shape(ins, None))
-        return shapes
+                shapes.append((1, *input_shape))
+                continue
+            try:
+                shapes.append(node.op.infer_shape([shapes[i] for i in node.inputs]))
+            except ShapeError as e:
+                raise ShapeError(f"{node.where}: {e}") from None
+        if own:
+            self._shapes = tuple(shapes)
+        return tuple(shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -747,12 +752,17 @@ def forward(
     mode: str = "train",
     gates: dict[int, Sequence[float]] | None = None,
     allow_eval_gates: bool = False,
+    *,
+    check_finite: bool = False,
 ) -> tuple[Tensor, Tape]:
     """Evaluate the graph in topological order.
 
     ``gates`` maps gate-node index -> per-path multipliers for this call.
     Eval mode uses running norm statistics and ignores gates (unless
     ``allow_eval_gates`` opts into deterministic eval-time path scaling).
+    Wiring and shapes are checked once per graph, by
+    :meth:`ComputationGraph.infer_shapes`. With ``check_finite`` the first
+    node whose output holds a NaN or Inf raises NumericError naming it.
     """
     if mode not in ("train", "eval"):
         raise EngineError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -761,6 +771,7 @@ def forward(
         raise ShapeError(
             f"input shape {x.shape[1:]} != graph input {graph.input_shape}"
         )
+    graph.infer_shapes()
     if mode == "eval" and not allow_eval_gates:
         gates = None
     values: list[np.ndarray] = [None] * len(graph.nodes)
@@ -773,14 +784,11 @@ def forward(
         group = node.resolve_params(params)
         gate_vec = gates.get(node.idx) if gates else None
         try:
-            node.op.infer_shape([a.shape for a in ins], group)
             out, ctx = node.op.forward(ins, group, mode, gates=gate_vec)
         except ShapeError as e:
-            raise ShapeError(f"node {node.idx} ({node.label or node.op.name}): {e}") from None
-        if _debug_checks and not np.all(np.isfinite(out)):
-            raise NumericError(
-                f"non-finite output at node {node.idx} ({node.label or node.op.name})"
-            )
+            raise ShapeError(f"{node.where}: {e}") from None
+        if check_finite and not np.all(np.isfinite(out)):
+            raise NumericError(f"non-finite output at {node.where}")
         values[node.idx] = out
         saved[node.idx] = ctx
     return Tensor(values[graph.output]), Tape(mode, graph, saved, x)

@@ -27,7 +27,6 @@ from .engine import (
     ParamStore,
     backward,
     forward,
-    set_debug_checks,
     softmax_cross_entropy,
 )
 from .evaluation import topk_error
@@ -348,14 +347,13 @@ def train(
         out, tape = forward(model.graph, model.params, images, "train", gates_map)
         loss, dlogits = softmax_cross_entropy(out.data, labels)
         if not np.isfinite(loss):
-            set_debug_checks(True)
             try:
-                forward(model.graph, model.params, images, "train", gates_map)
+                forward(
+                    model.graph, model.params, images, "train", gates_map, check_finite=True
+                )
                 detail = "loss is not finite"
             except NumericError as exc:
                 detail = str(exc)
-            finally:
-                set_debug_checks(False)
             raise TrainingDiverged(it, lr, detail)
         recent_losses.append(loss)
 

@@ -92,6 +92,20 @@ class TestAnalyzeAndSweep:
             tmp_path / "b" / "sweep.csv"
         ).read_text()
 
+    def test_training_sweep_adds_accuracy_and_timing(self, tmp_path, capsys):
+        code, _ = run(
+            capsys, "sweep", "--iters", "2", "--data-n", "64", "--batch-size", "8",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "config,params,macs,block_apps,accuracy,ms_per_iter"
+        rows = json.loads((tmp_path / "sweep.json").read_text())
+        assert len(rows) == 19
+        for row in rows:
+            assert 0.0 <= row["accuracy"] <= 1.0
+            assert row["ms_per_iter"] > 0
+
 
 class TestGradcheckCommand:
     def test_single_kind_passes(self, tmp_path, capsys):

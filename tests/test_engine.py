@@ -25,7 +25,6 @@ from polyres.engine import (
     backward,
     finite_diff_grad,
     forward,
-    set_debug_checks,
     softmax,
     softmax_cross_entropy,
 )
@@ -334,12 +333,49 @@ class TestExecution:
 
     def test_shape_error_names_the_node(self):
         # Graph declares a (7,) input but the node wants 5 features, so the
-        # failure surfaces at the node with its label attached.
+        # failure surfaces at the node with its label attached, at every
+        # call: a failed check is not remembered as a pass.
         graph = single_op_graph(Dense(5, 3), (7,), key="d")
         params = params_for(Dense(5, 3), "d", np.random.default_rng(0))
-        with pytest.raises(ShapeError) as err:
-            forward(graph, params, np.ones((2, 7)), "train")
-        assert "dense" in str(err.value)
+        for _ in range(2):
+            with pytest.raises(ShapeError) as err:
+                forward(graph, params, np.ones((2, 7)), "train")
+            assert "dense" in str(err.value)
+            assert "node 1" in str(err.value)
+
+    def test_shapes_are_checked_once_per_graph(self):
+        calls = {}
+
+        def counted(op):
+            rule = op.infer_shape
+
+            def infer_shape(*args):
+                calls[op.name] = calls.get(op.name, 0) + 1
+                return rule(*args)
+
+            op.infer_shape = infer_shape
+            return op
+
+        nodes = [
+            GraphNode(0, InputOp(), ()),
+            GraphNode(1, counted(Dense(3, 4)), (0,), param_key="d"),
+            GraphNode(2, counted(ReLU()), (1,)),
+        ]
+        graph = ComputationGraph(nodes, (3,))
+        params = params_for(Dense(3, 4), "d", np.random.default_rng(0))
+        for batch in (2, 5):
+            forward(graph, params, np.ones((batch, 3)), "train")
+        assert calls == {"dense": 1, "relu": 1}
+
+    def test_node_reading_a_later_node_is_rejected(self):
+        nodes = [
+            GraphNode(0, InputOp(), ()),
+            GraphNode(1, ReLU(), (2,)),
+            GraphNode(2, ReLU(), (0,)),
+        ]
+        graph = ComputationGraph(nodes, (3,))
+        with pytest.raises(EngineError) as err:
+            forward(graph, ParamStore(), np.ones((1, 3)), "train")
         assert "node 1" in str(err.value)
 
     def test_missing_parameter_key(self):
@@ -350,13 +386,17 @@ class TestExecution:
     def test_debug_tripwire_names_the_node(self):
         op = ScalarScale(float("inf"))
         graph = single_op_graph(op, (3,))
-        set_debug_checks(True)
-        try:
-            with pytest.raises(NumericError) as err:
-                forward(graph, ParamStore(), np.ones((1, 3)), "train")
-            assert "scale" in str(err.value)
-        finally:
-            set_debug_checks(False)
+        with pytest.raises(NumericError) as err:
+            forward(graph, ParamStore(), np.ones((1, 3)), "train", check_finite=True)
+        assert "scale" in str(err.value)
+
+    def test_finite_check_holds_for_one_call(self):
+        graph = single_op_graph(ScalarScale(float("inf")), (3,))
+        with pytest.raises(NumericError) as err:
+            forward(graph, ParamStore(), np.ones((1, 3)), "train", check_finite=True)
+        assert "node 1 (scale)" in str(err.value)
+        out, _ = forward(graph, ParamStore(), np.ones((1, 3)), "train")
+        assert np.isinf(out.data).all()
 
     def test_shared_key_gradients_accumulate(self):
         # One parameter group used by two graph nodes: y = w*(x) + w*(2x).

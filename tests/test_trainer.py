@@ -1,5 +1,7 @@
 """Optimizer, schedule, stochastic paths, and the training loop."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,7 @@ class TestTrainLoop:
             train(model, dataset, hp, seed=0)
         assert err.value.iteration >= 0
         assert err.value.lr > 0
+        assert re.fullmatch(r"non-finite output at node \d+ \(\S+/\w+\)", err.value.detail)
 
     def test_checkpoints_written_at_decays_and_termination(self, dataset, tmp_path):
         hp = OptimizerHP.desk(70)  # decays at 20, 40, 60
