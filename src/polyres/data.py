@@ -9,6 +9,8 @@ bilinearly, and flips it with a coin toss.
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -116,15 +118,21 @@ def synth_dataset(n: int, classes: int, size: int, seed: int) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _axis_coords(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=512)
+def _axis_grid(n_in: int, n_out: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sampling grid of one axis: source indices ``i0``/``i1`` and the
+    fraction between them, already in ``dtype``. Cached, so the arrays are
+    read-only: every caller shares them."""
     if n_out == 1:
         src = np.array([(n_in - 1) / 2.0])
     else:
         src = np.arange(n_out) * ((n_in - 1) / (n_out - 1))
     i0 = np.floor(src).astype(np.int64)
     i0 = np.minimum(i0, n_in - 1)
-    frac = src - i0
+    frac = (src - i0).astype(dtype)
     i1 = np.minimum(i0 + 1, n_in - 1)
+    for a in (i0, i1, frac):
+        a.flags.writeable = False
     return i0, i1, frac
 
 
@@ -133,17 +141,20 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
     Written in incremental form (v00 plus fractional differences) so a
     constant image stays exactly constant and a same-size resize is the
-    identity bitwise.
+    identity bitwise. Each axis's sampling grid is cached per
+    ``(size in, size out, dtype)``; the four corner samples are two row
+    gathers followed by four column gathers.
     """
     c, h, w = image.shape
-    y0, y1, fy = _axis_coords(h, out_h)
-    x0, x1, fx = _axis_coords(w, out_w)
-    v00 = image[:, y0[:, None], x0[None, :]]
-    v01 = image[:, y0[:, None], x1[None, :]]
-    v10 = image[:, y1[:, None], x0[None, :]]
-    v11 = image[:, y1[:, None], x1[None, :]]
-    fy = fy[None, :, None].astype(image.dtype)
-    fx = fx[None, None, :].astype(image.dtype)
+    y0, y1, fy = _axis_grid(h, out_h, image.dtype)
+    x0, x1, fx = _axis_grid(w, out_w, image.dtype)
+    rows0 = image.take(y0, axis=1)
+    rows1 = image.take(y1, axis=1)
+    v00 = rows0.take(x0, axis=2)
+    v01 = rows0.take(x1, axis=2)
+    v10 = rows1.take(x0, axis=2)
+    v11 = rows1.take(x1, axis=2)
+    fy = fy[:, None]
     return v00 + fx * (v01 - v00) + fy * (v10 - v00) + fy * fx * (v00 + v11 - v01 - v10)
 
 
@@ -192,8 +203,8 @@ def sample_crop_box(
     for _ in range(cfg.max_attempts):
         target = rng.uniform(cfg.area_min, cfg.area_max) * area
         aspect = rng.uniform(cfg.aspect_min, cfg.aspect_max)
-        cw = max(1, round(np.sqrt(target * aspect)))
-        ch = max(1, round(np.sqrt(target / aspect)))
+        cw = max(1, round(math.sqrt(target * aspect)))
+        ch = max(1, round(math.sqrt(target / aspect)))
         if cw > width or ch > height:
             continue
         realized_area = (cw * ch) / area
@@ -237,7 +248,11 @@ def save_dataset(dataset: Dataset, directory) -> None:
 
 def load_dataset(directory, classes: int | None = None) -> Dataset:
     """Load a directory written by :func:`save_dataset`. The train/val split
-    is recomputed from sample indices, so it matches the original."""
+    is recomputed from the sample indices in the file names, so it matches
+    the original even when some indices are missing.
+
+    Two files with the same index, an image that is not (c, h, w), and
+    images of different shapes raise ValueError naming the files."""
     directory = Path(directory)
     entries: list[tuple[int, int, Path]] = []
     for path in directory.iterdir():
@@ -247,11 +262,25 @@ def load_dataset(directory, classes: int | None = None) -> Dataset:
     if not entries:
         raise FileNotFoundError(f"no .tns samples under {directory}")
     entries.sort()
-    images = np.stack([Tensor.load(p).data for _, _, p in entries])
+    for (i, _, first), (j, _, second) in zip(entries, entries[1:]):
+        if i == j:
+            raise ValueError(f"{first} and {second} both hold sample index {i}")
+    images = []
+    for _, _, path in entries:
+        image = Tensor.load(path).data
+        if image.ndim != 3:
+            raise ValueError(f"{path}: image shape {image.shape} is not (c, h, w)")
+        if images and image.shape != images[0].shape:
+            raise ValueError(
+                f"{path}: image shape {image.shape} differs from "
+                f"{images[0].shape} in {entries[0][2]}"
+            )
+        images.append(image)
     labels = np.array([label for _, label, _ in entries], dtype=np.int64)
     return Dataset(
-        images=images,
+        images=np.stack(images),
         labels=labels,
         classes=classes if classes is not None else int(labels.max()) + 1,
         seed=0,
+        val_mask=np.array([_is_val(i) for i, _, _ in entries]),
     )

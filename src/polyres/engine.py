@@ -265,8 +265,11 @@ class Op:
         """Return (output array, saved context for backward)."""
         raise NotImplementedError
 
-    def backward(self, grad, saved):
-        """Return (per-input gradients, param-name -> gradient or None)."""
+    def backward(self, grad, saved, input_grads=True):
+        """Return (per-input gradients, param-name -> gradient or None).
+
+        With ``input_grads`` False nobody reads the input gradients, and an
+        op may skip them and return None in their place."""
         raise NotImplementedError
 
     def macs(self, in_shapes, out_shape) -> int:
@@ -298,7 +301,7 @@ class Flatten(Op):
         (x,) = inputs
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, grad, saved):
+    def backward(self, grad, saved, input_grads=True):
         return [grad.reshape(saved)], None
 
 
@@ -328,7 +331,7 @@ class Dense(Op):
         (x,) = inputs
         return x @ params["w"] + params["b"], (x, params["w"])
 
-    def backward(self, grad, saved):
+    def backward(self, grad, saved, input_grads=True):
         x, w = saved
         return [grad @ w.T], {"w": x.T @ grad, "b": grad.sum(axis=0)}
 
@@ -426,11 +429,13 @@ class Conv2D(Op):
         y += b[None, :, None, None]
         return y, (x.shape, w, cols)
 
-    def backward(self, grad, saved):
+    def backward(self, grad, saved, input_grads=True):
         x_shape, w, cols = saved
         g2 = grad.reshape(grad.shape[0], self.c_out, -1)
         dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         db = grad.sum(axis=(0, 2, 3))
+        if not input_grads:
+            return [None], {"w": dw, "b": db}
         dcols = w.reshape(self.c_out, -1).T @ g2
         if self.pointwise:
             dx = dcols.reshape(x_shape)
@@ -463,7 +468,7 @@ class ReLU(Op):
         y = np.maximum(x, 0)
         return y, x
 
-    def backward(self, grad, saved):
+    def backward(self, grad, saved, input_grads=True):
         return [grad * (saved > 0)], None
 
 
@@ -483,7 +488,7 @@ class Add(Op):
             out += x
         return out, len(inputs)
 
-    def backward(self, grad, saved):
+    def backward(self, grad, saved, input_grads=True):
         return [grad] * saved, None
 
 
@@ -515,7 +520,7 @@ class GatedSum(Op):
                 out += gi * x if gi != 1.0 else x
         return out, g
 
-    def backward(self, grad, saved):
+    def backward(self, grad, saved, input_grads=True):
         return [grad * gi if gi != 1.0 else grad for gi in saved], None
 
 
@@ -533,7 +538,7 @@ class ScalarScale(Op):
     def forward(self, inputs, params, mode, gates=None):
         return self.beta * inputs[0], None
 
-    def backward(self, grad, saved):
+    def backward(self, grad, saved, input_grads=True):
         return [self.beta * grad], None
 
 
@@ -593,7 +598,7 @@ class ChannelNorm(Op):
         n = x.size // self.channels
         return y, (xhat, inv_std, gamma, axes, view, n, mode)
 
-    def backward(self, grad, saved):
+    def backward(self, grad, saved, input_grads=True):
         xhat, inv_std, gamma, axes, view, n, mode = saved
         if mode != "train":
             raise EngineError("channel norm backward requires a train-mode tape")
@@ -624,7 +629,7 @@ class GlobalAvgPool(Op):
         (x,) = inputs
         return x.mean(axis=(2, 3)), x.shape
 
-    def backward(self, grad, saved):
+    def backward(self, grad, saved, input_grads=True):
         b, c, h, w = saved
         dx = np.broadcast_to(grad[:, :, None, None], saved) / (h * w)
         return [np.ascontiguousarray(dx)], None
@@ -800,7 +805,9 @@ def backward(
     """Reverse the tape, accumulating gradients per trainable parameter.
 
     Share keys referenced by several nodes receive the sum of all occurrence
-    contributions. The tape must come from a train-mode forward.
+    contributions. The tape must come from a train-mode forward. Unless
+    ``return_input_grad`` is set, a node that reads only the graph input
+    (the stem conv) skips its input gradient.
     """
     if tape.mode != "train":
         raise EngineError("backward requires a train-mode tape")
@@ -809,6 +816,7 @@ def backward(
     node_grads: dict[int, np.ndarray] = {graph.output: upstream}
     grads = ParamStore()
     input_grad: np.ndarray | None = None
+    sources = {n.idx for n in graph.nodes if isinstance(n.op, InputOp)}
     for node in reversed(graph.nodes):
         g = node_grads.pop(node.idx, None)
         if g is None:
@@ -816,8 +824,9 @@ def backward(
         if isinstance(node.op, InputOp):
             input_grad = g
             continue
-        in_grads, p_grads = node.op.backward(g, tape.saved[node.idx])
-        for i, gi in zip(node.inputs, in_grads):
+        need = return_input_grad or not sources.issuperset(node.inputs)
+        in_grads, p_grads = node.op.backward(g, tape.saved[node.idx], input_grads=need)
+        for i, gi in zip(node.inputs, in_grads if need else ()):
             if i in node_grads:
                 node_grads[i] = node_grads[i] + gi
             else:

@@ -1,10 +1,13 @@
 """Synthetic dataset and crop augmentation."""
 
+import shutil
+
 import numpy as np
 import pytest
 
 from polyres.data import (
     AugmentConfig,
+    _axis_grid,
     augment,
     bilinear_resize,
     hflip,
@@ -13,6 +16,7 @@ from polyres.data import (
     save_dataset,
     synth_dataset,
 )
+from polyres.engine import Tensor
 
 
 class TestSynthDataset:
@@ -60,6 +64,60 @@ class TestSynthDataset:
             synth_dataset(10, 4, 4, seed=0)
 
 
+def reference_resize(image, out_h, out_w):
+    """Frozen copy of the original bilinear_resize: per-call grids and 2-D
+    fancy-index gathers. The cached, axis-wise version must match it bitwise."""
+
+    def axis_coords(n_in, n_out):
+        if n_out == 1:
+            src = np.array([(n_in - 1) / 2.0])
+        else:
+            src = np.arange(n_out) * ((n_in - 1) / (n_out - 1))
+        i0 = np.minimum(np.floor(src).astype(np.int64), n_in - 1)
+        return i0, np.minimum(i0 + 1, n_in - 1), src - i0
+
+    y0, y1, fy = axis_coords(image.shape[1], out_h)
+    x0, x1, fx = axis_coords(image.shape[2], out_w)
+    v00 = image[:, y0[:, None], x0[None, :]]
+    v01 = image[:, y0[:, None], x1[None, :]]
+    v10 = image[:, y1[:, None], x0[None, :]]
+    v11 = image[:, y1[:, None], x1[None, :]]
+    fy = fy[None, :, None].astype(image.dtype)
+    fx = fx[None, None, :].astype(image.dtype)
+    return v00 + fx * (v01 - v00) + fy * (v10 - v00) + fy * fx * (v00 + v11 - v01 - v10)
+
+
+def reference_augment(image, cfg, rng):
+    """Frozen copy of the original augment (np.sqrt crop proposals, the
+    reference resize): same draws from ``rng`` in the same order."""
+    _, height, width = image.shape
+    area = float(height * width)
+    box = None
+    for _ in range(cfg.max_attempts):
+        target = rng.uniform(cfg.area_min, cfg.area_max) * area
+        aspect = rng.uniform(cfg.aspect_min, cfg.aspect_max)
+        cw = max(1, round(np.sqrt(target * aspect)))
+        ch = max(1, round(np.sqrt(target / aspect)))
+        if cw > width or ch > height:
+            continue
+        if not cfg.area_min <= (cw * ch) / area <= cfg.area_max:
+            continue
+        if not cfg.aspect_min <= cw / ch <= cfg.aspect_max:
+            continue
+        top = int(rng.integers(0, height - ch + 1))
+        left = int(rng.integers(0, width - cw + 1))
+        box = top, left, ch, cw
+        break
+    if box is None:
+        side = min(height, width)
+        box = (height - side) // 2, (width - side) // 2, side, side
+    top, left, ch, cw = box
+    out = reference_resize(image[:, top : top + ch, left : left + cw], cfg.out_size, cfg.out_size)
+    if rng.random() < cfg.flip_prob:
+        out = np.ascontiguousarray(out[..., ::-1])
+    return out
+
+
 class TestResize:
     def test_same_size_is_identity_bitwise(self):
         img = np.random.default_rng(0).standard_normal((3, 16, 16))
@@ -75,6 +133,28 @@ class TestResize:
         out = bilinear_resize(img, 2, 2)
         assert out[0, 0, 0] == img[0, 0, 0]
         assert out[0, 1, 1] == img[0, 3, 3]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("out_hw", [(32, 32), (17, 24)])
+    def test_matches_frozen_reference_bitwise(self, dtype, out_hw):
+        # Every crop size of a 32x32 image, as augmentation produces them.
+        image = np.random.default_rng(8).standard_normal((3, 32, 32)).astype(dtype)
+        for h in range(1, 33):
+            for w in range(1, 33):
+                crop = image[:, 32 - h :, 32 - w :]
+                got = bilinear_resize(crop, *out_hw)
+                want = reference_resize(crop, *out_hw)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (h, w)
+
+    def test_cached_grids_are_read_only(self):
+        grid = _axis_grid(7, 4, np.dtype(np.float32))
+        assert grid is _axis_grid(7, 4, np.dtype(np.float32))
+        assert grid[2].dtype == np.float32
+        for a in grid:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
 
     def test_double_flip_is_identity(self):
         img = np.random.default_rng(1).standard_normal((3, 8, 8))
@@ -135,6 +215,18 @@ class TestAugment:
         assert (ch, cw) == (20, 20)
         assert (top, left) == (0, 5)
 
+    @pytest.mark.parametrize("dtype,seeds,n", [(np.float32, 4, 64), (np.float64, 2, 32)])
+    def test_matches_frozen_reference_and_rng_stream(self, dtype, seeds, n):
+        cfg = AugmentConfig()
+        for seed in range(seeds):
+            images = np.random.default_rng(100 + seed).standard_normal((n, 3, 32, 32))
+            images = images.astype(dtype)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for image in images:
+                got, want = augment(image, cfg, rng), reference_augment(image, cfg, ref_rng)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert rng.random() == ref_rng.random()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AugmentConfig(area_min=0.0)
@@ -153,6 +245,35 @@ class TestImportExport:
         assert np.array_equal(back.labels, ds.labels)
         assert np.array_equal(back.val_mask, ds.val_mask)
         assert back.classes == 4
+
+    def test_split_follows_file_indices_across_gaps(self, tmp_path):
+        ds = synth_dataset(30, 4, 8, seed=2)
+        save_dataset(ds, tmp_path / "d")
+        gone = [0, 7, 8]
+        for i in gone:
+            (tmp_path / "d" / f"{ds.labels[i]}_{i:05d}.tns").unlink()
+        keep = np.setdiff1d(np.arange(30), gone)
+        back = load_dataset(tmp_path / "d")
+        assert np.array_equal(back.images, ds.images[keep])
+        assert np.array_equal(back.val_mask, ds.val_mask[keep])
+
+    def test_duplicate_index_rejected_with_both_paths(self, tmp_path):
+        save_dataset(synth_dataset(4, 2, 8, seed=0), tmp_path)
+        shutil.copy(tmp_path / "1_00001.tns", tmp_path / "0_00001.tns")
+        with pytest.raises(ValueError, match="0_00001.tns and .*1_00001.tns"):
+            load_dataset(tmp_path)
+
+    def test_mixed_image_shapes_name_the_file(self, tmp_path):
+        save_dataset(synth_dataset(4, 2, 16, seed=0), tmp_path)
+        Tensor(np.zeros((3, 8, 8), np.float32)).save(tmp_path / "0_00002.tns")
+        with pytest.raises(ValueError, match=r"0_00002\.tns.*\(3, 8, 8\)"):
+            load_dataset(tmp_path)
+
+    def test_image_that_is_not_rank_three_names_the_file(self, tmp_path):
+        for i in range(3):
+            Tensor(np.zeros((8, 8), np.float32)).save(tmp_path / f"{i % 2}_{i:05d}.tns")
+        with pytest.raises(ValueError, match=r"0_00000\.tns.*not \(c, h, w\)"):
+            load_dataset(tmp_path)
 
     def test_missing_directory_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()

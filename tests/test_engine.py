@@ -232,6 +232,51 @@ class TestConvReference:
         check_graph_gradients(graph, params, x, "conv fan-out")
 
 
+class TestStemInputGradient:
+    """A conv that reads only the graph input skips its input gradient
+    unless the caller asks for it; parameter gradients do not change."""
+
+    @staticmethod
+    def stem_graph():
+        rng = np.random.default_rng(17)
+        stem, down = Conv2D(3, 3, 4), StridedConvDownsample(4, 4)
+        nodes = [
+            GraphNode(0, InputOp(), ()),
+            GraphNode(1, stem, (0,), param_key="stem"),
+            GraphNode(2, ReLU(), (1,)),
+            GraphNode(3, down, (2,), param_key="down"),
+            GraphNode(4, GlobalAvgPool(), (3,)),
+        ]
+        params = ParamStore()
+        for key, op in (("stem", stem), ("down", down)):
+            for name, value in params_for(op, key, rng).group(key).items():
+                params.add(key, name, value)
+        return ComputationGraph(nodes, (3, 7, 6)), params, rng.standard_normal((2, 3, 7, 6))
+
+    def test_parameter_gradients_are_bitwise_unchanged(self, monkeypatch):
+        import polyres.engine as engine
+
+        graph, params, x = self.stem_graph()
+        out, tape = forward(graph, params, x, "train")
+        upstream = scalar_loss_grad(out.data)
+        calls = []
+        col2im = engine._col2im
+        monkeypatch.setattr(engine, "_col2im", lambda *a: calls.append(1) or col2im(*a))
+        skipped = backward(tape, upstream)
+        assert len(calls) == 1  # only the strided conv's; the stem's is skipped
+        full, dx = backward(tape, upstream, return_input_grad=True)
+        assert len(calls) == 3 and dx.shape == x.shape
+        assert [(k, n) for k, n, _ in skipped.flat_items()] == [
+            (k, n) for k, n, _ in full.flat_items()
+        ]
+        for key, name, value in full.flat_items():
+            assert np.array_equal(skipped.get(key, name), value), f"{key}/{name}"
+
+    def test_requested_input_gradient_matches_finite_differences(self):
+        graph, params, x = self.stem_graph()
+        check_graph_gradients(graph, params, x, "stem")
+
+
 class TestGatedSum:
     def build(self, n):
         nodes = [GraphNode(0, InputOp(), ())]
