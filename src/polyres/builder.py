@@ -66,7 +66,8 @@ __all__ = [
 class BlockArch:
     """A residual block template. Input and output shapes match so block
     composition is well-typed; instantiated blocks adopt the stage width and
-    keep this template's internal proportions."""
+    keep this template's internal proportions. A template only emits layers:
+    each layer's op creates its own tensors under the block's share key."""
 
     tag = "block"
 
@@ -74,19 +75,8 @@ class BlockArch:
     def descriptor(self) -> str:
         raise NotImplementedError
 
-    def last_layer_names(self) -> tuple[str, ...]:
-        """Stored names of the final linear layer (used by zero_last)."""
-        raise NotImplementedError
-
-    def make_params(self, width: int, rng, dtype) -> dict[str, np.ndarray]:
-        raise NotImplementedError
-
     def emit(self, gb: "_GraphBuilder", x: int, width: int, key: str, segment: str) -> int:
         raise NotImplementedError
-
-
-def _he(rng, shape, fan_in, dtype):
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
 
 
 @dataclass(frozen=True)
@@ -104,18 +94,6 @@ class DenseBlock(BlockArch):
 
     def hidden_at(self, width: int) -> int:
         return max(1, round(width * self.hidden / self.dim))
-
-    def last_layer_names(self) -> tuple[str, ...]:
-        return ("w2", "b2")
-
-    def make_params(self, width, rng, dtype):
-        h = self.hidden_at(width)
-        return {
-            "w1": _he(rng, (width, h), width, dtype),
-            "b1": np.zeros(h, dtype=dtype),
-            "w2": _he(rng, (h, width), h, dtype),
-            "b2": np.zeros(width, dtype=dtype),
-        }
 
     def emit(self, gb, x, width, key, segment):
         h = self.hidden_at(width)
@@ -139,20 +117,6 @@ class ConvBlock(BlockArch):
 
     def mid_at(self, width: int) -> int:
         return max(1, round(width / self.reduction))
-
-    def last_layer_names(self) -> tuple[str, ...]:
-        return ("w3", "b3")
-
-    def make_params(self, width, rng, dtype):
-        m = self.mid_at(width)
-        return {
-            "w1": _he(rng, (m, width, 1, 1), width, dtype),
-            "b1": np.zeros(m, dtype=dtype),
-            "w2": _he(rng, (m, m, 3, 3), 9 * m, dtype),
-            "b2": np.zeros(m, dtype=dtype),
-            "w3": _he(rng, (width, m, 1, 1), m, dtype),
-            "b3": np.zeros(width, dtype=dtype),
-        }
 
     def emit(self, gb, x, width, key, segment):
         m = self.mid_at(width)
@@ -201,12 +165,16 @@ class _GraphBuilder:
         param_names: dict[str, str] | None = None,
         label: str = "",
     ) -> int:
-        # Parameters are created lazily at the first node that uses a key, so
+        # A node's op creates its tensors the first time a node binds them, so
         # initialization draws follow graph-emission order deterministically.
-        if key is not None and not self.params.has_group(key) and hasattr(op, "init_params"):
-            for local, value in op.init_params(self.rng, self.dtype).items():
-                stored = (param_names or {}).get(local, local)
-                self.params.add(key, stored, value)
+        # The op creates them all at once, so one stored name shows whether
+        # they exist; a node without a name map binds its whole group.
+        if key is not None and hasattr(op, "init_params"):
+            group = self.params.group(key) if self.params.has_group(key) else {}
+            probe = next(iter(param_names.values())) if param_names else None
+            if not group or (probe is not None and probe not in group):
+                for local, value in op.init_params(self.rng, self.dtype).items():
+                    self.params.add(key, (param_names or {}).get(local, local), value)
         idx = len(self.nodes)
         self.nodes.append(
             GraphNode(
@@ -292,9 +260,6 @@ def _emit_module(
             if b.share_key not in letters:
                 letters.append(b.share_key)
     keys = {c: f"{segment}.{c}" for c in letters}
-    for c in letters:
-        for name, value in arch.make_params(width, gb.rng, gb.dtype).items():
-            gb.params.add(keys[c], name, value)
 
     block_apps = 0
     memo: dict[tuple[str, ...], int] = {(): x}
@@ -426,10 +391,49 @@ def _copy_group(dst: ParamStore, src: ParamStore, dst_key: str, src_key: str) ->
         dgroup[name] = value.copy()
 
 
-def _zero_last_layer(params: ParamStore, key: str, arch: BlockArch) -> None:
-    group = params.group(key)
-    for name in arch.last_layer_names():
+def _zero_last_layer(model: Model, key: str) -> None:
+    """Zero the tensors of the last graph node bound to ``key``: for a block,
+    its final layer, so the block outputs zero until trained."""
+    node = next(n for n in reversed(model.graph.nodes) if n.param_key == key)
+    group = model.params.group(key)
+    for name in node.param_names.values() if node.param_names else list(group):
         group[name] = np.zeros_like(group[name])
+
+
+def _lower_retaining(
+    model: Model,
+    target: NetworkConfig,
+    source_of: dict[tuple[str, int], tuple[str, int]],
+    zero_last: bool,
+    seed: int,
+) -> Model:
+    """Lower ``target`` and carry over ``model``'s parameters.
+
+    ``source_of`` maps a target module position ``(stage, index)`` to the
+    source position it retains. Such a module copies every block whose letter
+    the source module has; other blocks stay fresh from ``seed`` and, with
+    ``zero_last``, get their last layer zeroed. Non-block groups (stem,
+    transitions, head) are copied whole.
+    """
+    meta = model.meta
+    out = lower(
+        target, meta.arch, meta.beta, seed, meta.precision, meta.memoize, meta.input_channels
+    )
+    src_sites = {(m.stage, m.index_in_stage): m for m in model.modules}
+    for site in out.modules:
+        src = src_sites.get(source_of.get((site.stage, site.index_in_stage)))
+        src_letters = {k[len(src.segment):] for k in src.block_keys} if src else set()
+        for key in site.block_keys:
+            letter = key[len(site.segment):]  # ".F", ".G", ...
+            if letter in src_letters:
+                _copy_group(out.params, model.params, key, src.segment + letter)
+            elif zero_last:
+                _zero_last_layer(out, key)
+    block_keys = {k for m in model.modules for k in m.block_keys}
+    for key in model.params.keys():
+        if key not in block_keys:
+            _copy_group(out.params, model.params, key, key)
+    return out
 
 
 def upgrade(
@@ -464,32 +468,8 @@ def upgrade(
                         "zero_last is undefined for shared-parameter poly targets: "
                         "zeroing the shared block would erase the retained one"
                     )
-
-    out = lower(
-        target, model.meta.arch, model.meta.beta, seed,
-        model.meta.precision, model.meta.memoize, model.meta.input_channels,
-    )
-    src_modules = {(m.stage, m.index_in_stage): m for m in model.modules}
-    new_block_keys: list[str] = []
-    for site in out.modules:
-        src_site = src_modules[(site.stage, site.index_in_stage)]
-        retained = set(src_site.block_keys)
-        for key in site.block_keys:
-            if key in retained:
-                _copy_group(out.params, model.params, key, key)
-            else:
-                new_block_keys.append(key)
-    for key in _non_block_keys(model):
-        _copy_group(out.params, model.params, key, key)
-    if zero_last:
-        for key in new_block_keys:
-            _zero_last_layer(out.params, key, model.meta.arch)
-    return out
-
-
-def _non_block_keys(model: Model) -> list[str]:
-    block_keys = {k for m in model.modules for k in m.block_keys}
-    return [k for k in model.params.keys() if k not in block_keys]
+    positions = {(m.stage, m.index_in_stage): (m.stage, m.index_in_stage) for m in model.modules}
+    return _lower_retaining(model, target, positions, zero_last, seed)
 
 
 def deepen_interleave(
@@ -512,7 +492,7 @@ def deepen_interleave(
             f"expected {len(src_cfg.stages)} per-stage counts, got {len(per_stage_new)}"
         )
     stages: list[StageConfig] = []
-    index_map: dict[tuple[str, int], int] = {}  # (stage, old idx) -> new idx
+    source_of: dict[tuple[str, int], tuple[str, int]] = {}  # new position -> old
     for stage, m_new in zip(src_cfg.stages, per_stage_new):
         n = len(stage.modules)
         if m_new < 0:
@@ -520,35 +500,12 @@ def deepen_interleave(
         inserts = [m_new // n + (1 if j < m_new % n else 0) for j in range(n)]
         modules: list[ModuleKind] = []
         for j, kind in enumerate(stage.modules):
-            index_map[(stage.name, j)] = len(modules)
+            source_of[(stage.name, len(modules))] = (stage.name, j)
             modules.append(kind)
             modules.extend([kind] * inserts[j])
         stages.append(replace(stage, modules=tuple(modules)))
     target = replace(src_cfg, stages=tuple(stages))
-
-    out = lower(
-        target, model.meta.arch, model.meta.beta, seed,
-        model.meta.precision, model.meta.memoize, model.meta.input_channels,
-    )
-    retained_positions = {
-        (s.name, index_map[(s.name, j)]): (s.name, j)
-        for s in src_cfg.stages
-        for j in range(len(s.modules))
-    }
-    for site in out.modules:
-        pos = (site.stage, site.index_in_stage)
-        if pos in retained_positions:
-            src_stage, src_idx = retained_positions[pos]
-            src_prefix = f"{src_stage}.{src_idx}."
-            dst_prefix = f"{site.stage}.{site.index_in_stage}."
-            for key in site.block_keys:
-                _copy_group(out.params, model.params, key, src_prefix + key[len(dst_prefix):])
-        elif zero_last:
-            for key in site.block_keys:
-                _zero_last_layer(out.params, key, model.meta.arch)
-    for key in _non_block_keys(model):
-        _copy_group(out.params, model.params, key, key)
-    return out
+    return _lower_retaining(model, target, source_of, zero_last, seed)
 
 
 # ---------------------------------------------------------------------------

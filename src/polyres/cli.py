@@ -74,8 +74,12 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
+    """Map each option name to ``(where, value)``, where is ``path:line``."""
+    values: dict[str, tuple[str, str]] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -83,14 +87,19 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: {key!r} already set at {values[key][0]}")
+        values[key] = (f"{path}:{lineno}", value)
     return values
 
 
 def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
     """Turn a ``key = value`` file into defaults on the subcommand's parser.
 
-    Explicit flags still win; a file value satisfies a required option.
+    Explicit flags still win; a file value satisfies a required option. A
+    key the subcommand does not take, or a value its option rejects, is a
+    ValueError naming ``path:line`` and the key.
     """
     if "--config" not in argv:
         return argv
@@ -105,17 +114,25 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
     subparser = sub_action.choices.get(command)
     if subparser is None:
         return argv  # let normal parsing report the usage error
+    actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
     defaults = {}
-    for action in subparser._actions:
-        if action.dest in raw:
-            text = raw[action.dest]
-            if action.type is not None:
-                defaults[action.dest] = action.type(text)
-            elif isinstance(action, argparse._StoreTrueAction):
-                defaults[action.dest] = text.lower() in ("1", "true", "yes")
-            else:
-                defaults[action.dest] = text
-            action.required = False
+    for key, (where, text) in raw.items():
+        action = actions.get(key)
+        if action is None:
+            raise ValueError(f"{where}: {command} has no option {key!r}")
+        if isinstance(action, argparse._StoreTrueAction):
+            value, allowed = text.lower(), _BOOLEANS
+        else:
+            try:
+                value = action.type(text) if action.type is not None else text
+            except ValueError as exc:
+                raise ValueError(f"{where}: {key}: {exc}") from None
+            allowed = action.choices
+        if allowed is not None and value not in allowed:
+            choices = ", ".join(map(str, allowed))
+            raise ValueError(f"{where}: {key}: {text!r} is not one of {choices}")
+        defaults[key] = _BOOLEANS[value] if allowed is _BOOLEANS else value
+        action.required = False
     subparser.set_defaults(**defaults)
     return argv
 

@@ -119,8 +119,8 @@ class StochasticPathConfig:
     ``adaptive`` selects when dropping becomes active: "off" means from the
     first iteration, "manual" from ``manual_start``, and "auto" waits until
     the validation loss has risen for ``window`` consecutive evals while the
-    train loss fell (an explicit stand-in for "serious overfitting"), with
-    at least ``min_gap`` evals between trigger state changes. ``rescale``
+    train loss fell (an explicit stand-in for "serious overfitting"); once
+    on, dropping stays on for the rest of the run. ``rescale``
     chooses between no compensation (default), dropout-style 1/(1-p)
     scaling of surviving paths at train time, or deterministic (1-p) path
     scaling at eval time.
@@ -130,7 +130,6 @@ class StochasticPathConfig:
     max_prob: float = 0.25
     adaptive: str = "off"  # "off" | "manual" | "auto"
     window: int = 3
-    min_gap: int = 2
     manual_start: int = 0
     rescale: str = "none"  # "none" | "train" | "eval"
 
@@ -314,7 +313,6 @@ def train(
 
     probs = gate_probabilities(len(model.modules), spc.max_prob) if spc else []
     gates_active = bool(spc and spc.enabled and spc.adaptive == "off")
-    last_trigger_change = -(10**9)
     state = model.params.zeros_like(trainable_only=True)
     recent_losses: list[float] = []
 
@@ -380,11 +378,9 @@ def train(
                 and spc.enabled
                 and spc.adaptive == "auto"
                 and not gates_active
-                and len(history.records) - last_trigger_change > spc.min_gap
                 and _overfitting(history.records, spc.window)
             ):
                 gates_active = True
-                last_trigger_change = len(history.records)
 
     if checkpoint_dir is not None:
         save_checkpoint(model, checkpoint_dir / "final.ckpt")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from polyres.algebra import module_monomials
 from polyres.builder import (
     ConvBlock,
     DenseBlock,
@@ -14,10 +15,13 @@ from polyres.builder import (
     upgrade,
 )
 from polyres.dsl import parse_network, preset
-from polyres.engine import Dense, EngineError, backward, forward, softmax_cross_entropy
+from polyres.engine import DTYPES, Dense, EngineError, backward, forward, softmax_cross_entropy
 
 DENSE = DenseBlock(4, 8)
 CONV = ConvBlock(4, 2)
+KINDS = ("ir", "poly-2", "poly-3", "mpoly-2", "mpoly-3", "2-way", "3-way")
+LAST_LAYER = {DENSE: ("w2", "b2"), CONV: ("w3", "b3")}
+ARCHS_AND_MEMOIZE = [(DENSE, True), (DENSE, False), (CONV, True), (CONV, False)]
 
 
 def tiny(text, arch=DENSE, beta=0.3, seed=0, **kw):
@@ -171,6 +175,100 @@ class TestLowering:
             parse_arch("dense:1")
 
 
+def _he(rng, shape, fan_in, dtype):
+    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+
+
+def _reference_block(arch, width, rng, dtype):
+    """Reference block init: He fan-in weights and zero biases, layer by layer."""
+    if isinstance(arch, DenseBlock):
+        h = arch.hidden_at(width)
+        return {"w1": _he(rng, (width, h), width, dtype), "b1": np.zeros(h, dtype),
+                "w2": _he(rng, (h, width), h, dtype), "b2": np.zeros(width, dtype)}
+    m = arch.mid_at(width)
+    return {"w1": _he(rng, (m, width, 1, 1), width, dtype), "b1": np.zeros(m, dtype),
+            "w2": _he(rng, (m, m, 3, 3), 9 * m, dtype), "b2": np.zeros(m, dtype),
+            "w3": _he(rng, (width, m, 1, 1), m, dtype), "b3": np.zeros(width, dtype)}
+
+
+def _reference_params(config, arch, seed, precision, channels):
+    """Frozen reference for lowering's parameter init: stem, then each module
+    drawing all its letters' blocks up front (letters in first-use order over
+    the monomials), transitions after each stage, then the head."""
+    dtype = DTYPES[precision]
+    rng = np.random.default_rng(seed)
+    conv = isinstance(arch, ConvBlock)
+
+    def affine(shape, fan_in, c_out):
+        return {"w": _he(rng, shape, fan_in, dtype), "b": np.zeros(c_out, dtype)}
+
+    def norm(c):
+        fills = {"gamma": 1, "beta": 0, "running_mean": 0, "running_var": 1}
+        return {name: np.full(c, fill, dtype) for name, fill in fills.items()}
+
+    out, stages = {}, config.stages
+    w0, size = stages[0].width, config.input_size
+    if conv:
+        out["stem.conv"] = affine((w0, channels, 3, 3), 9 * channels, w0)
+        out["stem.norm"] = norm(w0)
+        out["stem.down"] = affine((w0, w0, 3, 3), 9 * w0, w0)
+    else:
+        n_in = channels * size * size
+        out["stem.fc"] = affine((n_in, w0), n_in, w0)
+        out["stem.norm"] = norm(w0)
+    for i, stage in enumerate(stages):
+        for j, kind in enumerate(stage.modules):
+            letters = dict.fromkeys(b.share_key for mono in module_monomials(kind) for b in mono)
+            for c in letters:
+                out[f"{stage.name}.{j}.{c}"] = _reference_block(arch, stage.width, rng, dtype)
+        if i + 1 < len(stages):
+            w, nw = stage.width, stages[i + 1].width
+            key = f"trans.{stage.name}-{stages[i + 1].name}"
+            if conv:
+                out[f"{key}.conv"] = affine((nw, w, 3, 3), 9 * w, nw)
+            else:
+                out[f"{key}.fc"] = affine((w, nw), w, nw)
+            out[f"{key}.norm"] = norm(nw)
+    last = stages[-1].width
+    out["head.fc"] = affine((last, config.classes), last, config.classes)
+    return [(k, n, v) for k, group in out.items() for n, v in group.items()]
+
+
+class TestParameterInit:
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("memoize", [True, False])
+    @pytest.mark.parametrize("arch", [DENSE, CONV], ids=["dense", "conv"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_lowering_matches_the_eager_reference_bitwise(self, kind, arch, memoize, precision):
+        config = parse_network(
+            f"A: {kind} -> ir -> {kind}; B: {kind}", input_size=8, classes=3, base_width=4
+        )
+        model = lower(config, arch, beta=0.3, seed=11, precision=precision,
+                      memoize=memoize, input_channels=2)
+        got = list(model.params.flat_items())
+        want = _reference_params(config, arch, 11, precision, 2)
+        assert [(k, n) for k, n, _ in got] == [(k, n) for k, n, _ in want]
+        for (key, name, a), (_, _, b) in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, f"{key}/{name}"
+            assert a.tobytes() == b.tobytes(), f"{key}/{name}"
+
+
+def assert_only_last_layers_zeroed(zeroed, plain, new_keys, last_layer):
+    """``zeroed`` equals ``plain`` except that the last-layer tensors of the
+    blocks in ``new_keys`` are zero (and the weights were not zero before)."""
+    assert list(zeroed.params.keys()) == list(plain.params.keys())
+    hits = 0
+    for key, name, value in zeroed.params.flat_items():
+        ref = plain.params.get(key, name)
+        if key in new_keys and name in last_layer:
+            assert not value.any(), f"{key}/{name}"
+            assert name.startswith("b") or ref.any(), f"{key}/{name}"
+            hits += 1
+        else:
+            assert np.array_equal(value, ref), f"{key}/{name}"
+    assert new_keys and hits == len(new_keys) * len(last_layer)
+
+
 class TestUpgrade:
     def test_first_order_block_retained_new_block_fresh(self):
         src = tiny("A: ir -> ir", seed=1)
@@ -189,13 +287,21 @@ class TestUpgrade:
 
     @pytest.mark.parametrize("kind", ["mpoly-2", "mpoly-3", "2-way", "3-way"])
     def test_zero_last_preserves_the_function(self, kind):
-        src = tiny("A: ir -> ir", seed=5)
         target = parse_network(
             f"A: {kind} -> {kind}", input_size=8, classes=3, base_width=4
         )
-        up = upgrade(src, target, zero_last=True, seed=6)
-        x = batch(5, seed=12)
-        assert np.abs(src.logits(x) - up.logits(x)).max() < 1e-9
+        for arch, memoize in ARCHS_AND_MEMOIZE:
+            src = tiny("A: ir -> ir", arch=arch, seed=5, memoize=memoize)
+            up = upgrade(src, target, zero_last=True, seed=6)
+            x = batch(5, seed=12)
+            assert np.abs(src.logits(x) - up.logits(x)).max() < 1e-9
+            # Biases start at zero, so zeroing a block's first layer would
+            # also keep the function; only the new last layers may change.
+            plain = upgrade(src, target, zero_last=False, seed=6)
+            new_keys = {
+                k for m in up.modules for k in m.block_keys if not src.params.has_group(k)
+            }
+            assert_only_last_layers_zeroed(up, plain, new_keys, LAST_LAYER[arch])
 
     def test_zero_last_rejected_for_poly_targets(self):
         src = tiny("A: ir", seed=5)
@@ -259,10 +365,18 @@ class TestDeepenInterleave:
         )
 
     def test_zero_last_preserves_function(self):
-        src = tiny("A: ir -> ir; B: 2-way", seed=6)
-        deep = deepen_interleave(src, [2, 1], zero_last=True, seed=7)
-        x = batch(5, seed=13)
-        assert np.abs(src.logits(x) - deep.logits(x)).max() < 1e-9
+        for arch, memoize in ARCHS_AND_MEMOIZE:
+            src = tiny("A: ir -> ir; B: 2-way", arch=arch, seed=6, memoize=memoize)
+            deep = deepen_interleave(src, [2, 1], zero_last=True, seed=7)
+            x = batch(5, seed=13)
+            assert np.abs(src.logits(x) - deep.logits(x)).max() < 1e-9
+            plain = deepen_interleave(src, [2, 1], zero_last=False, seed=7)
+            # One new unit lands after each original in A, one after B.0.
+            new_keys = {
+                k for m in deep.modules if m.segment in ("A.1", "A.3", "B.1")
+                for k in m.block_keys
+            }
+            assert_only_last_layers_zeroed(deep, plain, new_keys, LAST_LAYER[arch])
 
     def test_new_units_copy_the_preceding_kind(self):
         src = tiny("A: poly-2 -> 2-way", seed=8)

@@ -229,3 +229,36 @@ class TestConfigFile:
         cfg.write_text("this is not a key value line\n")
         code, _ = run(capsys, "rewrite", "--kind", "ir", "--config", str(cfg), "--out", str(tmp_path))
         assert code == EXIT_VALIDATION
+
+    def config_error(self, tmp_path, capsys, *lines) -> str:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(("# options", "kind = poly-2") + lines) + "\n")
+        code = dispatch(["rewrite", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        return capsys.readouterr().err
+
+    def test_unknown_key_names_the_file_line_and_key(self, tmp_path, capsys):
+        err = self.config_error(tmp_path, capsys, "betta = 0.5")
+        assert f"{tmp_path / 'run.cfg'}:3: rewrite has no option 'betta'" in err
+
+    def test_unconvertible_value_names_the_file_line_and_key(self, tmp_path, capsys):
+        err = self.config_error(tmp_path, capsys, "beta = abc")
+        assert f"{tmp_path / 'run.cfg'}:3: beta: could not convert" in err
+
+    def test_value_outside_choices_names_the_file_line_and_key(self, tmp_path, capsys):
+        err = self.config_error(tmp_path, capsys, "precision = f16")
+        assert f"{tmp_path / 'run.cfg'}:3: precision: 'f16' is not one of f32, f64" in err
+
+    def test_bad_boolean_names_the_file_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("network = A: ir\naugment = maybe\n")
+        code = dispatch(["train", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert f"{cfg}:2: augment: 'maybe' is not one of" in capsys.readouterr().err
+
+    def test_repeated_key_is_a_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = ir\nkind = poly-2\n")
+        code = dispatch(["rewrite", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert f"{cfg}:2: 'kind' already set at {cfg}:1" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from polyres import training
 from polyres.builder import DenseBlock, lower
 from polyres.data import synth_dataset
 from polyres.dsl import parse_network
@@ -272,6 +273,24 @@ class TestTrainLoop:
         _, history = train(self.small_model(5), dataset, hp, spc=spc, eval_every=20, seed=6)
         flags = [r.gates_active for r in history.records]
         assert flags[0] is False and flags[-1] is True
+
+    def test_auto_activation_turns_on_at_the_first_signal_and_stays_on(
+        self, dataset, monkeypatch
+    ):
+        calls = []
+
+        def signal_at_second_eval(records, window):
+            calls.append(len(records))
+            return len(records) == 2
+
+        monkeypatch.setattr(training, "_overfitting", signal_at_second_eval)
+        hp = OptimizerHP.desk(80)
+        spc = StochasticPathConfig(enabled=True, max_prob=0.5, adaptive="auto")
+        _, history = train(self.small_model(5), dataset, hp, spc=spc, eval_every=10, seed=6)
+        # A record flags the gates used in the iterations before it, so the
+        # signal after eval 2 shows from record 3 on.
+        assert [r.gates_active for r in history.records] == [False] * 2 + [True] * 6
+        assert calls == [1, 2]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self, dataset):
