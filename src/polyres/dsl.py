@@ -128,6 +128,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token], text: str):
         self.tokens = tokens
         self.pos = 0
+        self.stage_names: set[str] = set()
         n_lines = len(text.splitlines()) or 1
         self._eof = _Token("punct", "", n_lines, len(text.splitlines()[-1]) + 1 if text.splitlines() else 1)
 
@@ -190,6 +191,9 @@ class _Parser:
         tok = self.next()
         if tok.kind != "word":
             raise self.error("expected stage name", tok)
+        if tok.text in self.stage_names:
+            raise self.error("repeated stage name", tok)
+        self.stage_names.add(tok.text)
         self.expect(":")
         return tok.text, self.parse_chain()
 

@@ -333,7 +333,8 @@ class Dense(Op):
 
     def backward(self, grad, saved, input_grads=True):
         x, w = saved
-        return [grad @ w.T], {"w": x.T @ grad, "b": grad.sum(axis=0)}
+        dx = grad @ w.T if input_grads else None
+        return [dx], {"w": x.T @ grad, "b": grad.sum(axis=0)}
 
     def macs(self, in_shapes, out_shape):
         return in_shapes[0][0] * self.d_in * self.d_out
@@ -547,7 +548,8 @@ class ChannelNorm(Op):
 
     Train mode normalizes with batch statistics and folds them into running
     stats (momentum 0.9, mutated in place on the ParamStore); eval mode uses
-    the running stats. Channel axis is axis 1 for both (batch, feature) and
+    the running stats, folded with the affine into one per-channel scale and
+    shift. Channel axis is axis 1 for both (batch, feature) and
     (batch, channel, h, w) layouts.
     """
 
@@ -581,27 +583,28 @@ class ChannelNorm(Op):
         (x,) = inputs
         axes, view = self._axes_and_view(x.ndim)
         gamma, beta = params["gamma"], params["beta"]
-        if mode == "train":
-            mu = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            rm, rv = params["running_mean"], params["running_var"]
-            rm *= NORM_MOMENTUM
-            rm += (1.0 - NORM_MOMENTUM) * mu
-            rv *= NORM_MOMENTUM
-            rv += (1.0 - NORM_MOMENTUM) * var
-        else:
-            mu = params["running_mean"]
-            var = params["running_var"]
+        rm, rv = params["running_mean"], params["running_var"]
+        if mode != "train":
+            # Running stats and the affine fold into one per-channel scale
+            # and shift; nothing is saved, as no backward reads an eval pass.
+            scale = gamma / np.sqrt(rv + NORM_EPS)
+            shift = beta - rm * scale
+            y = x * scale.reshape(view)
+            y += shift.reshape(view)
+            return y, None
+        mu = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        rm *= NORM_MOMENTUM
+        rm += (1.0 - NORM_MOMENTUM) * mu
+        rv *= NORM_MOMENTUM
+        rv += (1.0 - NORM_MOMENTUM) * var
         inv_std = 1.0 / np.sqrt(var + NORM_EPS)
         xhat = (x - mu.reshape(view)) * inv_std.reshape(view)
         y = gamma.reshape(view) * xhat + beta.reshape(view)
-        n = x.size // self.channels
-        return y, (xhat, inv_std, gamma, axes, view, n, mode)
+        return y, (xhat, inv_std, gamma, axes, view)
 
     def backward(self, grad, saved, input_grads=True):
-        xhat, inv_std, gamma, axes, view, n, mode = saved
-        if mode != "train":
-            raise EngineError("channel norm backward requires a train-mode tape")
+        xhat, inv_std, gamma, axes, view = saved
         dgamma = (grad * xhat).sum(axis=axes)
         dbeta = grad.sum(axis=axes)
         dxhat = grad * gamma.reshape(view)
@@ -686,6 +689,10 @@ class ModuleSite:
     segment: str
 
 
+def _cache_field(default):
+    return field(default=default, init=False, repr=False, compare=False)
+
+
 @dataclass
 class ComputationGraph:
     """Nodes in topological order; the last one is the output. Building a
@@ -695,9 +702,12 @@ class ComputationGraph:
     nodes: list[GraphNode]
     input_shape: tuple[int, ...]  # per-sample shape, batch excluded
     modules: list[ModuleSite] = field(default_factory=list)
-    _shapes: tuple[tuple[int, ...], ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _shapes: tuple[tuple[int, ...], ...] | None = _cache_field(None)
+    # Per node: the values it is the last reader of (never the output).
+    _frees: tuple[tuple[int, ...], ...] = _cache_field(())
+    # Per node: whether backward reads its input gradients, that is whether
+    # a trainable node sits at or above one of its inputs.
+    _grad_read: tuple[bool, ...] = _cache_field(())
 
     @property
     def output(self) -> int:
@@ -712,17 +722,28 @@ class ComputationGraph:
         The only shape pass; :func:`forward` and the cost counters use it.
         A node reading itself or a later node raises EngineError, an op
         whose shape rule rejects its inputs ShapeError; both name the node.
-        The result at the graph's own input shape is cached; a failure is
-        not, so it is raised again at every call.
+        The result at the graph's own input shape is cached, together with
+        the last-use and gradient-read tables that :func:`forward` and
+        :func:`backward` follow; a failure is not, so it is raised again at
+        every call.
         """
         input_shape = self.input_shape if input_shape is None else tuple(input_shape)
         own = input_shape == self.input_shape
         if own and self._shapes is not None:
             return self._shapes
         shapes: list[tuple[int, ...]] = []
+        n = len(self.nodes)
+        last_use = list(range(n))
+        grad_read = [False] * n
+        trainable_above = [False] * n
         for node in self.nodes:
-            if max(node.inputs, default=-1) >= node.idx:
-                raise EngineError(f"{node.where} reads a later node {max(node.inputs)}")
+            idx = node.idx
+            for i in node.inputs:
+                if i >= idx:
+                    raise EngineError(f"{node.where} reads a later node {i}")
+                last_use[i] = idx
+                grad_read[idx] = grad_read[idx] or trainable_above[i]
+            trainable_above[idx] = grad_read[idx] or node.param_key is not None
             if isinstance(node.op, InputOp):
                 shapes.append((1, *input_shape))
                 continue
@@ -731,6 +752,13 @@ class ComputationGraph:
             except ShapeError as e:
                 raise ShapeError(f"{node.where}: {e}") from None
         if own:
+            frees: list[list[int]] = [[] for _ in self.nodes]
+            for i, last in enumerate(last_use):
+                if i != self.output:
+                    frees[last].append(i)
+            self._frees = tuple(map(tuple, frees))
+            self._grad_read = tuple(grad_read)
+            # Set last: concurrent first forwards read the tables once this is set.
             self._shapes = tuple(shapes)
         return tuple(shapes)
 
@@ -742,7 +770,8 @@ class ComputationGraph:
 
 @dataclass
 class Tape:
-    """Per-node context recorded by a forward pass, consumed by backward."""
+    """Per-node context recorded by a train-mode forward pass, consumed by
+    backward. An eval-mode tape records no context."""
 
     mode: str
     graph: ComputationGraph
@@ -768,6 +797,10 @@ def forward(
     Wiring and shapes are checked once per graph, by
     :meth:`ComputationGraph.infer_shapes`. With ``check_finite`` the first
     node whose output holds a NaN or Inf raises NumericError naming it.
+
+    Train mode records every node's context on the tape. Eval mode records
+    none and drops each value right after its last reader has run, so an
+    eval pass holds only the values a later node still reads.
     """
     if mode not in ("train", "eval"):
         raise EngineError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -777,11 +810,12 @@ def forward(
             f"input shape {x.shape[1:]} != graph input {graph.input_shape}"
         )
     graph.infer_shapes()
-    if mode == "eval" and not allow_eval_gates:
+    train = mode == "train"
+    if not train and not allow_eval_gates:
         gates = None
     values: list[np.ndarray] = [None] * len(graph.nodes)
-    saved: list = [None] * len(graph.nodes)
-    for node in graph.nodes:
+    saved: list = [None] * len(graph.nodes) if train else []
+    for node, frees in zip(graph.nodes, graph._frees):
         if isinstance(node.op, InputOp):
             values[node.idx] = x
             continue
@@ -795,7 +829,14 @@ def forward(
         if check_finite and not np.all(np.isfinite(out)):
             raise NumericError(f"non-finite output at {node.where}")
         values[node.idx] = out
-        saved[node.idx] = ctx
+        if train:
+            saved[node.idx] = ctx
+        else:
+            # Release the context and the values read for the last time
+            # (this one too, if nothing reads it) before the next op allocates.
+            del out, ctx
+            for i in frees:
+                values[i] = None
     return Tensor(values[graph.output]), Tape(mode, graph, saved, x)
 
 
@@ -806,8 +847,9 @@ def backward(
 
     Share keys referenced by several nodes receive the sum of all occurrence
     contributions. The tape must come from a train-mode forward. Unless
-    ``return_input_grad`` is set, a node that reads only the graph input
-    (the stem conv) skips its input gradient.
+    ``return_input_grad`` is set, a node with no trainable node at or above
+    any of its inputs (the stem conv, or the dense stem behind ``Flatten``)
+    skips its input gradient.
     """
     if tape.mode != "train":
         raise EngineError("backward requires a train-mode tape")
@@ -816,7 +858,6 @@ def backward(
     node_grads: dict[int, np.ndarray] = {graph.output: upstream}
     grads = ParamStore()
     input_grad: np.ndarray | None = None
-    sources = {n.idx for n in graph.nodes if isinstance(n.op, InputOp)}
     for node in reversed(graph.nodes):
         g = node_grads.pop(node.idx, None)
         if g is None:
@@ -824,7 +865,7 @@ def backward(
         if isinstance(node.op, InputOp):
             input_grad = g
             continue
-        need = return_input_grad or not sources.issuperset(node.inputs)
+        need = return_input_grad or graph._grad_read[node.idx]
         in_grads, p_grads = node.op.backward(g, tape.saved[node.idx], input_grads=need)
         for i, gi in zip(node.inputs, in_grads if need else ()):
             if i in node_grads:

@@ -277,6 +277,24 @@ def _evaluate(model: Model, images, labels, spc, probs) -> tuple[float, float, f
     return loss, topk_error(out.data, labels, 1), topk_error(out.data, labels, k5)
 
 
+def _step(model: Model, images, labels, gates, state, hp, lr, it) -> float:
+    """One forward, backward and RMSProp update; returns the loss. The
+    step's output, tape and gradients are locals, so they are freed on
+    return, before the next step's forward or an evaluation builds more."""
+    out, tape = forward(model.graph, model.params, images, "train", gates)
+    loss, dlogits = softmax_cross_entropy(out.data, labels)
+    if not np.isfinite(loss):
+        try:
+            forward(model.graph, model.params, images, "train", gates, check_finite=True)
+            detail = "loss is not finite"
+        except NumericError as exc:
+            detail = str(exc)
+        raise TrainingDiverged(it, lr, detail)
+    grads = backward(tape, dlogits)
+    rmsprop_step(model.params, grads, state, hp, lr)
+    return loss
+
+
 def train(
     model: Model,
     dataset: Dataset,
@@ -342,21 +360,7 @@ def train(
             bits = sample_gates(model, probs, rng_gates)
             gates_map = gate_node_map(model, bits, probs, spc.rescale)
 
-        out, tape = forward(model.graph, model.params, images, "train", gates_map)
-        loss, dlogits = softmax_cross_entropy(out.data, labels)
-        if not np.isfinite(loss):
-            try:
-                forward(
-                    model.graph, model.params, images, "train", gates_map, check_finite=True
-                )
-                detail = "loss is not finite"
-            except NumericError as exc:
-                detail = str(exc)
-            raise TrainingDiverged(it, lr, detail)
-        recent_losses.append(loss)
-
-        grads = backward(tape, dlogits)
-        rmsprop_step(model.params, grads, state, hp, lr)
+        recent_losses.append(_step(model, images, labels, gates_map, state, hp, lr, it))
         model.meta.iteration += 1
 
         if (it + 1) % eval_every == 0 or it + 1 == hp.total_iters:

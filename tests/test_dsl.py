@@ -117,6 +117,16 @@ class TestParse:
         with pytest.raises((DslSyntaxError, ValueError)):
             parse_network(bad)
 
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [("A: ir; A: ir", 1, 8), ("A: ir;\nB: poly-2;\n  A: ir", 3, 3)],
+    )
+    def test_repeated_stage_name_reports_its_position(self, text, line, col):
+        with pytest.raises(DslSyntaxError) as err:
+            parse_network(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert "'A'" in str(err.value)
+
     def test_error_reports_line_and_column(self):
         with pytest.raises(DslSyntaxError) as err:
             parse_network("A: ir;\nB: zorp")

@@ -1,9 +1,14 @@
 """Tensor engine: primitives, reverse-mode gradients, serialization."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from polyres.builder import ConvBlock, lower
+from polyres.dsl import parse_network
 from polyres.engine import (
+    NORM_EPS,
     Add,
     ChannelNorm,
     ComputationGraph,
@@ -16,6 +21,7 @@ from polyres.engine import (
     GraphNode,
     InputOp,
     NumericError,
+    Op,
     ParamStore,
     ReLU,
     ScalarScale,
@@ -276,6 +282,46 @@ class TestStemInputGradient:
         graph, params, x = self.stem_graph()
         check_graph_gradients(graph, params, x, "stem")
 
+    @staticmethod
+    def dense_stem_graph():
+        rng = np.random.default_rng(19)
+        stem, head = Dense(3 * 4 * 2, 5), Dense(5, 3)
+        nodes = [
+            GraphNode(0, InputOp(), ()),
+            GraphNode(1, Flatten(), (0,)),
+            GraphNode(2, stem, (1,), param_key="stem"),
+            GraphNode(3, ReLU(), (2,)),
+            GraphNode(4, head, (3,), param_key="head"),
+        ]
+        params = ParamStore()
+        for key, op in (("stem", stem), ("head", head)):
+            for name, value in params_for(op, key, rng).group(key).items():
+                params.add(key, name, value)
+        return ComputationGraph(nodes, (3, 4, 2)), params, rng.standard_normal((2, 3, 4, 2))
+
+    def test_dense_stem_behind_flatten_skips_its_input_gradient(self, monkeypatch):
+        graph, params, x = self.dense_stem_graph()
+        out, tape = forward(graph, params, x, "train")
+        upstream = scalar_loss_grad(out.data)
+        calls = []
+        unflatten = Flatten.backward
+        monkeypatch.setattr(
+            Flatten, "backward", lambda *a, **k: calls.append(1) or unflatten(*a, **k)
+        )
+        skipped = backward(tape, upstream)
+        assert calls == []  # the stem Dense handed Flatten no gradient
+        full, dx = backward(tape, upstream, return_input_grad=True)
+        assert calls == [1] and dx.shape == x.shape
+        assert [(k, n) for k, n, _ in skipped.flat_items()] == [
+            (k, n) for k, n, _ in full.flat_items()
+        ]
+        for key, name, value in full.flat_items():
+            assert np.array_equal(skipped.get(key, name), value), f"{key}/{name}"
+
+    def test_dense_stem_input_gradient_matches_finite_differences(self):
+        graph, params, x = self.dense_stem_graph()
+        check_graph_gradients(graph, params, x, "dense stem")
+
 
 class TestGatedSum:
     def build(self, n):
@@ -353,6 +399,26 @@ class TestChannelNorm:
         x = np.array([[1.0, 2.0, 3.0]])
         out, _ = forward(graph, params, x, "eval")
         assert np.abs(out.data).max() < 1e-9
+
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 3, 4, 5)])
+    def test_eval_scale_and_shift_matches_the_normalize_then_affine_formula(self, shape):
+        rng = np.random.default_rng(8)
+        op = ChannelNorm(3)
+        params = ParamStore()
+        for name, value in op.init_params(rng, np.float64).items():
+            params.add("n", name, value + rng.uniform(0.1, 2.0, size=value.shape))
+        before = params.clone()
+        graph = single_op_graph(op, shape[1:], key="n")
+        x = rng.standard_normal(shape) * 3.0 + 1.0
+        out, _ = forward(graph, params, x, "eval")
+        view = (1, 3) + (1,) * (len(shape) - 2)
+        g = params.group("n")
+        xhat = (x - g["running_mean"].reshape(view)) / np.sqrt(
+            g["running_var"].reshape(view) + NORM_EPS
+        )
+        want = g["gamma"].reshape(view) * xhat + g["beta"].reshape(view)
+        assert np.abs(out.data - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert params.equal(before)  # eval leaves the running stats alone
 
     def test_backward_rejects_eval_tape(self):
         op = ChannelNorm(3)
@@ -480,6 +546,58 @@ class TestExecution:
         assert np.array_equal(grads.get("p", "w"), np.zeros(4))
 
 
+class _Probe(Op):
+    """Sums its inputs plus one into a fresh array, and logs, before it
+    computes, which outputs of the probes before it are still alive."""
+
+    name = "probe"
+
+    def __init__(self, log):
+        self.log = log
+
+    def infer_shape(self, in_shapes):
+        return in_shapes[0]
+
+    def forward(self, inputs, params, mode, gates=None):
+        self.log["alive"].append([ref() is not None for ref in self.log["refs"]])
+        out = sum(inputs) + 1.0
+        self.log["refs"].append(weakref.ref(out))
+        return out, ("context", out)
+
+
+class TestLiveness:
+    # Node 4 has no reader; node 6 is the output.
+    READS = {1: (0,), 2: (1,), 3: (1, 2), 4: (2,), 5: (3,), 6: (2, 5)}
+
+    def probe_graph(self):
+        log = {"alive": [], "refs": []}
+        nodes = [GraphNode(0, InputOp(), ())]
+        nodes += [GraphNode(i, _Probe(log), ins) for i, ins in self.READS.items()]
+        return ComputationGraph(nodes, (3,)), log
+
+    def test_eval_tape_holds_no_contexts(self):
+        graph, _ = self.probe_graph()
+        out, tape = forward(graph, ParamStore(), np.ones((2, 3)), "eval")
+        assert tape.saved == []
+        with pytest.raises(EngineError):
+            backward(tape, np.ones_like(out.data))
+        _, tape = forward(graph, ParamStore(), np.ones((2, 3)), "train")
+        assert sum(ctx is not None for ctx in tape.saved) == len(self.READS)
+
+    def test_eval_values_are_released_after_their_last_reader(self):
+        graph, log = self.probe_graph()
+        out, _ = forward(graph, ParamStore(), np.ones((2, 3)), "eval")
+        last_reader = {j: max((n for n, ins in self.READS.items() if j in ins), default=j)
+                       for j in self.READS}
+        # Probe k logs probes 1..k-1: probe j's output is alive while some
+        # node at or after k still reads it.
+        for k, alive in zip(self.READS, log["alive"]):
+            assert alive == [last_reader[j] >= k for j in range(1, k)], f"node {k}"
+        assert [ref() is not None for ref in log["refs"]] == [False] * 5 + [True]
+        assert log["refs"][-1]() is out.data
+        assert np.array_equal(out.data, np.full((2, 3), 11.0))
+
+
 class TestTensorSerialization:
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_round_trip(self, precision):
@@ -533,17 +651,39 @@ class TestTensorSerialization:
 
 
 class TestConcurrency:
-    def test_concurrent_eval_forwards_agree(self):
-        # Eval-mode execution is read-only, so parallel forward passes over
-        # one model must reproduce the sequential results exactly.
-        from concurrent.futures import ThreadPoolExecutor
-
+    @staticmethod
+    def dense_op():
         rng = np.random.default_rng(0)
         op = Dense(6, 4)
         params = params_for(op, "d", np.random.default_rng(1))
-        graph = single_op_graph(op, (6,), key="d")
-        batches = [rng.standard_normal((8, 6)) for _ in range(16)]
+        return lambda: (single_op_graph(op, (6,), key="d"), params), [
+            rng.standard_normal((8, 6)) for _ in range(16)
+        ]
+
+    @staticmethod
+    def conv_network():
+        # Channel norms, branches and values with several readers.
+        config = parse_network("IR 1-2-1", classes=4, input_size=16)
+
+        def build():
+            model = lower(config, ConvBlock(16, 4), seed=3, precision="f64")
+            return model.graph, model.params
+
+        rng = np.random.default_rng(2)
+        return build, [rng.standard_normal((2, 3, 16, 16)) for _ in range(8)]
+
+    @pytest.mark.parametrize("case", ["dense_op", "conv_network"])
+    def test_concurrent_eval_forwards_agree(self, case):
+        # Eval-mode execution is read-only, so parallel forward passes over
+        # one model must reproduce the sequential results exactly. The
+        # threads run a twin that has never run, so its first forwards
+        # build the graph's shape and last-use tables concurrently.
+        from concurrent.futures import ThreadPoolExecutor
+
+        build, batches = getattr(self, case)()
+        graph, params = build()
         expected = [forward(graph, params, x, "eval")[0].data for x in batches]
+        graph, params = build()
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(
                 pool.map(lambda x: forward(graph, params, x, "eval")[0].data, batches)

@@ -1,6 +1,7 @@
 """Optimizer, schedule, stochastic paths, and the training loop."""
 
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -301,6 +302,27 @@ class TestTrainLoop:
         assert err.value.iteration >= 0
         assert err.value.lr > 0
         assert re.fullmatch(r"non-finite output at node \d+ \(\S+/\w+\)", err.value.detail)
+
+    def test_each_step_releases_its_tape_before_the_next_forward(self, dataset, monkeypatch):
+        tapes = []
+        held = []  # per forward or evaluation: how many earlier tapes are alive
+
+        def forward(*args, **kwargs):
+            held.append(sum(ref() is not None for ref in tapes))
+            out, tape = engine_forward(*args, **kwargs)
+            tapes.append(weakref.ref(tape))
+            return out, tape
+
+        def evaluate(*args):
+            held.append(sum(ref() is not None for ref in tapes))
+            return engine_evaluate(*args)
+
+        engine_forward, engine_evaluate = training.forward, training._evaluate
+        monkeypatch.setattr(training, "forward", forward)
+        monkeypatch.setattr(training, "_evaluate", evaluate)
+        train(self.small_model(8), dataset, OptimizerHP.desk(6), eval_every=3, seed=0)
+        assert len(tapes) == 6 and len(held) == 8
+        assert held == [0] * 8
 
     def test_checkpoints_written_at_decays_and_termination(self, dataset, tmp_path):
         hp = OptimizerHP.desk(70)  # decays at 20, 40, 60
