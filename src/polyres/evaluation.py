@@ -18,7 +18,7 @@ import numpy as np
 
 from .builder import Model
 from .data import Dataset, bilinear_resize, hflip
-from .engine import softmax
+from .engine import DTYPES, softmax
 
 __all__ = [
     "PoolingConfig",
@@ -80,7 +80,7 @@ def topk_error(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
 def single_crop_eval(model: Model, dataset: Dataset, split: str = "val") -> tuple[float, float]:
     """Plain full-image top-1/top-5 error on the chosen split."""
     images, labels = _split(dataset, split)
-    logits = model.logits(images.astype(np.float64) if model.meta.precision == "f64" else images)
+    logits = model.logits(images.astype(DTYPES[model.meta.precision], copy=False))
     k5 = min(5, logits.shape[1])
     return topk_error(logits, labels, 1), topk_error(logits, labels, k5)
 
@@ -104,23 +104,64 @@ def _grid_offsets(excess: int, count: int) -> list[tuple[int, int]]:
     return offsets[:count]
 
 
-def _scale_crops(image: np.ndarray, scale: float, crop: int, count: int) -> list[np.ndarray] | None:
-    """The deterministic crop set for one scale: grid crops first, then
-    mirrored copies in the same order until ``count`` crops."""
-    target = round(image.shape[1] * scale)
-    if target < crop:
-        return None
-    scaled = bilinear_resize(image, target, target) if target != image.shape[1] else image
-    n_base = min(count, max(1, math.ceil(count / 2)))
-    crops = [
-        scaled[:, t : t + crop, l : l + crop]
-        for t, l in _grid_offsets(target - crop, n_base)
-    ]
-    i = 0
-    while len(crops) < count:
-        crops.append(hflip(crops[i]))
-        i += 1
-    return crops[:count]
+CropKey = tuple[int, int, int, bool]  # (scaled size, top, left, mirrored)
+
+
+def _crop_plan(
+    size: int, scales: list[float], crop: int, count: int
+) -> tuple[list[CropKey], list[list[int]]]:
+    """The distinct crops of a protocol and, per scale, the rows of its
+    ``count`` crops among them.
+
+    A scale's crops are its grid crops, then mirrors of its crops in the
+    same order until ``count``; the mirror of a mirrored crop is the crop
+    itself. Scales that round to one size share their keys.
+    """
+    index: dict[CropKey, int] = {}
+    rows = []
+    for s in scales:
+        target = round(size * s)
+        grid = _grid_offsets(target - crop, math.ceil(count / 2))
+        keys = [(target, t, l, False) for t, l in grid]
+        for j in range(len(grid), count):
+            _, t, l, mirrored = keys[j - len(grid)]
+            keys.append((target, t, l, not mirrored))
+        rows.append([index.setdefault(k, len(index)) for k in keys])
+    return list(index), rows
+
+
+def _pooled_scores(
+    model: Model, images: np.ndarray, cfg: PoolingConfig
+) -> tuple[tuple[float, ...], np.ndarray]:
+    """The usable scales and the (images, classes) matrix of pooled crop
+    scores. Scales whose image is smaller than the crop are skipped with a
+    warning."""
+    crop = model.meta.config.input_size
+    usable = []
+    for s in cfg.scales:
+        if round(images.shape[2] * s) < crop:
+            warnings.warn(f"scale {s} yields images smaller than the crop; skipped")
+        else:
+            usable.append(s)
+    if not usable:
+        raise ValueError("every scale was smaller than the crop size")
+
+    dtype = DTYPES[model.meta.precision]
+    keys, rows = _crop_plan(images.shape[2], usable, crop, cfg.crops_per_scale)
+    sizes = dict.fromkeys(size for size, _, _, _ in keys)
+    pooled = np.zeros((len(images), model.meta.config.classes))
+    for i, image in enumerate(images):
+        scaled = {
+            size: image if size == image.shape[1] else bilinear_resize(image, size, size)
+            for size in sizes
+        }
+        crops = []
+        for size, t, l, mirrored in keys:
+            window = scaled[size][:, t : t + crop, l : l + crop]
+            crops.append(hflip(window) if mirrored else window)
+        probs = softmax(model.logits(np.stack(crops).astype(dtype, copy=False)))
+        pooled[i] = np.mean([topk_pool(probs[r], cfg.top_fraction) for r in rows], axis=0)
+    return tuple(usable), pooled
 
 
 @dataclass
@@ -164,40 +205,24 @@ def multicrop_eval(
     """Multi-crop evaluation: per image and scale, score the crop grid, pool
     the top fraction per class, then average pooled vectors across scales.
     Scales whose image is smaller than the crop are skipped with a warning.
+
+    One crop plan serves every image. A crop that several scales or the
+    mirror fill produce (at scale 1.0 the grid collapses to one offset) is
+    cut and scored once; each image resizes once per distinct size and
+    scores all its distinct crops in one forward.
     """
     started = time.perf_counter()
     images, labels = _split(dataset, split)
-    crop = model.meta.config.input_size
-    dtype = np.float64 if model.meta.precision == "f64" else np.float32
-
-    usable = []
-    for s in cfg.scales:
-        if round(images.shape[2] * s) < crop:
-            warnings.warn(f"scale {s} yields images smaller than the crop; skipped")
-        else:
-            usable.append(s)
-    if not usable:
-        raise ValueError("every scale was smaller than the crop size")
-
-    pooled_all = np.zeros((len(images), dataset.classes))
-    for i, image in enumerate(images):
-        per_scale = []
-        for s in usable:
-            crops = _scale_crops(image, s, crop, cfg.crops_per_scale)
-            batch = np.stack(crops).astype(dtype)
-            probs = softmax(model.logits(batch))
-            per_scale.append(topk_pool(probs, cfg.top_fraction))
-        pooled_all[i] = np.mean(per_scale, axis=0)
-
+    usable, pooled = _pooled_scores(model, images, cfg)
     k5 = min(5, dataset.classes)
     return EvalReport(
         config=model.meta.config_text,
         checkpoint=checkpoint,
-        scales=tuple(usable),
+        scales=usable,
         crops_per_scale=cfg.crops_per_scale,
         top_fraction=cfg.top_fraction,
-        top1=topk_error(pooled_all, labels, 1),
-        top5=topk_error(pooled_all, labels, k5),
+        top1=topk_error(pooled, labels, 1),
+        top5=topk_error(pooled, labels, k5),
         n_images=len(images),
         wall_ms=(time.perf_counter() - started) * 1000.0,
     )

@@ -280,7 +280,12 @@ def _evaluate(model: Model, images, labels, spc, probs) -> tuple[float, float, f
 def _step(model: Model, images, labels, gates, state, hp, lr, it) -> float:
     """One forward, backward and RMSProp update; returns the loss. The
     step's output, tape and gradients are locals, so they are freed on
-    return, before the next step's forward or an evaluation builds more."""
+    return, before the next step's forward or an evaluation builds more.
+
+    A non-finite loss is located by replaying the forward with
+    ``check_finite``. After the update every parameter and running
+    statistic must be finite: train-mode norm uses batch statistics, so the
+    loss can stay finite while a running variance overflows."""
     out, tape = forward(model.graph, model.params, images, "train", gates)
     loss, dlogits = softmax_cross_entropy(out.data, labels)
     if not np.isfinite(loss):
@@ -292,6 +297,13 @@ def _step(model: Model, images, labels, gates, state, hp, lr, it) -> float:
         raise TrainingDiverged(it, lr, detail)
     grads = backward(tape, dlogits)
     rmsprop_step(model.params, grads, state, hp, lr)
+    for key, name, value in model.params.flat_items():
+        if not np.isfinite(value).all():
+            node = next(
+                n for n in model.graph.nodes
+                if n.param_key == key and (n.param_names is None or name in n.param_names.values())
+            )
+            raise TrainingDiverged(it, lr, f"non-finite {key}/{name} of {node.where}")
     return loss
 
 

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from polyres.builder import ConvBlock, lower
-from polyres.data import synth_dataset
+from polyres.builder import ConvBlock, Model, lower
+from polyres.data import Dataset, bilinear_resize, hflip, synth_dataset
 from polyres.dsl import parse_network
+from polyres.engine import softmax
 from polyres.evaluation import (
     PoolingConfig,
+    _pooled_scores,
     multicrop_eval,
     single_crop_eval,
     topk_error,
@@ -155,3 +157,111 @@ class TestMulticrop:
             PoolingConfig(crops_per_scale=0)
         with pytest.raises(ValueError):
             PoolingConfig(scales=())
+
+
+def reference_pooled_scores(model, images, scales, cfg):
+    """A frozen copy of the per-(image, scale) loop that scored every crop
+    of every scale, duplicates included, one forward per image and scale."""
+
+    def grid_offsets(excess, count):
+        if count == 1:
+            return [(excess // 2, excess // 2)]
+        side = math.ceil(math.sqrt(count))
+        ticks = np.unique(np.round(np.linspace(0, excess, side)).astype(int))
+        return [(int(t), int(l)) for t in ticks for l in ticks][:count]
+
+    def scale_crops(image, scale, crop, count):
+        target = round(image.shape[1] * scale)
+        scaled = bilinear_resize(image, target, target) if target != image.shape[1] else image
+        n_base = min(count, max(1, math.ceil(count / 2)))
+        crops = [
+            scaled[:, t : t + crop, l : l + crop]
+            for t, l in grid_offsets(target - crop, n_base)
+        ]
+        i = 0
+        while len(crops) < count:
+            crops.append(hflip(crops[i]))
+            i += 1
+        return crops[:count]
+
+    crop = model.meta.config.input_size
+    dtype = np.float64 if model.meta.precision == "f64" else np.float32
+    pooled = np.zeros((len(images), model.meta.config.classes))
+    for i, image in enumerate(images):
+        per_scale = []
+        for s in scales:
+            batch = np.stack(scale_crops(image, s, crop, cfg.crops_per_scale)).astype(dtype)
+            per_scale.append(topk_pool(softmax(model.logits(batch)), cfg.top_fraction))
+        pooled[i] = np.mean(per_scale, axis=0)
+    return pooled
+
+
+class TestDistinctCrops:
+    # 0.5 is undersized and 1.02 rounds like 1.0 at both sizes. 1.27 rounds
+    # like 1.25 at 16 px but not at 17 px, where the 1.0 grid has an
+    # excess of one pixel.
+    COLLAPSED = (0.5, 1.0, 1.02)
+    RESIZED = (0.5, 1.0, 1.02, 1.25, 1.27)
+
+    @pytest.mark.parametrize("size", [16, 17])
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("scales", [COLLAPSED, RESIZED], ids=["collapsed", "resized"])
+    def test_pooled_scores_are_bitwise_equal_to_the_per_scale_loop(self, scales, precision, size):
+        images = synth_dataset(3, 4, size, seed=11).images
+        config = parse_network("A: ir", input_size=16, classes=4, base_width=4)
+        model = lower(config, ConvBlock(4, 2), beta=0.3, seed=1, precision=precision)
+        for count in range(1, 10):
+            for fraction in (0.1, 0.3, 1.0):
+                cfg = PoolingConfig(scales=scales, crops_per_scale=count, top_fraction=fraction)
+                with pytest.warns(UserWarning, match="scale 0.5"):
+                    usable, pooled = _pooled_scores(model, images, cfg)
+                assert usable == scales[1:]
+                expected = reference_pooled_scores(model, images, usable, cfg)
+                if count == 1 and scales == self.RESIZED:
+                    # The loop scored each scale's one crop in a one-row
+                    # forward; numpy computes a one-row matmul with gemv,
+                    # whose sums differ in the last bits from a gemm row.
+                    rtol = 1e-5 if precision == "f32" else 1e-13
+                    np.testing.assert_allclose(pooled, expected, rtol=rtol)
+                else:
+                    assert np.array_equal(pooled, expected), (count, fraction)
+
+    def test_one_forward_per_image_over_the_distinct_crops(self, monkeypatch):
+        # The benchmark protocol at 32 px: scale 1.0 has one grid offset, so
+        # its 8 crops are 2 distinct ones; 1.15 and 1.3 add 8 distinct each.
+        dataset = synth_dataset(40, 4, 32, seed=2)
+        config = parse_network("A: ir", input_size=32, classes=4, base_width=4)
+        model = lower(config, ConvBlock(4, 2), seed=0, precision="f32")
+        rows = []
+        logits = Model.logits
+
+        def counting(self, x, mode="eval"):
+            rows.append(len(x))
+            return logits(self, x, mode)
+
+        monkeypatch.setattr(Model, "logits", counting)
+        cfg = PoolingConfig(scales=(1.0, 1.15, 1.3), crops_per_scale=8, top_fraction=0.3)
+        report = multicrop_eval(model, dataset, cfg)
+        assert report.n_images > 0
+        assert rows == [18] * report.n_images
+
+
+def test_single_crop_eval_runs_an_f64_dataset_at_the_model_precision(setup, monkeypatch):
+    model, dataset = setup
+    wide = Dataset(
+        images=dataset.images.astype(np.float64),
+        labels=dataset.labels,
+        classes=dataset.classes,
+        seed=dataset.seed,
+    )
+    dtypes = []
+    logits = Model.logits
+
+    def recording(self, x, mode="eval"):
+        out = logits(self, x, mode)
+        dtypes.append((x.dtype, out.dtype))
+        return out
+
+    monkeypatch.setattr(Model, "logits", recording)
+    assert single_crop_eval(model, wide) == single_crop_eval(model, dataset)
+    assert dtypes == [(np.float32, np.float32)] * 2

@@ -9,7 +9,7 @@ import pytest
 from polyres import training
 from polyres.builder import DenseBlock, lower
 from polyres.data import synth_dataset
-from polyres.dsl import parse_network
+from polyres.dsl import parse_network, preset
 from polyres.engine import InputOp, ParamStore
 from polyres.training import (
     EvalRecord,
@@ -302,6 +302,22 @@ class TestTrainLoop:
         assert err.value.iteration >= 0
         assert err.value.lr > 0
         assert re.fullmatch(r"non-finite output at node \d+ \(\S+/\w+\)", err.value.detail)
+
+    def test_a_non_finite_running_statistic_aborts_and_is_named(self):
+        # The loss stays finite (train-mode norm uses batch statistics) while
+        # a running variance overflows; the run must not finish normally.
+        dataset = synth_dataset(512, 4, 32, seed=0)
+        config = preset("very-deep-polynet", classes=4)
+        model = lower(config, DenseBlock(16, 32), beta=0.3, seed=0, precision="f32")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as err:
+            train(model, dataset, OptimizerHP.desk(200), seed=0)
+        match = re.fullmatch(r"non-finite (\S+)/(\w+) of node (\d+) \((\S+)\)", err.value.detail)
+        assert match, err.value.detail
+        key, name, idx, label = match.groups()
+        assert not np.isfinite(model.params.get(key, name)).all()
+        node = model.graph.nodes[int(idx)]
+        assert node.param_key == key and label == node.label
+        assert f"iteration {err.value.iteration} " in str(err.value)
 
     def test_each_step_releases_its_tape_before_the_next_forward(self, dataset, monkeypatch):
         tapes = []
