@@ -388,7 +388,7 @@ def _copy_group(dst: ParamStore, src: ParamStore, dst_key: str, src_key: str) ->
     for name, value in sgroup.items():
         if dgroup[name].shape != value.shape:
             raise EngineError(f"shape mismatch for {dst_key}/{name}")
-        dgroup[name] = value.copy()
+        dgroup[name][...] = value
 
 
 def _zero_last_layer(model: Model, key: str) -> None:
@@ -396,8 +396,8 @@ def _zero_last_layer(model: Model, key: str) -> None:
     its final layer, so the block outputs zero until trained."""
     node = next(n for n in reversed(model.graph.nodes) if n.param_key == key)
     group = model.params.group(key)
-    for name in node.param_names.values() if node.param_names else list(group):
-        group[name] = np.zeros_like(group[name])
+    for name in node.param_names.values() if node.param_names else group:
+        group[name].fill(0)
 
 
 def _lower_retaining(
@@ -547,7 +547,10 @@ def save_checkpoint(model: Model, path) -> None:
 
 def load_checkpoint(path) -> Model:
     """Read a checkpoint written by :func:`save_checkpoint`. A malformed file
-    raises EngineError naming the path and, for tensor data, the tensor."""
+    raises EngineError naming the path and, for tensor data, the tensor; so
+    does a tensor whose shape or precision differs from the model the
+    manifest describes. Each tensor is written into that model's array in
+    place."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[: len(_CHECKPOINT_MAGIC)] != _CHECKPOINT_MAGIC:
@@ -593,7 +596,12 @@ def load_checkpoint(path) -> Model:
         current = model.params.get(key, name)
         if current.shape != tensor.data.shape:
             raise EngineError(f"{path}: checkpoint shape mismatch for {key}/{name}")
-        model.params.set(key, name, tensor.data.astype(current.dtype, copy=False))
+        if tensor.precision != model.meta.precision:
+            raise EngineError(
+                f"{path}: checkpoint precision mismatch for {key}/{name}: "
+                f"{tensor.precision} tensor under an {model.meta.precision} manifest"
+            )
+        current[...] = tensor.data
     if offset != len(buf):
         raise EngineError(f"{path}: {len(buf) - offset} trailing bytes after the last tensor")
     return model

@@ -61,6 +61,10 @@ NORM_MOMENTUM = 0.9
 
 _STATE_NAMES = frozenset({"running_mean", "running_var"})
 
+# Where a trainable tensor sits in a packed ParamStore:
+# (key, name, shape, dtype, span of its dtype's buffer).
+_Slot = tuple[str, str, tuple[int, ...], np.dtype, slice]
+
 
 class EngineError(RuntimeError):
     pass
@@ -181,25 +185,38 @@ class ParamStore:
     flattened views (used by the optimizer and the finite-difference oracle)
     are deterministic. ``running_mean``/``running_var`` are state, not
     trainable parameters.
+
+    The trainable tensors live in an arena: one contiguous buffer per dtype
+    in ``flat_items(trainable_only=True)`` order, each entry a view into it.
+    The first flat use packs a store (:meth:`layout`, :meth:`arena`,
+    :meth:`clone`, :meth:`zeros_like`, and through them :func:`backward` and
+    the optimizer); :meth:`add` drops the pack and the next flat use
+    repacks. Twins made by :meth:`clone` and :meth:`zeros_like` share the
+    layout. Entries are written in place and never rebound, so the views
+    stay the tensors that :func:`forward` reads. Packing rebinds them, so
+    it must not run while another thread reads the store. Running
+    statistics stay standalone arrays.
     """
 
     def __init__(self):
         self._groups: dict[str, dict[str, np.ndarray]] = {}
+        self._layout: tuple[_Slot, ...] | None = None  # None until packed
+        self._buffers: dict[np.dtype, np.ndarray] = {}
+        self._stats: tuple[np.ndarray, ...] = ()  # the running statistics, when packed
+        self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
 
     def add(self, key: str, name: str, value: np.ndarray) -> None:
         group = self._groups.setdefault(key, {})
         if name in group:
             raise EngineError(f"duplicate parameter {key}/{name}")
         group[name] = value
+        self._layout = None
 
     def get(self, key: str, name: str) -> np.ndarray:
         try:
             return self._groups[key][name]
         except KeyError:
             raise EngineError(f"missing parameter {key}/{name}") from None
-
-    def set(self, key: str, name: str, value: np.ndarray) -> None:
-        self._groups.setdefault(key, {})[name] = value
 
     def group(self, key: str) -> dict[str, np.ndarray]:
         try:
@@ -228,24 +245,86 @@ class ParamStore:
     def n_scalars(self, trainable_only: bool = True) -> int:
         return sum(v.size for _, _, v in self.flat_items(trainable_only))
 
-    def clone(self) -> "ParamStore":
+    def layout(self) -> tuple[_Slot, ...]:
+        """``(key, name, shape, dtype, span)`` of each trainable tensor, in
+        arena order; packs the store if it is not packed."""
+        if self._layout is None:
+            entries, stats, sizes = [], [], {}
+            for key, name, value in self.flat_items():
+                if name in _STATE_NAMES:
+                    stats.append(value)
+                    continue
+                start = sizes.get(value.dtype, 0)
+                sizes[value.dtype] = start + value.size
+                entries.append((key, name, value.shape, value.dtype, slice(start, start + value.size)))
+            self._layout, self._stats = tuple(entries), tuple(stats)
+            self._buffers = {dtype: np.empty(n, dtype) for dtype, n in sizes.items()}
+            for (key, name, *_), view in zip(entries, self._views()):
+                view[...] = self._groups[key][name]
+                self._groups[key][name] = view
+        return self._layout
+
+    def arena(self) -> dict[np.dtype, np.ndarray]:
+        """The buffer per dtype that holds every trainable tensor."""
+        self.layout()
+        return self._buffers
+
+    def _views(self) -> Iterator[np.ndarray]:
+        for _, _, shape, dtype, span in self._layout:
+            yield self._buffers[dtype][span].reshape(shape)
+
+    def _twin(self, fill, state_fill=None) -> "ParamStore":
+        """A store of this layout whose buffers are ``fill(buffer)``; running
+        statistics become ``state_fill(value)``, or are left out."""
         out = ParamStore()
-        for key, name, value in self.flat_items():
-            out.add(key, name, value.copy())
+        out._layout = self.layout()
+        out._buffers = {dtype: fill(buf) for dtype, buf in self._buffers.items()}
+        views, stats = out._views(), []
+        for key, name, value in self.flat_items(trainable_only=state_fill is None):
+            if name in _STATE_NAMES:
+                value = state_fill(value)
+                stats.append(value)
+            else:
+                value = next(views)
+            out._groups.setdefault(key, {})[name] = value
+        out._stats = tuple(stats)
         return out
+
+    def clone(self) -> "ParamStore":
+        return self._twin(np.copy, np.copy)
 
     def zeros_like(self, trainable_only: bool = True) -> "ParamStore":
-        out = ParamStore()
-        for key, name, value in self.flat_items(trainable_only):
-            out.add(key, name, np.zeros_like(value))
-        return out
+        return self._twin(np.zeros_like, None if trainable_only else np.zeros_like)
+
+    def scratch(self, dtype, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two work arrays of at least ``size`` elements, made at the first
+        call and kept by the store, so a blocked in-place update (RMSProp, on
+        its state store) allocates nothing after its first step."""
+        work = self._scratch.get(dtype)
+        if work is None or work[0].size < size:
+            work = self._scratch[dtype] = (np.empty(size, dtype), np.empty(size, dtype))
+        return work
+
+    def first_non_finite(self) -> tuple[str, str] | None:
+        """``(key, name)`` of the first tensor holding a NaN or Inf, or None.
+        One scan per arena buffer and per running statistic; the tensors are
+        searched one by one only when a scan fails."""
+        buffers = self.arena()
+        if all(np.isfinite(a).all() for a in (*buffers.values(), *self._stats)):
+            return None
+        return next((k, n) for k, n, v in self.flat_items() if not np.isfinite(v).all())
 
     def equal(self, other: "ParamStore") -> bool:
+        """Whether both stores hold the same tensors: names, dtypes, shapes
+        and values."""
         mine = {(k, n): v for k, n, v in self.flat_items()}
         theirs = {(k, n): v for k, n, v in other.flat_items()}
         if mine.keys() != theirs.keys():
             return False
-        return all(np.array_equal(mine[k], theirs[k]) for k in mine)
+        return all(
+            mine[k].dtype == theirs[k].dtype and np.array_equal(mine[k], theirs[k])
+            for k in mine
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -771,10 +850,12 @@ class ComputationGraph:
 @dataclass
 class Tape:
     """Per-node context recorded by a train-mode forward pass, consumed by
-    backward. An eval-mode tape records no context."""
+    backward, and the parameters the pass read. An eval-mode tape records
+    no context."""
 
     mode: str
     graph: ComputationGraph
+    params: ParamStore
     saved: list
     input_array: np.ndarray
 
@@ -837,7 +918,7 @@ def forward(
             del out, ctx
             for i in frees:
                 values[i] = None
-    return Tensor(values[graph.output]), Tape(mode, graph, saved, x)
+    return Tensor(values[graph.output]), Tape(mode, graph, params, saved, x)
 
 
 def backward(
@@ -845,8 +926,12 @@ def backward(
 ) -> ParamStore | tuple[ParamStore, np.ndarray]:
     """Reverse the tape, accumulating gradients per trainable parameter.
 
-    Share keys referenced by several nodes receive the sum of all occurrence
-    contributions. The tape must come from a train-mode forward. Unless
+    The gradients are a new zeroed twin of the parameters' layout (see
+    :class:`ParamStore`), into whose views each node adds its parameter
+    gradient; a tensor no node reached keeps a zero gradient. Share keys
+    referenced by several nodes receive the sum of all occurrence
+    contributions, in reverse node order. The tape must come from a
+    train-mode forward. Unless
     ``return_input_grad`` is set, a node with no trainable node at or above
     any of its inputs (the stem conv, or the dense stem behind ``Flatten``)
     skips its input gradient.
@@ -856,7 +941,7 @@ def backward(
     graph = tape.graph
     upstream = _as_array(upstream)
     node_grads: dict[int, np.ndarray] = {graph.output: upstream}
-    grads = ParamStore()
+    grads = tape.params.zeros_like(trainable_only=True)
     input_grad: np.ndarray | None = None
     for node in reversed(graph.nodes):
         g = node_grads.pop(node.idx, None)
@@ -873,12 +958,10 @@ def backward(
             else:
                 node_grads[i] = gi
         if p_grads:
+            group = grads.group(node.param_key)
             for local, pg in p_grads.items():
-                name = node.stored_name(local)
-                if grads.has_group(node.param_key) and name in grads.group(node.param_key):
-                    grads.group(node.param_key)[name] += pg
-                else:
-                    grads.set(node.param_key, name, pg)
+                view = group[node.stored_name(local)]
+                view += pg
     if return_input_grad:
         return grads, input_grad
     return grads

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, asdict
+from itertools import zip_longest
 from pathlib import Path
 from typing import Sequence
 
@@ -89,6 +90,11 @@ def lr_at(iteration: int, hp: OptimizerHP) -> float:
     return hp.base_lr * hp.lr_factor ** (iteration // hp.lr_step)
 
 
+# Elements per block of the RMSProp pass: the two work arrays of one block
+# stay small, whatever the model's size.
+_BLOCK = 1 << 16
+
+
 def rmsprop_step(
     params: ParamStore,
     grads: ParamStore,
@@ -96,15 +102,45 @@ def rmsprop_step(
     hp: OptimizerHP,
     lr: float,
 ) -> None:
-    """One in-place RMSProp update over every gradient entry."""
-    for key, name, g in grads.flat_items():
-        p = params.get(key, name)
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape mismatch for {key}/{name}")
-        s = state.get(key, name)
-        s *= hp.decay
-        s += (1.0 - hp.decay) * g * g
-        p -= lr * g / np.sqrt(s + hp.epsilon)
+    """One in-place RMSProp update of every trainable tensor.
+
+    ``grads`` and ``state`` must have the layout of ``params`` (as
+    :func:`backward` and ``zeros_like`` make them); the first tensor that
+    differs is named in a ValueError. The update is one pass over the three
+    arena buffers in blocks of ``_BLOCK`` elements, through two work arrays
+    that ``state`` keeps, so no step after the first allocates an array.
+    """
+    layout = params.layout()
+    for store, role in ((grads, "gradient"), (state, "state")):
+        _check_layout(layout, store.layout(), role)
+    g_bufs, s_bufs = grads.arena(), state.arena()
+    for dtype, p_buf in params.arena().items():
+        g_buf, s_buf = g_bufs[dtype], s_bufs[dtype]
+        n = p_buf.size
+        u_buf, v_buf = state.scratch(dtype, min(n, _BLOCK))
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            p, g, s = p_buf[lo:hi], g_buf[lo:hi], s_buf[lo:hi]
+            u, v = u_buf[: hi - lo], v_buf[: hi - lo]
+            s *= hp.decay
+            np.multiply(g, 1.0 - hp.decay, out=u)
+            u *= g
+            s += u
+            np.add(s, hp.epsilon, out=v)
+            np.sqrt(v, out=v)
+            np.multiply(g, lr, out=u)
+            u /= v
+            p -= u
+
+
+def _check_layout(want, got, role: str) -> None:
+    if got is want:  # twins share the layout object
+        return
+    for a, b in zip_longest(want, got):
+        if a is None or b is None or a[:4] != b[:4]:
+            expected = "nothing" if a is None else f"{a[0]}/{a[1]} {a[2]} {a[3]}"
+            found = "nothing" if b is None else f"{b[0]}/{b[1]} {b[2]} {b[3]}"
+            raise ValueError(f"{role} layout mismatch: expected {expected}, got {found}")
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +333,14 @@ def _step(model: Model, images, labels, gates, state, hp, lr, it) -> float:
         raise TrainingDiverged(it, lr, detail)
     grads = backward(tape, dlogits)
     rmsprop_step(model.params, grads, state, hp, lr)
-    for key, name, value in model.params.flat_items():
-        if not np.isfinite(value).all():
-            node = next(
-                n for n in model.graph.nodes
-                if n.param_key == key and (n.param_names is None or name in n.param_names.values())
-            )
-            raise TrainingDiverged(it, lr, f"non-finite {key}/{name} of {node.where}")
+    bad = model.params.first_non_finite()
+    if bad is not None:
+        key, name = bad
+        node = next(
+            n for n in model.graph.nodes
+            if n.param_key == key and (n.param_names is None or name in n.param_names.values())
+        )
+        raise TrainingDiverged(it, lr, f"non-finite {key}/{name} of {node.where}")
     return loss
 
 

@@ -1,5 +1,7 @@
 """Lowering, parameter sharing, model surgery, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,15 @@ from polyres.builder import (
     upgrade,
 )
 from polyres.dsl import parse_network, preset
-from polyres.engine import DTYPES, Dense, EngineError, backward, forward, softmax_cross_entropy
+from polyres.engine import (
+    DTYPES,
+    Dense,
+    EngineError,
+    Tensor,
+    backward,
+    forward,
+    softmax_cross_entropy,
+)
 
 DENSE = DenseBlock(4, 8)
 CONV = ConvBlock(4, 2)
@@ -419,6 +429,20 @@ class TestCheckpoints:
         if cut < 0:
             key, name, _ = list(model.params.flat_items())[-1]
             assert f"tensor {key}/{name}" in str(err.value)
+
+    def test_checkpoint_tensor_at_another_precision_is_rejected(self, tmp_path):
+        model = tiny("A: poly-2 -> 2-way", seed=11, precision="f32")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        buf = path.read_bytes()
+        (blob_len,) = struct.unpack_from("<q", buf, 8)
+        tensors = [Tensor(v.astype(np.float64)) for _, _, v in model.params.flat_items()]
+        path.write_bytes(buf[: 16 + blob_len] + b"".join(t.to_bytes() for t in tensors))
+        with pytest.raises(EngineError) as err:
+            load_checkpoint(path)
+        key, name, _ = next(model.params.flat_items())
+        assert str(path) in str(err.value)
+        assert f"precision mismatch for {key}/{name}: f64 tensor under an f32 manifest" in str(err.value)
 
     def test_checkpoint_with_trailing_bytes_is_rejected(self, tmp_path):
         model = tiny("A: poly-2 -> 2-way", seed=11, beta=0.3)

@@ -598,6 +598,81 @@ class TestLiveness:
         assert np.array_equal(out.data, np.full((2, 3), 11.0))
 
 
+class TestArena:
+    STATS = ("running_mean", "running_var")
+
+    def test_lowering_does_not_pack_and_the_first_flat_use_does(self):
+        config = parse_network("A: ir -> 2-way", classes=3, input_size=8, base_width=4)
+        params = lower(config, ConvBlock(4, 2), precision="f64").params
+        assert all(v.base is None for _, _, v in params.flat_items())
+        before = [(k, n, v.copy()) for k, n, v in params.flat_items()]
+        (arena,) = params.arena().values()
+        trainable = [v for k, n, v in before if n not in self.STATS]
+        assert np.array_equal(arena, np.concatenate([v.ravel() for v in trainable]))
+        for (key, name, value), (_, _, old) in zip(params.flat_items(), before, strict=True):
+            assert (value.base is arena) == (name not in self.STATS), f"{key}/{name}"
+            assert np.array_equal(value, old)
+
+    def test_one_buffer_per_dtype_in_insertion_order(self):
+        store = ParamStore()
+        store.add("a", "w", np.ones(2, dtype=np.float32))
+        store.add("a", "running_mean", np.zeros(2, dtype=np.float32))
+        store.add("a", "b", np.zeros(3))
+        store.add("c", "w", np.full(2, 2.0, dtype=np.float32))
+        arenas = store.arena()
+        assert np.array_equal(arenas[np.dtype(np.float32)], [1, 1, 2, 2])
+        assert np.array_equal(arenas[np.dtype(np.float64)], [0, 0, 0])
+        assert store.get("a", "running_mean").base is None
+
+    def test_add_after_packing_repacks(self):
+        store = ParamStore()
+        store.add("a", "w", np.arange(3.0))
+        (first,) = store.arena().values()
+        store.get("a", "w")[0] = 7.0  # written through the view
+        store.add("b", "v", np.ones(2))
+        (second,) = store.arena().values()
+        assert second is not first
+        assert np.array_equal(second, [7.0, 1.0, 2.0, 1.0, 1.0])
+        assert store.get("a", "w").base is second and store.get("b", "v").base is second
+
+    def test_backward_returns_a_new_zeroed_twin_per_call(self):
+        # Node 1 reaches no output, so its tensors get zero gradients.
+        rng = np.random.default_rng(5)
+        nodes = [
+            GraphNode(0, InputOp(), ()),
+            GraphNode(1, Dense(3, 2), (0,), param_key="dead"),
+            GraphNode(2, Dense(3, 2), (0,), param_key="live"),
+        ]
+        graph = ComputationGraph(nodes, (3,))
+        params = params_for(Dense(3, 2), "live", rng)
+        for name, value in Dense(3, 2).init_params(rng, np.float64).items():
+            params.add("dead", name, value)
+        out, tape = forward(graph, params, rng.standard_normal((4, 3)), "train")
+        first = backward(tape, np.ones_like(out.data))
+        kept = first.get("live", "w")
+        snapshot = kept.copy()
+        second = backward(tape, 2 * np.ones_like(out.data))
+        assert np.array_equal(kept, snapshot)  # a later call leaves earlier stores alone
+        assert np.array_equal(second.get("live", "w"), 2 * snapshot)
+        for grads in (first, second):
+            assert grads.layout() is params.layout()
+            assert not np.shares_memory(grads.get("live", "w"), params.get("live", "w"))
+            for name in ("w", "b"):
+                assert not grads.get("dead", name).any()
+        assert not np.shares_memory(first.get("live", "w"), second.get("live", "w"))
+
+    def test_equal_compares_dtype_and_shape(self):
+        def one(dtype, shape=(3,)):
+            store = ParamStore()
+            store.add("k", "w", np.ones(shape, dtype=dtype))
+            return store
+
+        assert one(np.float32).equal(one(np.float32))
+        assert not one(np.float32).equal(one(np.float64))
+        assert not one(np.float64).equal(one(np.float32))
+        assert not one(np.float64).equal(one(np.float64, (1, 3)))
+
+
 class TestTensorSerialization:
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     def test_round_trip(self, precision):

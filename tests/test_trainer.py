@@ -1,16 +1,32 @@
 """Optimizer, schedule, stochastic paths, and the training loop."""
 
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from polyres import training
-from polyres.builder import DenseBlock, lower
+from polyres.builder import (
+    ConvBlock,
+    DenseBlock,
+    deepen_interleave,
+    load_checkpoint,
+    lower,
+    save_checkpoint,
+    upgrade,
+)
 from polyres.data import synth_dataset
 from polyres.dsl import parse_network, preset
-from polyres.engine import InputOp, ParamStore
+from polyres.engine import (
+    DTYPES,
+    InputOp,
+    ParamStore,
+    backward,
+    forward,
+    softmax_cross_entropy,
+)
 from polyres.training import (
     EvalRecord,
     OptimizerHP,
@@ -81,6 +97,80 @@ class TestRmsprop:
         p = store(w=[1.0, 2.0])
         with pytest.raises(ValueError):
             rmsprop_step(p, store(w=[1.0]), p.zeros_like(), OptimizerHP(), 0.1)
+
+    def test_layout_mismatch_names_the_first_differing_tensor(self):
+        p = store(w=[1.0, 2.0], b=[0.0])
+        with pytest.raises(ValueError, match="^gradient layout mismatch: expected g/b .*, got nothing$"):
+            rmsprop_step(p, store(w=[1.0, 1.0]), p.zeros_like(), OptimizerHP(), 0.1)
+        narrow = ParamStore()
+        narrow.add("g", "w", np.zeros(2, dtype=np.float32))
+        narrow.add("g", "b", np.zeros(1, dtype=np.float32))
+        with pytest.raises(
+            ValueError,
+            match=r"^state layout mismatch: expected g/w \(2,\) float64, got g/w \(2,\) float32$",
+        ):
+            rmsprop_step(p, p.zeros_like(), narrow, OptimizerHP(), 0.1)
+        assert np.array_equal(p.get("g", "w"), [1.0, 2.0])  # nothing was updated
+
+
+def reference_rmsprop_step(params, grads, state, hp, lr):
+    """The per-tensor update that the blocked pass replaced, kept verbatim."""
+    for key, name, g in grads.flat_items():
+        p = params.get(key, name)
+        if p.shape != g.shape:
+            raise ValueError(f"gradient shape mismatch for {key}/{name}")
+        s = state.get(key, name)
+        s *= hp.decay
+        s += (1.0 - hp.decay) * g * g
+        p -= lr * g / np.sqrt(s + hp.epsilon)
+
+
+class TestBlockedRmsprop:
+    @pytest.mark.parametrize("block", [training._BLOCK, 1000], ids=["one_block", "many_blocks"])
+    @pytest.mark.parametrize("arch", [DenseBlock(8, 16), ConvBlock(8, 2)], ids=["dense", "conv"])
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    def test_bitwise_equal_to_the_per_tensor_update(self, monkeypatch, block, arch, precision):
+        monkeypatch.setattr(training, "_BLOCK", block)
+        config = parse_network("A: ir -> poly-2; B: mpoly-2 -> 2-way", input_size=16, classes=4, base_width=8)
+        new, old = (lower(config, arch, beta=0.3, seed=4, precision=precision) for _ in range(2))
+        n = new.params.n_scalars()
+        # One partial block, or several with a partial one last.
+        assert (n > 2 * block and n % block) if block == 1000 else n < block
+        new_state, old_state = new.params.zeros_like(), old.params.zeros_like()
+        dataset = synth_dataset(40, 4, 16, seed=1)
+        hp = OptimizerHP()
+        for step in range(5):
+            images = dataset.images[8 * step : 8 * step + 8].astype(DTYPES[precision])
+            labels = dataset.labels[8 * step : 8 * step + 8]
+            for model, state, update in (
+                (new, new_state, rmsprop_step),
+                (old, old_state, reference_rmsprop_step),
+            ):
+                out, tape = forward(model.graph, model.params, images, "train")
+                _, dlogits = softmax_cross_entropy(out.data, labels)
+                update(model.params, backward(tape, dlogits), state, hp, lr=0.05)
+            for a, b in ((new.params, old.params), (new_state, old_state)):
+                for (key, name, x), (_, _, y) in zip(a.flat_items(), b.flat_items(), strict=True):
+                    assert x.tobytes() == y.tobytes(), f"{key}/{name} after step {step}"
+
+    def test_a_second_step_allocates_no_arrays(self):
+        config = preset("mixed-b-6-12-6", classes=4, input_size=32)
+        model = lower(config, DenseBlock(16, 32), beta=0.3, seed=0, precision="f32")
+        dataset = synth_dataset(32, 4, 32, seed=0)
+        out, tape = forward(model.graph, model.params, dataset.images.astype(np.float32), "train")
+        _, dlogits = softmax_cross_entropy(out.data, dataset.labels)
+        grads = backward(tape, dlogits)
+        state = model.params.zeros_like()
+        hp = OptimizerHP()
+        rmsprop_step(model.params, grads, state, hp, lr=0.01)  # makes the work arrays
+        tracemalloc.start()
+        try:
+            rmsprop_step(model.params, grads, state, hp, lr=0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.params.n_scalars() > 4 * training._BLOCK
+        assert peak < 16 * 1024, f"peak {peak} bytes"
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
@@ -339,6 +429,34 @@ class TestTrainLoop:
         train(self.small_model(8), dataset, OptimizerHP.desk(6), eval_every=3, seed=0)
         assert len(tapes) == 6 and len(held) == 8
         assert held == [0] * 8
+
+    def test_every_route_to_a_model_keeps_one_live_arena(self, dataset, tmp_path):
+        """After train(), clone, a checkpoint load and both surgeries, a
+        train step leaves every trainable tensor a view of the model's one
+        buffer, and it changes what forward reads."""
+        x = dataset.images[:4].astype(np.float32)
+        one_step = OptimizerHP(base_lr=0.05, lr_step=10, total_iters=1)
+
+        def step_and_check(model):
+            before = model.logits(x)
+            train(model, dataset, one_step, eval_every=1, seed=0)
+            (arena,) = model.params.arena().values()
+            for key, name, value in model.params.flat_items():
+                stat = name in ("running_mean", "running_var")
+                assert (value.base is arena) != stat, f"{key}/{name}"
+            assert not np.array_equal(model.logits(x), before)
+
+        model, _ = train(self.small_model(9), dataset, OptimizerHP.desk(4), eval_every=4, seed=0)
+        step_and_check(model)
+        frozen = model.logits(x)
+        step_and_check(model.clone())
+        assert np.array_equal(model.logits(x), frozen)  # the clone owns its arena
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        step_and_check(load_checkpoint(tmp_path / "m.ckpt"))
+        target = parse_network("A: 2-way -> ir", input_size=16, classes=4, base_width=8)
+        step_and_check(upgrade(model, target, seed=1))
+        step_and_check(deepen_interleave(model, [1], zero_last=True, seed=1))
+        assert np.array_equal(model.logits(x), frozen)
 
     def test_checkpoints_written_at_decays_and_termination(self, dataset, tmp_path):
         hp = OptimizerHP.desk(70)  # decays at 20, 40, 60
