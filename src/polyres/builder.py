@@ -34,6 +34,8 @@ from .engine import (
     InputOp,
     ModuleSite,
     Op,
+    ParamOp,
+    ParamSpec,
     ParamStore,
     Precision,
     ReLU,
@@ -41,6 +43,8 @@ from .engine import (
     StridedConvDownsample,
     Tensor,
     forward,
+    init_tensors,
+    tensor_header,
 )
 
 __all__ = [
@@ -147,13 +151,13 @@ def parse_arch(text: str) -> BlockArch:
 
 
 class _GraphBuilder:
-    def __init__(self, input_shape: tuple[int, ...], params: ParamStore, rng, dtype):
+    def __init__(self, input_shape: tuple[int, ...]):
         self.nodes: list[GraphNode] = []
         self.modules: list[ModuleSite] = []
         self.input_shape = input_shape
-        self.params = params
-        self.rng = rng
-        self.dtype = dtype
+        # (key, stored name, spec) of every tensor, in binding order.
+        self.decls: list[tuple[str, str, ParamSpec]] = []
+        self._bound: dict[str, set[str]] = {}
         self.add(InputOp(), [], segment="input")
 
     def add(
@@ -165,16 +169,18 @@ class _GraphBuilder:
         param_names: dict[str, str] | None = None,
         label: str = "",
     ) -> int:
-        # A node's op creates its tensors the first time a node binds them, so
+        # A node's op declares its tensors the first time a node binds them, so
         # initialization draws follow graph-emission order deterministically.
-        # The op creates them all at once, so one stored name shows whether
+        # The op declares them all at once, so one stored name shows whether
         # they exist; a node without a name map binds its whole group.
-        if key is not None and hasattr(op, "init_params"):
-            group = self.params.group(key) if self.params.has_group(key) else {}
+        if key is not None and isinstance(op, ParamOp):
+            bound = self._bound.setdefault(key, set())
             probe = next(iter(param_names.values())) if param_names else None
-            if not group or (probe is not None and probe not in group):
-                for local, value in op.init_params(self.rng, self.dtype).items():
-                    self.params.add(key, (param_names or {}).get(local, local), value)
+            if not bound or (probe is not None and probe not in bound):
+                for spec in op.param_specs():
+                    name = (param_names or {}).get(spec.name, spec.name)
+                    bound.add(name)
+                    self.decls.append((key, name, spec))
         idx = len(self.nodes)
         self.nodes.append(
             GraphNode(
@@ -318,18 +324,25 @@ def lower(
     The graph is the cascaded (prefix-memoized) form of every module unless
     ``memoize=False``, which lowers the naive polynomial instead (same
     parameters, more block applications; used by equivalence checks).
-    Parameters are He fan-in initialized from ``seed``. The pipeline is
-    stem -> stages with stride-2 transitions -> pooled classifier head;
-    dense blocks get a flattened-vector pipeline of the same shape.
+    Parameters are He fan-in initialized from ``seed``, in a store that is
+    already packed. The pipeline is stem -> stages with stride-2 transitions
+    -> pooled classifier head; dense blocks get a flattened-vector pipeline
+    of the same shape.
     """
+    model, decls = _allocate(config, arch, beta, seed, precision, memoize, input_channels)
+    get = model.params.get
+    init_tensors([(get(key, name), spec) for key, name, spec in decls], np.random.default_rng(seed))
+    return model
+
+
+def _allocate(config, arch, beta, seed, precision, memoize, input_channels):
+    """The model that :func:`lower` returns, with its tensors allocated but
+    not initialized, and their declarations in binding order."""
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta}")
-    dtype = DTYPES[precision]
-    rng = np.random.default_rng(seed)
     size = config.input_size
     conv = isinstance(arch, ConvBlock)
-    params = ParamStore()
-    gb = _GraphBuilder((input_channels, size, size), params, rng, dtype)
+    gb = _GraphBuilder((input_channels, size, size))
 
     widths = [s.width for s in config.stages]
     w0 = widths[0]
@@ -373,7 +386,9 @@ def lower(
         config=config, arch=arch, beta=beta, seed=seed, precision=precision,
         memoize=memoize, input_channels=input_channels,
     )
-    return Model(graph=gb.graph(), params=params, meta=meta)
+    dtype = DTYPES[precision]
+    params = ParamStore.allocate((key, name, spec.shape, dtype) for key, name, spec in gb.decls)
+    return Model(gb.graph(), params, meta), gb.decls
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +528,25 @@ def deepen_interleave(
 # ---------------------------------------------------------------------------
 
 _CHECKPOINT_MAGIC = b"PRESCKPT"
+_CHECKPOINT_FORMAT = 1
+
+# Every manifest field and the JSON type it holds.
+_MANIFEST_FIELDS = {
+    "format": int, "config": str, "input_size": int, "classes": int, "widths": list,
+    "arch": str, "beta": (int, float), "seed": int, "precision": str, "memoize": bool,
+    "input_channels": int, "iteration": int, "params": list,
+}
 
 
 def save_checkpoint(model: Model, path) -> None:
     """Write a single-file checkpoint: magic, length-prefixed JSON manifest
     (config text, arch descriptor, seed, iteration, parameter index), then
-    every parameter tensor in the binary tensor format."""
+    every parameter tensor in the binary tensor format, joined straight from
+    the store's arrays into one write."""
     meta = model.meta
-    index = [[key, name] for key, name, _ in model.params.flat_items()]
+    tensors = list(model.params.flat_items())
     manifest = {
-        "format": 1,
+        "format": _CHECKPOINT_FORMAT,
         "config": meta.config_text,
         "input_size": meta.config.input_size,
         "classes": meta.config.classes,
@@ -534,25 +558,48 @@ def save_checkpoint(model: Model, path) -> None:
         "memoize": meta.memoize,
         "input_channels": meta.input_channels,
         "iteration": meta.iteration,
-        "params": index,
+        "params": [[key, name] for key, name, _ in tensors],
     }
     blob = json.dumps(manifest).encode("utf-8")
+    parts = [_CHECKPOINT_MAGIC, struct.pack("<q", len(blob)), blob]
+    for _, _, value in tensors:
+        parts.append(tensor_header(value.shape, value.dtype))
+        parts.append(np.ascontiguousarray(value, f"<f{value.itemsize}"))
     with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<q", len(blob)))
-        fh.write(blob)
-        for key, name in index:
-            fh.write(Tensor(model.params.get(key, name)).to_bytes())
+        fh.write(b"".join(parts))  # one write: many small ones cost more than this copy
 
 
 def load_checkpoint(path) -> Model:
-    """Read a checkpoint written by :func:`save_checkpoint`. A malformed file
-    raises EngineError naming the path and, for tensor data, the tensor; so
-    does a tensor whose shape or precision differs from the model the
-    manifest describes. Each tensor is written into that model's array in
-    place."""
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    The manifest's model is built with its tensors allocated but not drawn,
+    and each tensor is filled in place straight from the file. A malformed
+    file raises EngineError naming the path and the manifest field or the
+    tensor at fault; so does an index that does not list every tensor of
+    that model exactly once, and a tensor whose shape or precision differs
+    from the model's."""
     with open(path, "rb") as fh:
         buf = fh.read()
+    manifest, offset = _read_manifest(path, buf)
+    model = _manifest_model(path, manifest)
+    for key, name, value in _indexed_tensors(path, manifest["params"], model.params):
+        header = tensor_header(value.shape, value.dtype)
+        start = offset + len(header)
+        end = start + value.nbytes
+        if not buf.startswith(header, offset) or len(buf) < end:
+            rest = memoryview(buf)[offset:]  # no copy of the rest of the file
+            raise _tensor_mismatch(path, key, name, value, rest, model.meta.precision)
+        data = np.frombuffer(buf, f"<f{value.itemsize}", value.size, start)
+        value[...] = data.reshape(value.shape)
+        offset = end
+    if offset != len(buf):
+        raise EngineError(f"{path}: {len(buf) - offset} trailing bytes after the last tensor")
+    return model
+
+
+def _read_manifest(path, buf: bytes) -> tuple[dict, int]:
+    """The manifest at the start of checkpoint bytes ``buf``, with every field
+    present and of its JSON type, and the offset of the first tensor."""
     if buf[: len(_CHECKPOINT_MAGIC)] != _CHECKPOINT_MAGIC:
         raise EngineError(f"{path}: not a checkpoint file")
     offset = len(_CHECKPOINT_MAGIC)
@@ -562,46 +609,98 @@ def load_checkpoint(path) -> Model:
     offset += 8
     if blob_len < 0 or len(buf) < offset + blob_len:
         raise EngineError(f"{path}: truncated manifest ({blob_len} bytes declared)")
-    manifest = json.loads(buf[offset : offset + blob_len].decode("utf-8"))
-    offset += blob_len
-
-    config = parse_network(
-        manifest["config"],
-        input_size=manifest["input_size"],
-        classes=manifest["classes"],
-    )
-    config = replace(
-        config,
-        stages=tuple(
-            replace(s, width=w) for s, w in zip(config.stages, manifest["widths"])
-        ),
-    )
-    model = lower(
-        config,
-        parse_arch(manifest["arch"]),
-        beta=manifest["beta"],
-        seed=manifest["seed"],
-        precision=manifest["precision"],
-        memoize=manifest["memoize"],
-        input_channels=manifest["input_channels"],
-    )
-    model.meta.iteration = manifest["iteration"]
-    view = memoryview(buf)  # slices without copying the rest of the file
-    for key, name in manifest["params"]:
-        try:
-            tensor = Tensor.from_bytes(view[offset:])
-        except EngineError as e:
-            raise EngineError(f"{path}: tensor {key}/{name}: {e}") from None
-        offset += tensor.byte_length()
-        current = model.params.get(key, name)
-        if current.shape != tensor.data.shape:
-            raise EngineError(f"{path}: checkpoint shape mismatch for {key}/{name}")
-        if tensor.precision != model.meta.precision:
+    try:
+        manifest = json.loads(buf[offset : offset + blob_len].decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+        raise EngineError(f"{path}: manifest is not UTF-8 JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise EngineError(f"{path}: manifest is not a JSON object")
+    for field, kind in _MANIFEST_FIELDS.items():
+        if field not in manifest:
+            raise EngineError(f"{path}: manifest field {field!r} is missing")
+        value = manifest[field]
+        if field == "format" and value != _CHECKPOINT_FORMAT:
             raise EngineError(
-                f"{path}: checkpoint precision mismatch for {key}/{name}: "
-                f"{tensor.precision} tensor under an {model.meta.precision} manifest"
+                f"{path}: manifest field 'format' is {value!r}; "
+                f"only format {_CHECKPOINT_FORMAT} can be read"
             )
-        current[...] = tensor.data
-    if offset != len(buf):
-        raise EngineError(f"{path}: {len(buf) - offset} trailing bytes after the last tensor")
+        if not isinstance(value, kind):
+            raise EngineError(f"{path}: manifest field {field!r} has the wrong type: {value!r}")
+    return manifest, offset + blob_len
+
+
+def _manifest_model(path, manifest: dict) -> Model:
+    """The model that a checked manifest describes, with its tensors
+    allocated but not initialized."""
+
+    def bad(field, why) -> EngineError:
+        return EngineError(f"{path}: manifest field {field!r}: {why}")
+
+    try:
+        config = parse_network(
+            manifest["config"], input_size=manifest["input_size"], classes=manifest["classes"]
+        )
+    except ValueError as e:
+        raise bad("config", e) from None
+    widths = manifest["widths"]
+    if len(widths) != len(config.stages):
+        raise bad("widths", f"{len(widths)} widths for {len(config.stages)} stages")
+    config = replace(
+        config, stages=tuple(replace(s, width=w) for s, w in zip(config.stages, widths))
+    )
+    try:
+        arch = parse_arch(manifest["arch"])
+    except ValueError as e:
+        raise bad("arch", e) from None
+    if manifest["precision"] not in DTYPES:
+        raise bad("precision", f"unknown precision {manifest['precision']!r}")
+    try:
+        model, _ = _allocate(
+            config, arch, manifest["beta"], manifest["seed"], manifest["precision"],
+            manifest["memoize"], manifest["input_channels"],
+        )
+    except ValueError as e:  # a beta out of range, a negative width, ...
+        raise EngineError(f"{path}: manifest describes no valid model: {e}") from None
+    model.meta.iteration = manifest["iteration"]
     return model
+
+
+def _indexed_tensors(path, index: list, params: ParamStore) -> list[tuple[str, str, np.ndarray]]:
+    """``(key, name, array)`` of each manifest index entry in file order,
+    once the index is known to list every tensor of ``params`` exactly once."""
+    remaining = {(key, name): value for key, name, value in params.flat_items()}
+    out = []
+    for entry in index:
+        try:
+            key, name = entry
+            value = remaining.pop((key, name), None)
+        except (TypeError, ValueError):  # not a pair, or not hashable
+            raise EngineError(
+                f"{path}: manifest field 'params' holds {entry!r}, not a [key, name] pair"
+            ) from None
+        if value is None:
+            twice = any((k, n) == (key, name) for k, n, _ in out)
+            raise EngineError(
+                f"{path}: manifest lists tensor {key}/{name} "
+                + ("twice" if twice else "that the model does not have")
+            )
+        out.append((key, name, value))
+    if remaining:
+        key, name = next(iter(remaining))
+        raise EngineError(f"{path}: manifest omits tensor {key}/{name}")
+    return out
+
+
+def _tensor_mismatch(path, key, name, value, rest, precision) -> EngineError:
+    """The error for tensor bytes ``rest`` whose header is not the one that
+    ``value`` needs, or whose data is cut short."""
+    try:
+        tensor = Tensor.from_bytes(rest)
+    except EngineError as e:
+        return EngineError(f"{path}: tensor {key}/{name}: {e}")
+    if tensor.shape != value.shape:
+        return EngineError(f"{path}: checkpoint shape mismatch for {key}/{name}")
+    return EngineError(
+        f"{path}: checkpoint precision mismatch for {key}/{name}: "
+        f"{tensor.precision} tensor under an {precision} manifest"
+    )

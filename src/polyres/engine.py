@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +28,10 @@ __all__ = [
     "Precision",
     "DTYPES",
     "Tensor",
+    "tensor_header",
     "ParamStore",
+    "ParamSpec",
+    "init_tensors",
     "GraphNode",
     "ModuleSite",
     "ComputationGraph",
@@ -38,6 +41,7 @@ __all__ = [
     "finite_diff_grad",
     "softmax",
     "softmax_cross_entropy",
+    "ParamOp",
     "InputOp",
     "Flatten",
     "Dense",
@@ -90,6 +94,13 @@ def _as_array(x, dtype=None) -> np.ndarray:
     return a
 
 
+def tensor_header(shape: tuple[int, ...], dtype) -> bytes:
+    """The header of the binary tensor format for an array of this shape and
+    dtype (f32 or f64): rank, extents and precision tag (32 or 64), each a
+    little-endian int64."""
+    return struct.pack(f"<q{len(shape)}qq", len(shape), *shape, 8 * np.dtype(dtype).itemsize)
+
+
 @dataclass(frozen=True)
 class Tensor:
     """A dense n-dimensional array with selectable element precision."""
@@ -114,11 +125,7 @@ class Tensor:
         """Little-endian binary: rank, extents (int64 each), precision tag
         (int64, 32 or 64), then row-major data."""
         a = np.ascontiguousarray(self.data)
-        bits = 32 if a.dtype == DTYPES["f32"] else 64
-        header = struct.pack(
-            f"<q{a.ndim}qq", a.ndim, *a.shape, bits
-        )
-        return header + a.astype(f"<f{bits // 8}", copy=False).tobytes(order="C")
+        return tensor_header(a.shape, a.dtype) + a.astype(f"<f{a.itemsize}", copy=False).tobytes()
 
     @classmethod
     def from_bytes(cls, buf) -> "Tensor":
@@ -188,9 +195,10 @@ class ParamStore:
 
     The trainable tensors live in an arena: one contiguous buffer per dtype
     in ``flat_items(trainable_only=True)`` order, each entry a view into it.
-    The first flat use packs a store (:meth:`layout`, :meth:`arena`,
+    :meth:`allocate` makes a store packed from the start; the first flat use
+    packs one built by :meth:`add` (:meth:`layout`, :meth:`arena`,
     :meth:`clone`, :meth:`zeros_like`, and through them :func:`backward` and
-    the optimizer); :meth:`add` drops the pack and the next flat use
+    the optimizer). :meth:`add` drops the pack and the next flat use
     repacks. Twins made by :meth:`clone` and :meth:`zeros_like` share the
     layout. Entries are written in place and never rebound, so the views
     stay the tensors that :func:`forward` reads. Packing rebinds them, so
@@ -204,6 +212,36 @@ class ParamStore:
         self._buffers: dict[np.dtype, np.ndarray] = {}
         self._stats: tuple[np.ndarray, ...] = ()  # the running statistics, when packed
         self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
+
+    @classmethod
+    def allocate(
+        cls, entries: Iterable[tuple[str, str, tuple[int, ...], np.dtype]]
+    ) -> "ParamStore":
+        """A packed store of uninitialised tensors, one per ``(key, name,
+        shape, dtype)`` entry, ordered as :meth:`add` would order them. Running
+        statistics are standalone arrays. The one place a layout is made."""
+        store = cls()
+        groups = store._groups
+        for key, name, shape, dtype in entries:
+            group = groups.setdefault(key, {})
+            if name in group:
+                raise EngineError(f"duplicate parameter {key}/{name}")
+            group[name] = (shape, np.dtype(dtype))
+        layout, stats, sizes = [], [], {}
+        for key, group in groups.items():
+            for name, (shape, dtype) in group.items():
+                if name in _STATE_NAMES:
+                    group[name] = np.empty(shape, dtype)
+                    stats.append(group[name])
+                else:
+                    start = sizes.get(dtype, 0)
+                    sizes[dtype] = end = start + math.prod(shape)
+                    layout.append((key, name, shape, dtype, slice(start, end)))
+        buffers = {dtype: np.empty(n, dtype) for dtype, n in sizes.items()}
+        for key, name, shape, dtype, span in layout:
+            groups[key][name] = buffers[dtype][span].reshape(shape)
+        store._layout, store._stats, store._buffers = tuple(layout), tuple(stats), buffers
+        return store
 
     def add(self, key: str, name: str, value: np.ndarray) -> None:
         group = self._groups.setdefault(key, {})
@@ -249,19 +287,14 @@ class ParamStore:
         """``(key, name, shape, dtype, span)`` of each trainable tensor, in
         arena order; packs the store if it is not packed."""
         if self._layout is None:
-            entries, stats, sizes = [], [], {}
-            for key, name, value in self.flat_items():
-                if name in _STATE_NAMES:
-                    stats.append(value)
-                    continue
-                start = sizes.get(value.dtype, 0)
-                sizes[value.dtype] = start + value.size
-                entries.append((key, name, value.shape, value.dtype, slice(start, start + value.size)))
-            self._layout, self._stats = tuple(entries), tuple(stats)
-            self._buffers = {dtype: np.empty(n, dtype) for dtype, n in sizes.items()}
-            for (key, name, *_), view in zip(entries, self._views()):
-                view[...] = self._groups[key][name]
-                self._groups[key][name] = view
+            old = list(self.flat_items())
+            packed = ParamStore.allocate((k, n, v.shape, v.dtype) for k, n, v in old)
+            for (key, name, value), (_, _, view) in zip(old, packed.flat_items()):
+                if name not in _STATE_NAMES:  # running statistics stay as they are
+                    view[...] = value
+                    self._groups[key][name] = view
+            self._layout, self._buffers = packed._layout, packed._buffers
+            self._stats = tuple(v for _, n, v in old if n in _STATE_NAMES)
         return self._layout
 
     def arena(self) -> dict[np.dtype, np.ndarray]:
@@ -360,6 +393,66 @@ class Op:
         return self.name
 
 
+class ParamSpec(NamedTuple):
+    """One tensor that a parameter op binds: its local name, its shape and its
+    initial value, either He fan-in (a standard normal draw times ``std``)
+    or the constant ``fill``."""
+
+    name: str
+    shape: tuple[int, ...]
+    std: float | None = None
+    fill: float = 0.0
+
+
+# Most scalars one initialization draw covers: 64 KiB of f64, below the size
+# at which the allocator maps fresh pages for each draw. A larger tensor is
+# drawn on its own.
+_DRAW_BLOCK = 1 << 13
+
+
+def init_tensors(bindings: Sequence[tuple[np.ndarray, ParamSpec]], rng: np.random.Generator) -> None:
+    """Write each spec's initial value into its array, in place.
+
+    He tensors take consecutive ``rng.standard_normal`` values in the order
+    given, drawn a block of tensors at a time; each block is scaled by its
+    std in f64 and cast on assignment, so the values equal one draw per
+    tensor, bitwise."""
+    he = []
+    for value, spec in bindings:
+        if spec.std is None:
+            value.fill(spec.fill)
+        else:
+            he.append((value, spec.std))
+    i = 0
+    while i < len(he):
+        j, n = i + 1, he[i][0].size
+        while j < len(he) and n + he[j][0].size <= _DRAW_BLOCK:
+            n += he[j][0].size
+            j += 1
+        draw, start = rng.standard_normal(n), 0
+        for value, std in he[i:j]:
+            part = draw[start : start + value.size]
+            part *= std
+            value[...] = part.reshape(value.shape)
+            start += value.size
+        i = j
+
+
+class ParamOp(Op):
+    """An op that binds tensors. It declares them; lowering allocates them in
+    its model's arena and initializes them there with :func:`init_tensors`."""
+
+    def param_specs(self) -> tuple[ParamSpec, ...]:
+        raise NotImplementedError
+
+    def init_params(self, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
+        """Standalone tensors for one binding, initialized as lowering does."""
+        specs = self.param_specs()
+        values = {spec.name: np.empty(spec.shape, dtype) for spec in specs}
+        init_tensors([(values[spec.name], spec) for spec in specs], rng)
+        return values
+
+
 class InputOp(Op):
     name = "input"
 
@@ -384,7 +477,7 @@ class Flatten(Op):
         return [grad.reshape(saved)], None
 
 
-class Dense(Op):
+class Dense(ParamOp):
     """Affine map on (batch, feature) tensors: y = x @ w + b."""
 
     name = "dense"
@@ -393,12 +486,11 @@ class Dense(Op):
         self.d_in = d_in
         self.d_out = d_out
 
-    def init_params(self, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
-        std = np.sqrt(2.0 / self.d_in)
-        return {
-            "w": (rng.standard_normal((self.d_in, self.d_out)) * std).astype(dtype),
-            "b": np.zeros(self.d_out, dtype=dtype),
-        }
+    def param_specs(self):
+        return (
+            ParamSpec("w", (self.d_in, self.d_out), std=math.sqrt(2.0 / self.d_in)),
+            ParamSpec("b", (self.d_out,)),
+        )
 
     def infer_shape(self, in_shapes):
         (s,) = in_shapes
@@ -456,7 +548,7 @@ def _col2im(
     return dxp[:, :, pad : pad + h, pad : pad + w]
 
 
-class Conv2D(Op):
+class Conv2D(ParamOp):
     """2D convolution, same padding at stride 1 (kernel 1x1 or 3x3).
 
     Every conv is a batched GEMM of the (c_out, c_in*k*k) weight matrix with
@@ -480,14 +572,15 @@ class Conv2D(Op):
         self.pad = kernel // 2
         self.pointwise = kernel == 1 and stride == 1
 
-    def init_params(self, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
+    def param_specs(self):
         fan_in = self.kernel * self.kernel * self.c_in
-        std = np.sqrt(2.0 / fan_in)
-        shape = (self.c_out, self.c_in, self.kernel, self.kernel)
-        return {
-            "w": (rng.standard_normal(shape) * std).astype(dtype),
-            "b": np.zeros(self.c_out, dtype=dtype),
-        }
+        return (
+            ParamSpec(
+                "w", (self.c_out, self.c_in, self.kernel, self.kernel),
+                std=math.sqrt(2.0 / fan_in),
+            ),
+            ParamSpec("b", (self.c_out,)),
+        )
 
     def infer_shape(self, in_shapes):
         (s,) = in_shapes
@@ -622,7 +715,7 @@ class ScalarScale(Op):
         return [self.beta * grad], None
 
 
-class ChannelNorm(Op):
+class ChannelNorm(ParamOp):
     """Per-channel standardization with a learned affine.
 
     Train mode normalizes with batch statistics and folds them into running
@@ -637,13 +730,14 @@ class ChannelNorm(Op):
     def __init__(self, channels: int):
         self.channels = channels
 
-    def init_params(self, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
-        return {
-            "gamma": np.ones(self.channels, dtype=dtype),
-            "beta": np.zeros(self.channels, dtype=dtype),
-            "running_mean": np.zeros(self.channels, dtype=dtype),
-            "running_var": np.ones(self.channels, dtype=dtype),
-        }
+    def param_specs(self):
+        c = (self.channels,)
+        return (
+            ParamSpec("gamma", c, fill=1.0),
+            ParamSpec("beta", c),
+            ParamSpec("running_mean", c),
+            ParamSpec("running_var", c, fill=1.0),
+        )
 
     def _axes_and_view(self, ndim: int):
         if ndim == 2:

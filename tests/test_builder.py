@@ -1,5 +1,7 @@
 """Lowering, parameter sharing, model surgery, checkpoints."""
 
+import hashlib
+import json
 import struct
 
 import numpy as np
@@ -16,7 +18,8 @@ from polyres.builder import (
     save_checkpoint,
     upgrade,
 )
-from polyres.dsl import parse_network, preset
+from polyres import engine
+from polyres.dsl import PRESET_NAMES, parse_network, preset
 from polyres.engine import (
     DTYPES,
     Dense,
@@ -263,6 +266,63 @@ class TestParameterInit:
             assert a.tobytes() == b.tobytes(), f"{key}/{name}"
 
 
+def params_digest(models) -> str:
+    """sha256 over key, name, dtype, shape and bytes of every tensor."""
+    h = hashlib.sha256()
+    for model in models:
+        for key, name, value in model.params.flat_items():
+            h.update(f"{key}/{name}:{value.dtype.str}:{value.shape};".encode())
+            h.update(value.tobytes())
+    return h.hexdigest()
+
+
+# Digests of the parameters that lowering and surgery produced before
+# lowering drew its He weights in blocks; a change to the draw order or count
+# changes them.
+PINNED_PRESET_DIGESTS = {
+    "ir-3-6-3": "ceb7b7652eada26fcf1c1101ba2dde8caa4381d6b0ec01fa3f606ed086f15df4",
+    "ir-6-12-6": "358678a15a465a7c074c78eb976afcf6a4040eee41c1cf4bcb0dee03866418e0",
+    "ir-5-10-5": "14d55424c94bb0474b0094f4b6788cc3bb6869d7a0f0f9f24c89a39b5f241838",
+    "ir-20-56-20": "c1284c31244c753e26261d4c946242c8a8e04f9965e67b3deddf67a4f2f875b6",
+    "mixed-b-6-12-6": "c6918f2d21d50db3f313219255a61e2f82086bbcbca35ee94216665222ac444e",
+    "very-deep-polynet": "d3db1f08318b4006c69f328d8fc2e89ad8652577e3eae54da4e9eacd9fc413bd",
+}
+PINNED_SURGERY_DIGEST = "983e06a8cc1ea7c66a19aa281bc56c160fae7de9409467689476bfbe5f55fe38"
+
+
+class TestPinnedInit:
+    @pytest.mark.parametrize("draw_block", [None, 97], ids=["default_block", "block_97"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_lowered_presets_hash_to_the_pinned_digest(self, name, draw_block, monkeypatch):
+        # A 97-scalar block splits the draws inside and across tensors'
+        # boundaries; the values must not depend on where blocks end.
+        if draw_block is not None:
+            monkeypatch.setattr(engine, "_DRAW_BLOCK", draw_block)
+        config = preset(name, classes=3, input_size=8, base_width=4)
+        models = [
+            lower(config, arch, beta=0.3, seed=5, precision=precision,
+                  memoize=memoize, input_channels=1)
+            for arch in (DENSE, CONV)
+            for precision in ("f32", "f64")
+            for memoize in (True, False)
+        ]
+        assert params_digest(models) == PINNED_PRESET_DIGESTS[name]
+
+    def test_surgery_hashes_to_the_pinned_digest(self):
+        source = parse_network("A: ir -> 2-way; B: ir", classes=3, input_size=8, base_width=4)
+        target = parse_network(
+            "A: 3-way -> mpoly-3; B: 2-way", classes=3, input_size=8, base_width=4
+        )
+        models = []
+        for arch in (DENSE, CONV):
+            for precision in ("f32", "f64"):
+                src = lower(source, arch, beta=0.3, seed=5, precision=precision, input_channels=1)
+                for zero_last in (False, True):
+                    models.append(upgrade(src, target, zero_last=zero_last, seed=6))
+                    models.append(deepen_interleave(src, [3, 1], zero_last=zero_last, seed=7))
+        assert params_digest(models) == PINNED_SURGERY_DIGEST
+
+
 def assert_only_last_layers_zeroed(zeroed, plain, new_keys, last_layer):
     """``zeroed`` equals ``plain`` except that the last-layer tensors of the
     blocks in ``new_keys`` are zero (and the weights were not zero before)."""
@@ -396,6 +456,22 @@ class TestDeepenInterleave:
         ]
 
 
+def split_checkpoint(buf: bytes) -> tuple[dict, list[bytes]]:
+    """The manifest and the bytes of each tensor of a checkpoint file."""
+    (blob_len,) = struct.unpack_from("<q", buf, 8)
+    offset, chunks = 16 + blob_len, []
+    while offset < len(buf):
+        n = Tensor.from_bytes(buf[offset:]).byte_length()
+        chunks.append(buf[offset : offset + n])
+        offset += n
+    return json.loads(buf[16 : 16 + blob_len]), chunks
+
+
+def join_checkpoint(manifest, chunks, blob: bytes | None = None) -> bytes:
+    blob = json.dumps(manifest).encode("utf-8") if blob is None else blob
+    return b"PRESCKPT" + struct.pack("<q", len(blob)) + blob + b"".join(chunks)
+
+
 class TestCheckpoints:
     def test_round_trip_params_and_meta(self, tmp_path):
         model = tiny("A: poly-2 -> 2-way", seed=11, beta=0.3)
@@ -453,3 +529,119 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert str(path) in str(err.value)
         assert "4 trailing bytes" in str(err.value)
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("arch", [DENSE, CONV], ids=["dense", "conv"])
+    def test_saved_bytes_are_format_1(self, tmp_path, arch, precision):
+        model = tiny("A: poly-2 -> 2-way; B: mpoly-3", arch=arch, seed=11, precision=precision)
+        model.meta.iteration = 77
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        manifest = {
+            "format": 1,
+            "config": model.meta.config_text,
+            "input_size": 8,
+            "classes": 3,
+            "widths": [4, 8],
+            "arch": arch.descriptor,
+            "beta": 0.3,
+            "seed": 11,
+            "precision": precision,
+            "memoize": True,
+            "input_channels": 1,
+            "iteration": 77,
+            "params": [[key, name] for key, name, _ in model.params.flat_items()],
+        }
+        chunks = [Tensor(value).to_bytes() for _, _, value in model.params.flat_items()]
+        reference = join_checkpoint(manifest, chunks)
+        assert path.read_bytes() == reference
+        ref_path = tmp_path / "reference.ckpt"
+        ref_path.write_bytes(reference)
+        back = load_checkpoint(ref_path)
+        assert back.params.equal(model.params)
+        assert back.meta.iteration == 77
+        x = batch(3, seed=14)
+        assert np.array_equal(back.logits(x), model.logits(x))
+
+    def test_deep_preset_checkpoint_size_is_unchanged(self, tmp_path):
+        config = preset("very-deep-polynet", classes=4, input_size=32)
+        model = lower(config, ConvBlock(16, 4), beta=0.3, seed=11, precision="f32")
+        path = tmp_path / "deep.ckpt"
+        save_checkpoint(model, path)
+        assert path.stat().st_size == 555_599
+
+    def _rewritten(self, tmp_path, edit=None, blob=None):
+        """A saved checkpoint whose manifest and tensor bytes went through
+        ``edit(manifest, chunks)``, or whose manifest bytes are ``blob``."""
+        model = tiny("A: poly-2 -> 2-way", seed=11, beta=0.3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        manifest, chunks = split_checkpoint(path.read_bytes())
+        if edit is not None:
+            edit(manifest, chunks)
+        path.write_bytes(join_checkpoint(manifest, chunks, blob))
+        return path
+
+    def _load_error(self, path) -> str:
+        with pytest.raises(EngineError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+        return str(err.value)
+
+    def test_manifest_omitting_a_tensor_is_rejected(self, tmp_path):
+        def drop_last(manifest, chunks):
+            manifest["params"].pop()
+            chunks.pop()
+
+        assert "omits tensor head.fc/b" in self._load_error(self._rewritten(tmp_path, drop_last))
+
+    def test_manifest_listing_a_tensor_twice_is_rejected(self, tmp_path):
+        def repeat_first(manifest, chunks):
+            manifest["params"].insert(1, manifest["params"][0])
+            chunks.insert(1, chunks[0])
+
+        key, name = "stem.fc", "w"
+        message = self._load_error(self._rewritten(tmp_path, repeat_first))
+        assert f"lists tensor {key}/{name} twice" in message
+
+    def test_manifest_listing_an_unknown_tensor_is_rejected(self, tmp_path):
+        def add_extra(manifest, chunks):
+            manifest["params"].append(["head.fc", "w9"])
+            chunks.append(chunks[-1])
+
+        message = self._load_error(self._rewritten(tmp_path, add_extra))
+        assert "lists tensor head.fc/w9 that the model does not have" in message
+
+    def test_manifest_that_is_not_json_is_rejected(self, tmp_path):
+        message = self._load_error(self._rewritten(tmp_path, blob=b'{"format": 1,'))
+        assert "manifest is not UTF-8 JSON" in message
+
+    def test_manifest_that_is_not_utf8_is_rejected(self, tmp_path):
+        message = self._load_error(self._rewritten(tmp_path, blob=b'{"format": "\xff"}'))
+        assert "manifest is not UTF-8 JSON" in message
+
+    def test_manifest_missing_a_field_names_it(self, tmp_path):
+        message = self._load_error(
+            self._rewritten(tmp_path, lambda manifest, _: manifest.pop("arch"))
+        )
+        assert "manifest field 'arch' is missing" in message
+
+    def test_unknown_format_is_rejected(self, tmp_path):
+        message = self._load_error(
+            self._rewritten(tmp_path, lambda manifest, _: manifest.update(format=99))
+        )
+        assert "manifest field 'format' is 99" in message
+
+    def test_manifest_field_of_the_wrong_type_names_it(self, tmp_path):
+        message = self._load_error(
+            self._rewritten(tmp_path, lambda manifest, _: manifest.update(seed="11"))
+        )
+        assert "manifest field 'seed' has the wrong type: '11'" in message
+
+    def test_tensor_of_another_shape_is_rejected(self, tmp_path):
+        def transpose_first(manifest, chunks):
+            w = Tensor.from_bytes(chunks[0]).data
+            chunks[0] = Tensor(np.ascontiguousarray(w.T)).to_bytes()
+
+        message = self._load_error(self._rewritten(tmp_path, transpose_first))
+        assert "checkpoint shape mismatch for stem.fc/w" in message

@@ -601,17 +601,32 @@ class TestLiveness:
 class TestArena:
     STATS = ("running_mean", "running_var")
 
-    def test_lowering_does_not_pack_and_the_first_flat_use_does(self):
+    def test_lowering_returns_a_store_packed_in_flat_order(self):
         config = parse_network("A: ir -> 2-way", classes=3, input_size=8, base_width=4)
         params = lower(config, ConvBlock(4, 2), precision="f64").params
-        assert all(v.base is None for _, _, v in params.flat_items())
-        before = [(k, n, v.copy()) for k, n, v in params.flat_items()]
+        entries = list(params.flat_items())
         (arena,) = params.arena().values()
-        trainable = [v for k, n, v in before if n not in self.STATS]
+        assert list(params.flat_items()) == entries  # no repack: the same arrays
+        trainable = [v for k, n, v in entries if n not in self.STATS]
         assert np.array_equal(arena, np.concatenate([v.ravel() for v in trainable]))
-        for (key, name, value), (_, _, old) in zip(params.flat_items(), before, strict=True):
+        for key, name, value in entries:
             assert (value.base is arena) == (name not in self.STATS), f"{key}/{name}"
-            assert np.array_equal(value, old)
+
+    def test_allocate_packs_without_values(self):
+        store = ParamStore.allocate([
+            ("a", "w", (2, 3), np.float32), ("a", "running_var", (3,), np.float32),
+            ("b", "w", (4,), np.float64), ("a", "b", (3,), np.float32),
+        ])
+        assert [(k, n, v.shape, v.dtype) for k, n, v in store.flat_items()] == [
+            ("a", "w", (2, 3), np.float32), ("a", "running_var", (3,), np.float32),
+            ("a", "b", (3,), np.float32), ("b", "w", (4,), np.float64),
+        ]
+        arenas = store.arena()
+        assert arenas[np.dtype(np.float32)].size == 9 and arenas[np.dtype(np.float64)].size == 4
+        assert store.get("a", "b").base is arenas[np.dtype(np.float32)]
+        assert store.get("a", "running_var").base is None
+        with pytest.raises(EngineError, match="duplicate parameter a/w"):
+            ParamStore.allocate([("a", "w", (1,), np.float32)] * 2)
 
     def test_one_buffer_per_dtype_in_insertion_order(self):
         store = ParamStore()
