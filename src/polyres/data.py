@@ -251,8 +251,9 @@ def load_dataset(directory, classes: int | None = None) -> Dataset:
     is recomputed from the sample indices in the file names, so it matches
     the original even when some indices are missing.
 
-    Two files with the same index, an image that is not (c, h, w), and
-    images of different shapes raise ValueError naming the files."""
+    Two files with the same index, an image that is not (c, h, w), images
+    of different shapes and a label not below ``classes`` raise ValueError
+    naming the files."""
     directory = Path(directory)
     entries: list[tuple[int, int, Path]] = []
     for path in directory.iterdir():
@@ -266,7 +267,9 @@ def load_dataset(directory, classes: int | None = None) -> Dataset:
         if i == j:
             raise ValueError(f"{first} and {second} both hold sample index {i}")
     images = []
-    for _, _, path in entries:
+    for _, label, path in entries:
+        if classes is not None and label >= classes:
+            raise ValueError(f"{path}: label {label} is not below classes={classes}")
         image = Tensor.load(path).data
         if image.ndim != 3:
             raise ValueError(f"{path}: image shape {image.shape} is not (c, h, w)")

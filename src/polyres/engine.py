@@ -366,7 +366,11 @@ class ParamStore:
 
 
 class Op:
-    """A primitive kernel: a shape rule, a forward, and a backward."""
+    """A primitive kernel: a shape rule, a forward, and a backward.
+
+    No kernel writes into an array it did not allocate: inputs, gradients
+    and saved contexts may be shared (Add.backward hands one gradient array
+    to every input, and pointwise conv columns alias the input)."""
 
     name = "op"
 
@@ -531,21 +535,35 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     return cols.reshape(b, c * k * k, hout * wout)
 
 
-def _col2im(
-    dcols: np.ndarray, x_shape, k: int, stride: int, pad: int
-) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: scatter-add the columns back onto the
-    (bordered) input grid and return its interior."""
-    b, c, h, w = x_shape
-    hout, wout = _conv_geometry(h, w, k, stride, pad)
-    dxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
-    dc = dcols.reshape(b, c, k, k, hout, wout)
-    for i in range(k):
-        for j in range(k):
-            dxp[
-                :, :, i : i + stride * hout : stride, j : j + stride * wout : stride
-            ] += dc[:, :, i, j]
-    return dxp[:, :, pad : pad + h, pad : pad + w]
+def _tap_spans(n: int, nout: int, k: int, stride: int, pad: int) -> list[tuple[slice, slice]]:
+    """Per kernel offset t along one axis: the output indices o whose input
+    index ``stride*o + t - pad`` lies inside [0, n), and those input indices."""
+    spans = []
+    for t in range(k):
+        d = t - pad
+        lo, hi = max(0, -(d // stride)), min(nout, (n - 1 - d) // stride + 1)
+        first = stride * lo + d
+        spans.append((slice(lo, hi), slice(first, first + stride * (hi - lo), stride)))
+    return spans
+
+
+def _conv_input_grad(g2: np.ndarray, w: np.ndarray, x_shape, stride: int, pad: int) -> np.ndarray:
+    """Adjoint of :func:`_im2col` applied to ``w^T g``: per kernel tap one
+    GEMM ``w[:, :, i, j]^T g`` into a reused work array, added onto the
+    input pixels that tap read. Nothing is padded, so taps are clipped."""
+    b, c, h, wd = x_shape
+    k = w.shape[-1]
+    hout, wout = _conv_geometry(h, wd, k, stride, pad)
+    taps = w.transpose(2, 3, 1, 0).copy()  # (k, k, c_in, c_out)
+    work = np.empty((b, c, hout * wout), dtype=g2.dtype)
+    grid = work.reshape(b, c, hout, wout)
+    dx = np.zeros(x_shape, dtype=g2.dtype)
+    cols = _tap_spans(wd, wout, k, stride, pad)
+    for i, (oy, iy) in enumerate(_tap_spans(h, hout, k, stride, pad)):
+        for j, (ox, ix) in enumerate(cols):
+            np.matmul(taps[i, j], g2, out=work)
+            dx[:, :, iy, ix] += grid[:, :, oy, ox]
+    return dx
 
 
 class Conv2D(ParamOp):
@@ -556,8 +574,9 @@ class Conv2D(ParamOp):
     input itself, reshaped to (batch, c_in, h*w), as its columns: no copy,
     so the saved view aliases the input and nothing may write to it. Other
     convs build the columns with im2col from a zero-bordered copy of the
-    input. Backward is two more GEMMs, dw = sum_b g_b cols_b^T and
-    dcols = w^T g, then col2im (or a reshape, for 1x1 stride 1).
+    input. Backward is dw = sum_b g_b cols_b^T and, for the input gradient,
+    w^T g: reshaped for 1x1 stride 1, otherwise one GEMM per kernel tap
+    added straight onto the input pixels that tap read.
     """
 
     name = "conv2d"
@@ -609,11 +628,10 @@ class Conv2D(ParamOp):
         db = grad.sum(axis=(0, 2, 3))
         if not input_grads:
             return [None], {"w": dw, "b": db}
-        dcols = w.reshape(self.c_out, -1).T @ g2
         if self.pointwise:
-            dx = dcols.reshape(x_shape)
+            dx = (w.reshape(self.c_out, -1).T @ g2).reshape(x_shape)
         else:
-            dx = _col2im(dcols, x_shape, self.kernel, self.stride, self.pad)
+            dx = _conv_input_grad(g2, w, x_shape, self.stride, self.pad)
         return [dx], {"w": dw, "b": db}
 
     def macs(self, in_shapes, out_shape):
@@ -639,7 +657,7 @@ class ReLU(Op):
     def forward(self, inputs, params, mode, gates=None):
         (x,) = inputs
         y = np.maximum(x, 0)
-        return y, x
+        return y, y  # y > 0 exactly where x > 0, so the input need not be kept
 
     def backward(self, grad, saved, input_grads=True):
         return [grad * (saved > 0)], None
@@ -721,8 +739,9 @@ class ChannelNorm(ParamOp):
     Train mode normalizes with batch statistics and folds them into running
     stats (momentum 0.9, mutated in place on the ParamStore); eval mode uses
     the running stats, folded with the affine into one per-channel scale and
-    shift. Channel axis is axis 1 for both (batch, feature) and
-    (batch, channel, h, w) layouts.
+    shift. Both (batch, feature) and (batch, channel, h, w) inputs are
+    handled as a (batch, channel, pixels) view, with one pixel for the
+    first; batch statistics are sums over the pixels, then over the batch.
     """
 
     name = "channel_norm"
@@ -739,13 +758,6 @@ class ChannelNorm(ParamOp):
             ParamSpec("running_var", c, fill=1.0),
         )
 
-    def _axes_and_view(self, ndim: int):
-        if ndim == 2:
-            return (0,), (1, self.channels)
-        if ndim == 4:
-            return (0, 2, 3), (1, self.channels, 1, 1)
-        raise ShapeError(f"channel norm expects rank 2 or 4, got rank {ndim}")
-
     def infer_shape(self, in_shapes):
         (s,) = in_shapes
         if len(s) not in (2, 4) or s[1] != self.channels:
@@ -754,40 +766,46 @@ class ChannelNorm(ParamOp):
 
     def forward(self, inputs, params, mode, gates=None):
         (x,) = inputs
-        axes, view = self._axes_and_view(x.ndim)
         gamma, beta = params["gamma"], params["beta"]
         rm, rv = params["running_mean"], params["running_var"]
+        x3 = x.reshape(x.shape[0], self.channels, -1)
         if mode != "train":
             # Running stats and the affine fold into one per-channel scale
             # and shift; nothing is saved, as no backward reads an eval pass.
             scale = gamma / np.sqrt(rv + NORM_EPS)
             shift = beta - rm * scale
-            y = x * scale.reshape(view)
-            y += shift.reshape(view)
-            return y, None
-        mu = x.mean(axis=axes)
-        var = x.var(axis=axes)
+            y = x3 * scale[:, None]
+            y += shift[:, None]
+            return y.reshape(x.shape), None
+        n = x3.shape[0] * x3.shape[2]
+        mu = x3.sum(axis=2).sum(axis=0) / n
+        xhat = x3 - mu[:, None]
+        y = np.multiply(xhat, xhat)
+        var = y.sum(axis=2).sum(axis=0) / n
         rm *= NORM_MOMENTUM
         rm += (1.0 - NORM_MOMENTUM) * mu
         rv *= NORM_MOMENTUM
         rv += (1.0 - NORM_MOMENTUM) * var
         inv_std = 1.0 / np.sqrt(var + NORM_EPS)
-        xhat = (x - mu.reshape(view)) * inv_std.reshape(view)
-        y = gamma.reshape(view) * xhat + beta.reshape(view)
-        return y, (xhat, inv_std, gamma, axes, view)
+        xhat *= inv_std[:, None]
+        np.multiply(xhat, gamma[:, None], out=y)
+        y += beta[:, None]
+        return y.reshape(x.shape), (xhat, inv_std, gamma)
 
     def backward(self, grad, saved, input_grads=True):
-        xhat, inv_std, gamma, axes, view = saved
-        dgamma = (grad * xhat).sum(axis=axes)
-        dbeta = grad.sum(axis=axes)
-        dxhat = grad * gamma.reshape(view)
-        # Batch-statistics chain rule, written against xhat.
-        dx = (
-            dxhat
-            - dxhat.mean(axis=axes).reshape(view)
-            - xhat * (dxhat * xhat).mean(axis=axes).reshape(view)
-        ) * inv_std.reshape(view)
-        return [dx], {"gamma": dgamma, "beta": dbeta}
+        xhat, inv_std, gamma = saved
+        g3 = grad.reshape(xhat.shape)
+        n = xhat.shape[0] * xhat.shape[2]
+        dbeta = g3.sum(axis=2).sum(axis=0)
+        dx = np.multiply(g3, xhat)
+        dgamma = dx.sum(axis=2).sum(axis=0)
+        # Folded batch-statistics chain rule:
+        # dx = gamma * inv_std * (g - dbeta/n - xhat * dgamma/n).
+        np.multiply(xhat, (dgamma / n)[:, None], out=dx)
+        np.subtract(g3, dx, out=dx)
+        dx -= (dbeta / n)[:, None]
+        dx *= (gamma * inv_std)[:, None]
+        return [dx.reshape(grad.shape)], {"gamma": dgamma, "beta": dbeta}
 
 
 class GlobalAvgPool(Op):
@@ -973,9 +991,11 @@ def forward(
     :meth:`ComputationGraph.infer_shapes`. With ``check_finite`` the first
     node whose output holds a NaN or Inf raises NumericError naming it.
 
-    Train mode records every node's context on the tape. Eval mode records
-    none and drops each value right after its last reader has run, so an
-    eval pass holds only the values a later node still reads.
+    Both modes drop each value right after its last reader has run. Train
+    mode records every node's context on the tape, which keeps exactly the
+    arrays backward reads; a value no context holds is released, so a train
+    pass holds only those and the values a later node still reads. Eval mode
+    records no context.
     """
     if mode not in ("train", "eval"):
         raise EngineError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -1006,12 +1026,11 @@ def forward(
         values[node.idx] = out
         if train:
             saved[node.idx] = ctx
-        else:
-            # Release the context and the values read for the last time
-            # (this one too, if nothing reads it) before the next op allocates.
-            del out, ctx
-            for i in frees:
-                values[i] = None
+        # Release the values read for the last time (this one too, if nothing
+        # reads it) before the next op allocates; contexts keep what backward reads.
+        del out, ctx
+        for i in frees:
+            values[i] = None
     return Tensor(values[graph.output]), Tape(mode, graph, params, saved, x)
 
 

@@ -159,7 +159,7 @@ class StochasticPathConfig:
     on, dropping stays on for the rest of the run. ``rescale``
     chooses between no compensation (default), dropout-style 1/(1-p)
     scaling of surviving paths at train time, or deterministic (1-p) path
-    scaling at eval time.
+    scaling at eval time, from the first eval after dropping is active.
     """
 
     enabled: bool = False
@@ -301,13 +301,8 @@ class _BatchSampler:
         return np.array(batch)
 
 
-def _evaluate(model: Model, images, labels, spc, probs) -> tuple[float, float, float]:
-    gates = None
-    allow = False
-    if spc is not None and spc.enabled and spc.rescale == "eval":
-        gates = eval_gate_map(model, probs)
-        allow = True
-    out, _ = model.forward(images, mode="eval", gates=gates, allow_eval_gates=allow)
+def _evaluate(model: Model, images, labels, gates) -> tuple[float, float, float]:
+    out, _ = model.forward(images, mode="eval", gates=gates, allow_eval_gates=True)
     loss, _ = softmax_cross_entropy(out.data, labels)
     k5 = min(5, out.data.shape[1])
     return loss, topk_error(out.data, labels, 1), topk_error(out.data, labels, k5)
@@ -413,7 +408,10 @@ def train(
         model.meta.iteration += 1
 
         if (it + 1) % eval_every == 0 or it + 1 == hp.total_iters:
-            val_loss, top1, top5 = _evaluate(model, val_images, val_labels, spc, probs)
+            # Paths are scaled at eval only once training drops them.
+            scaled = gates_active and spc.rescale == "eval"
+            eval_gates = eval_gate_map(model, probs) if scaled else None
+            val_loss, top1, top5 = _evaluate(model, val_images, val_labels, eval_gates)
             history.records.append(
                 EvalRecord(
                     iteration=it + 1,

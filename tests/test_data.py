@@ -275,6 +275,14 @@ class TestImportExport:
         with pytest.raises(ValueError, match=r"0_00000\.tns.*not \(c, h, w\)"):
             load_dataset(tmp_path)
 
+    def test_label_not_below_classes_names_the_file(self, tmp_path):
+        ds = synth_dataset(6, 4, 8, seed=0)
+        save_dataset(ds, tmp_path)
+        Tensor(ds.images[0]).save(tmp_path / "7_00006.tns")
+        assert load_dataset(tmp_path).classes == 8
+        with pytest.raises(ValueError, match=r"7_00006\.tns: label 7 is not below classes=4"):
+            load_dataset(tmp_path, classes=4)
+
     def test_missing_directory_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(FileNotFoundError):

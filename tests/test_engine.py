@@ -9,6 +9,7 @@ from polyres.builder import ConvBlock, lower
 from polyres.dsl import parse_network
 from polyres.engine import (
     NORM_EPS,
+    NORM_MOMENTUM,
     Add,
     ChannelNorm,
     ComputationGraph,
@@ -27,6 +28,7 @@ from polyres.engine import (
     ScalarScale,
     ShapeError,
     StridedConvDownsample,
+    Tape,
     Tensor,
     backward,
     finite_diff_grad,
@@ -209,6 +211,36 @@ class TestConvReference:
         assert out.shape == want.shape
         assert np.abs(out.data - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
+    @pytest.mark.parametrize("op", [Conv2D(3, 3, 5), StridedConvDownsample(3, 5)])
+    def test_input_gradient_equals_col2im_of_the_columns_gradient(self, op):
+        """The per-tap input gradient against the im2col adjoint it replaced:
+        dcols = w^T g, scatter-added onto a zero-bordered grid."""
+        from polyres.engine import _im2col
+
+        rng = np.random.default_rng(23)
+        params = params_for(op, "c", rng)
+        x = rng.standard_normal((2, 3, 7, 6))
+        graph = single_op_graph(op, x.shape[1:], key="c")
+        out, tape = forward(graph, params, x, "train")
+        g = rng.standard_normal(out.shape)
+        _, dx = backward(tape, g, return_input_grad=True)
+
+        k, s, pad = 3, op.stride, 1
+        hout, wout = out.shape[2:]
+        w = params.get("c", "w")
+        dcols = w.reshape(5, -1).T @ g.reshape(2, 5, -1)
+        grid = np.zeros((2, 3, 7 + 2 * pad, 6 + 2 * pad))
+        dc = dcols.reshape(2, 3, k, k, hout, wout)
+        for i in range(k):
+            for j in range(k):
+                grid[:, :, i : i + s * hout : s, j : j + s * wout : s] += dc[:, :, i, j]
+        want = grid[:, :, pad : pad + 7, pad : pad + 6]
+        # The reference is the adjoint of im2col: <im2col(x), dcols> = <x, want>.
+        cols = _im2col(x, k, s, pad)
+        assert abs((cols * dcols).sum() - (x * want).sum()) < 1e-10 * np.abs(x * want).sum()
+        assert np.array_equal(dx, want)
+        assert dx.flags.c_contiguous
+
     def test_conv_input_feeding_other_nodes(self):
         # Each 1x1 conv's input also feeds an Add, so a conv that saves a
         # view of its input must neither write to it nor be corrupted by
@@ -266,8 +298,10 @@ class TestStemInputGradient:
         out, tape = forward(graph, params, x, "train")
         upstream = scalar_loss_grad(out.data)
         calls = []
-        col2im = engine._col2im
-        monkeypatch.setattr(engine, "_col2im", lambda *a: calls.append(1) or col2im(*a))
+        input_grad = engine._conv_input_grad
+        monkeypatch.setattr(
+            engine, "_conv_input_grad", lambda *a: calls.append(1) or input_grad(*a)
+        )
         skipped = backward(tape, upstream)
         assert len(calls) == 1  # only the strided conv's; the stem's is skipped
         full, dx = backward(tape, upstream, return_input_grad=True)
@@ -419,6 +453,41 @@ class TestChannelNorm:
         want = g["gamma"].reshape(view) * xhat + g["beta"].reshape(view)
         assert np.abs(out.data - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
         assert params.equal(before)  # eval leaves the running stats alone
+
+    @pytest.mark.parametrize("shape", [(6, 3), (4, 3, 5, 7)])
+    def test_train_pass_matches_the_three_term_formula(self, shape):
+        """Statistics as means over (0, 2, 3) and the three-term backward,
+        against the per-pixel sums and the folded backward."""
+        rng = np.random.default_rng(29)
+        op = ChannelNorm(3)
+        params = params_for(op, "n", rng)
+        before = params.clone()
+        graph = single_op_graph(op, shape[1:], key="n")
+        x = rng.standard_normal(shape) * 2.0 + 0.5
+        g = rng.standard_normal(shape)
+        out, tape = forward(graph, params, x, "train")
+        grads, dx = backward(tape, g, return_input_grad=True)
+
+        axes = (0,) if len(shape) == 2 else (0, 2, 3)
+        view = (1, 3) + (1,) * (len(shape) - 2)
+        gamma, beta = before.get("n", "gamma"), before.get("n", "beta")
+        mu, var = x.mean(axis=axes), x.var(axis=axes)
+        inv_std = 1.0 / np.sqrt(var + NORM_EPS)
+        xhat = (x - mu.reshape(view)) * inv_std.reshape(view)
+        assert np.array_equal(out.data, gamma.reshape(view) * xhat + beta.reshape(view))
+        for name, stat in (("running_mean", mu), ("running_var", var)):
+            want = before.get("n", name) * NORM_MOMENTUM + (1.0 - NORM_MOMENTUM) * stat
+            assert np.array_equal(params.get("n", name), want), name
+        assert np.array_equal(grads.get("n", "gamma"), (g * xhat).sum(axis=axes))
+        assert np.array_equal(grads.get("n", "beta"), g.sum(axis=axes))
+        dxhat = g * gamma.reshape(view)
+        want = (
+            dxhat
+            - dxhat.mean(axis=axes).reshape(view)
+            - xhat * (dxhat * xhat).mean(axis=axes).reshape(view)
+        ) * inv_std.reshape(view)
+        assert dx.shape == shape
+        assert np.abs(dx - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
     def test_backward_rejects_eval_tape(self):
         op = ChannelNorm(3)
@@ -596,6 +665,60 @@ class TestLiveness:
         assert [ref() is not None for ref in log["refs"]] == [False] * 5 + [True]
         assert log["refs"][-1]() is out.data
         assert np.array_equal(out.data, np.full((2, 3), 11.0))
+
+    def test_train_values_no_context_holds_are_released(self):
+        """A conv output read only by a norm is dead before the next conv
+        runs, while the pass and its tape go on, and the tape still gives
+        the gradients of a forward that kept every value (with ReLU saving
+        its input: the mask y > 0 equals x > 0)."""
+        rng = np.random.default_rng(31)
+        outputs, alive = [], []
+
+        def recorded(cls):
+            class Recorded(cls):
+                def forward(self, *args, **kwargs):
+                    alive.append([ref() is not None for ref in outputs])
+                    out, ctx = super().forward(*args, **kwargs)
+                    outputs.append(weakref.ref(out))
+                    return out, ctx
+            return Recorded
+
+        ops = {
+            1: (recorded(Conv2D)(3, 3, 4), (0,), "c"), 2: (ChannelNorm(4), (1,), "n"),
+            3: (ReLU(), (2,), None), 4: (Conv2D(1, 4, 4), (3,), "p"),
+            5: (Add(), (3, 4), None), 6: (recorded(StridedConvDownsample)(4, 4), (5,), "d"),
+            7: (GlobalAvgPool(), (6,), None), 8: (Dense(4, 3), (7,), "h"),
+        }
+        nodes = [GraphNode(0, InputOp(), ())]
+        params = ParamStore()
+        for i, (op, ins, key) in ops.items():
+            nodes.append(GraphNode(i, op, ins, param_key=key))
+            if key:
+                for name, value in params_for(op, key, rng).group(key).items():
+                    params.add(key, name, value)
+        graph = ComputationGraph(nodes, (3, 7, 6))
+        x = rng.standard_normal((2, 3, 7, 6))
+        kept = params.clone()
+
+        out, tape = forward(graph, params, x, "train")
+        assert alive == [[], [False]]
+        assert [ref() for ref in outputs] == [None, None]
+
+        values, saved = [x], [None]
+        for node in nodes[1:]:
+            y, ctx = node.op.forward(
+                [values[i] for i in node.inputs], node.resolve_params(kept), "train"
+            )
+            values.append(y)
+            saved.append(values[node.inputs[0]] if isinstance(node.op, ReLU) else ctx)
+        assert outputs[2]() is values[1]
+        assert np.array_equal(out.data, values[-1])
+
+        g = rng.standard_normal(out.shape)
+        grads, dx = backward(tape, g, return_input_grad=True)
+        want, want_dx = backward(Tape("train", graph, kept, saved, x), g, return_input_grad=True)
+        assert grads.equal(want) and np.array_equal(dx, want_dx)
+        assert params.equal(kept)
 
 
 class TestArena:

@@ -365,6 +365,35 @@ class TestTrainLoop:
         flags = [r.gates_active for r in history.records]
         assert flags[0] is False and flags[-1] is True
 
+    def test_eval_rescaling_waits_until_paths_are_dropped(self, dataset):
+        hp = OptimizerHP.desk(60)
+        spc = StochasticPathConfig(
+            enabled=True, adaptive="manual", manual_start=10**6, rescale="eval"
+        )
+        _, h_waiting = train(self.small_model(3), dataset, hp, spc=spc, eval_every=30, seed=5)
+        _, h_plain = train(self.small_model(3), dataset, hp, spc=None, eval_every=30, seed=5)
+        assert h_waiting.records == h_plain.records
+
+    def test_eval_rescaling_scales_each_path_by_its_survival_probability(self, dataset):
+        hp = OptimizerHP.desk(20)
+        spc = StochasticPathConfig(enabled=True, max_prob=0.5, rescale="eval")
+        model, history = train(self.small_model(4), dataset, hp, spc=spc, eval_every=20, seed=5)
+        images, labels = dataset.subset(dataset.val_indices)
+        n = len(model.modules)
+        by_hand = {
+            site.gate_node: (1.0 - 0.5 * j / (n - 1),) * site.n_paths
+            for j, site in enumerate(model.modules)
+        }
+        losses = [
+            softmax_cross_entropy(
+                model.forward(images.astype(np.float32), mode="eval", gates=gates,
+                              allow_eval_gates=True)[0].data,
+                labels,
+            )[0]
+            for gates in (by_hand, None)
+        ]
+        assert history.records[-1].val_loss == losses[0] != losses[1]
+
     def test_auto_activation_turns_on_at_the_first_signal_and_stays_on(
         self, dataset, monkeypatch
     ):
