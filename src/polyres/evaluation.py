@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +90,22 @@ def single_crop_eval(model: Model, dataset: Dataset, split: str = "val") -> tupl
 
 def _split(dataset: Dataset, split: str):
     if split == "val":
-        return dataset.subset(dataset.val_indices)
-    if split == "train":
-        return dataset.subset(dataset.train_indices)
-    raise ValueError(f"unknown split {split!r}")
+        indices = dataset.val_indices
+    elif split == "train":
+        indices = dataset.train_indices
+    else:
+        raise ValueError(f"unknown split {split!r}")
+    if not len(indices):
+        raise ValueError(f"the {split} split of a {len(dataset)}-image dataset is empty")
+    return dataset.subset(indices)
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
 
 
 def _grid_offsets(excess: int, count: int) -> list[tuple[int, int]]:
@@ -150,7 +165,9 @@ def _pooled_scores(
     keys, rows = _crop_plan(images.shape[2], usable, crop, cfg.crops_per_scale)
     sizes = dict.fromkeys(size for size, _, _, _ in keys)
     pooled = np.zeros((len(images), model.meta.config.classes))
-    for i, image in enumerate(images):
+
+    def score(i):
+        image = images[i]
         scaled = {
             size: image if size == image.shape[1] else bilinear_resize(image, size, size)
             for size in sizes
@@ -161,6 +178,21 @@ def _pooled_scores(
             crops.append(hflip(window) if mirrored else window)
         probs = softmax(model.logits(np.stack(crops).astype(dtype, copy=False)))
         pooled[i] = np.mean([topk_pool(probs[r], cfg.top_fraction) for r in rows], axis=0)
+
+    # Worker w scores images w, w + n, ...; the caller is worker 0. Helpers
+    # run in a copy of the caller's context, which carries numpy's errstate.
+    # An executor needs max_workers >= 1; with n = 1 it starts no thread.
+    n = min(len(images), _cpu_count())
+
+    def share(w):
+        for i in range(w, len(images), n):
+            score(i)
+
+    with ThreadPoolExecutor(max(n - 1, 1)) as pool:
+        helpers = [pool.submit(copy_context().run, share, w) for w in range(1, n)]
+        share(0)
+        for helper in helpers:
+            helper.result()
     return tuple(usable), pooled
 
 
@@ -210,6 +242,9 @@ def multicrop_eval(
     mirror fill produce (at scale 1.0 the grid collapses to one offset) is
     cut and scored once; each image resizes once per distinct size and
     scores all its distinct crops in one forward.
+
+    Images are scored concurrently, one worker per CPU the process may run
+    on; the pooled scores are bitwise equal to those of a single worker.
     """
     started = time.perf_counter()
     images, labels = _split(dataset, split)

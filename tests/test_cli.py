@@ -197,6 +197,28 @@ class TestTrainEvalSurgery:
         )
         assert code == EXIT_NUMERIC
 
+    def test_train_with_augmentation_and_stochastic_paths(self, tmp_path, capsys):
+        code, _ = run(
+            capsys, "train", "--network", "A: ir", "--iters", "20", "--eval-every", "10",
+            "--data-n", "64", "--batch-size", "8", "--augment", "--stochastic-paths",
+            "--out", str(tmp_path), "--seed", "1",
+        )
+        assert code == EXIT_OK
+        lines = (tmp_path / "history.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["iteration"] for r in records] == [10, 20]
+        assert all(r["gates_active"] for r in records)
+
+    def test_eval_on_an_empty_val_split_names_it(self, trained, tmp_path, capsys):
+        code = dispatch(
+            [
+                "eval", "--checkpoint", str(trained / "final.ckpt"), "--data-n", "2",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "val split of a 2-image dataset is empty" in capsys.readouterr().err
+
     def test_parse_reads_dsl_files(self, tmp_path, capsys):
         source = tmp_path / "net.dsl"
         source.write_text("# a comment\nA: (ir) x 2; B: poly-2\n")

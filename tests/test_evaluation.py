@@ -1,11 +1,15 @@
 """Top-k metrics and the multi-crop pooling protocol."""
 
+import contextvars
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from polyres import evaluation
 from polyres.builder import ConvBlock, Model, lower
 from polyres.data import Dataset, bilinear_resize, hflip, synth_dataset
 from polyres.dsl import parse_network
@@ -244,6 +248,101 @@ class TestDistinctCrops:
         report = multicrop_eval(model, dataset, cfg)
         assert report.n_images > 0
         assert rows == [18] * report.n_images
+
+
+class TestConcurrentScoring:
+    """Images are scored by one worker per usable CPU; the caller is one of
+    them. Each image's forward, rows and pooling are the serial ones."""
+
+    PROTOCOL = PoolingConfig(scales=(1.0, 1.15, 1.3), crops_per_scale=8, top_fraction=0.3)
+
+    @staticmethod
+    def model():
+        config = parse_network("A: ir", input_size=32, classes=4, base_width=4)
+        return lower(config, ConvBlock(4, 2), seed=0, precision="f32")
+
+    @staticmethod
+    def record_logits(monkeypatch, record):
+        logits = Model.logits
+
+        def recording(self, x, mode="eval"):
+            record(self, x)
+            return logits(self, x, mode)
+
+        monkeypatch.setattr(Model, "logits", recording)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_pooled_scores_are_bitwise_equal_for_any_worker_count(self, monkeypatch, cpus):
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: cpus)
+        model = self.model()
+        images = synth_dataset(7, 4, 32, seed=5).images
+        expected = reference_pooled_scores(model, images, self.PROTOCOL.scales, self.PROTOCOL)
+        rows = []
+        self.record_logits(monkeypatch, lambda model, x: rows.append(len(x)))
+        # More workers than this machine may have cores, switching often.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            usable, pooled = _pooled_scores(model, images, self.PROTOCOL)
+        finally:
+            sys.setswitchinterval(interval)
+        assert usable == self.PROTOCOL.scales
+        assert np.array_equal(pooled, expected)
+        assert rows == [18] * len(images)
+
+    def run_with_poisoned_helpers(self, monkeypatch):
+        # The caller's own images run the finite model; the helper's run a
+        # copy whose head weights are inf, so only a helper meets NaNs.
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
+        model = self.model()
+        poisoned = model.clone()
+        poisoned.params.get("head.fc", "w")[:] = np.inf
+        caller = threading.current_thread()
+        logits = Model.logits
+
+        def helpers_poisoned(self, x, mode="eval"):
+            own = threading.current_thread() is caller
+            return logits(self if own else poisoned, x, mode)
+
+        monkeypatch.setattr(Model, "logits", helpers_poisoned)
+        dataset = synth_dataset(40, 4, 32, seed=2)
+        with np.errstate(invalid="raise"):
+            multicrop_eval(model, dataset, self.PROTOCOL)
+
+    def test_a_helpers_floating_point_error_reaches_the_caller(self, monkeypatch):
+        with pytest.raises(FloatingPointError):
+            self.run_with_poisoned_helpers(monkeypatch)
+
+    def test_helpers_without_the_callers_context_would_only_warn(self, monkeypatch):
+        # numpy's errstate lives in a context variable: a helper run in a
+        # fresh context warns where the caller asked for a raise.
+        monkeypatch.setattr(evaluation, "copy_context", contextvars.Context)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            self.run_with_poisoned_helpers(monkeypatch)
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 1)
+        before = threading.active_count()
+        seen = []
+        self.record_logits(monkeypatch, lambda model, x: seen.append(threading.active_count()))
+        report = multicrop_eval(self.model(), synth_dataset(40, 4, 32, seed=2), self.PROTOCOL)
+        assert seen == [before] * report.n_images
+        assert threading.active_count() == before
+
+
+def test_an_empty_split_is_named_with_the_dataset_size(setup, monkeypatch):
+    model, _ = setup
+    tiny = synth_dataset(2, 2, 16, seed=0)
+    assert len(tiny.val_indices) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built for zero images")
+
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match="val split of a 2-image dataset is empty"):
+        single_crop_eval(model, tiny)
+    with pytest.raises(ValueError, match="val split of a 2-image dataset is empty"):
+        multicrop_eval(model, tiny, PoolingConfig())
 
 
 def test_single_crop_eval_runs_an_f64_dataset_at_the_model_precision(setup, monkeypatch):

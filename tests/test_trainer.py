@@ -17,7 +17,7 @@ from polyres.builder import (
     save_checkpoint,
     upgrade,
 )
-from polyres.data import synth_dataset
+from polyres.data import AugmentConfig, synth_dataset
 from polyres.dsl import parse_network, preset
 from polyres.engine import (
     DTYPES,
@@ -357,6 +357,17 @@ class TestTrainLoop:
         _, h_off = train(self.small_model(4), dataset, hp, spc=None, eval_every=30, seed=5)
         assert all(r.gates_active for r in h_on.records)
         assert h_on.records != h_off.records
+
+    def test_augmented_training_is_reproducible_and_changes_the_run(self, dataset):
+        hp = OptimizerHP.desk(60)
+        aug = AugmentConfig(out_size=16)
+        m1, h1 = train(self.small_model(6), dataset, hp, eval_every=30, seed=5, augment_cfg=aug)
+        m2, h2 = train(self.small_model(6), dataset, hp, eval_every=30, seed=5, augment_cfg=aug)
+        assert h1.records == h2.records
+        assert m1.params.equal(m2.params)
+        m3, h3 = train(self.small_model(6), dataset, hp, eval_every=30, seed=5)
+        assert h1.records != h3.records
+        assert not m1.params.equal(m3.params)
 
     def test_manual_activation_iteration(self, dataset):
         hp = OptimizerHP.desk(80)
