@@ -71,7 +71,8 @@ class BlockArch:
     """A residual block template. Input and output shapes match so block
     composition is well-typed; instantiated blocks adopt the stage width and
     keep this template's internal proportions. A template only emits layers:
-    each layer's op creates its own tensors under the block's share key."""
+    each layer's op names its own tensors (``w1``, ``b1``, ...) under the
+    block's share key."""
 
     tag = "block"
 
@@ -101,9 +102,9 @@ class DenseBlock(BlockArch):
 
     def emit(self, gb, x, width, key, segment):
         h = self.hidden_at(width)
-        n = gb.add(Dense(width, h), [x], key, segment, {"w": "w1", "b": "b1"})
+        n = gb.add(Dense(width, h, suffix="1"), [x], key, segment)
         n = gb.add(ReLU(), [n], segment=segment)
-        return gb.add(Dense(h, width), [n], key, segment, {"w": "w2", "b": "b2"})
+        return gb.add(Dense(h, width, suffix="2"), [n], key, segment)
 
 
 @dataclass(frozen=True)
@@ -124,11 +125,11 @@ class ConvBlock(BlockArch):
 
     def emit(self, gb, x, width, key, segment):
         m = self.mid_at(width)
-        n = gb.add(Conv2D(1, width, m), [x], key, segment, {"w": "w1", "b": "b1"})
+        n = gb.add(Conv2D(1, width, m, suffix="1"), [x], key, segment)
         n = gb.add(ReLU(), [n], segment=segment)
-        n = gb.add(Conv2D(3, m, m), [n], key, segment, {"w": "w2", "b": "b2"})
+        n = gb.add(Conv2D(3, m, m, suffix="2"), [n], key, segment)
         n = gb.add(ReLU(), [n], segment=segment)
-        return gb.add(Conv2D(1, m, width), [n], key, segment, {"w": "w3", "b": "b3"})
+        return gb.add(Conv2D(1, m, width, suffix="3"), [n], key, segment)
 
 
 def parse_arch(text: str) -> BlockArch:
@@ -155,9 +156,8 @@ class _GraphBuilder:
         self.nodes: list[GraphNode] = []
         self.modules: list[ModuleSite] = []
         self.input_shape = input_shape
-        # (key, stored name, spec) of every tensor, in binding order.
-        self.decls: list[tuple[str, str, ParamSpec]] = []
-        self._bound: dict[str, set[str]] = {}
+        # The spec of every (key, tensor name), in the order of first binding.
+        self.specs: dict[tuple[str, str], ParamSpec] = {}
         self.add(InputOp(), [], segment="input")
 
     def add(
@@ -166,21 +166,13 @@ class _GraphBuilder:
         inputs: Sequence[int],
         key: str | None = None,
         segment: str = "",
-        param_names: dict[str, str] | None = None,
         label: str = "",
     ) -> int:
-        # A node's op declares its tensors the first time a node binds them, so
-        # initialization draws follow graph-emission order deterministically.
-        # The op declares them all at once, so one stored name shows whether
-        # they exist; a node without a name map binds its whole group.
+        # Each tensor is declared the first time a node binds its name under
+        # its key, so initialization draws follow graph-emission order.
         if key is not None and isinstance(op, ParamOp):
-            bound = self._bound.setdefault(key, set())
-            probe = next(iter(param_names.values())) if param_names else None
-            if not bound or (probe is not None and probe not in bound):
-                for spec in op.param_specs():
-                    name = (param_names or {}).get(spec.name, spec.name)
-                    bound.add(name)
-                    self.decls.append((key, name, spec))
+            for spec in op.param_specs():
+                self.specs.setdefault((key, spec.name), spec)
         idx = len(self.nodes)
         self.nodes.append(
             GraphNode(
@@ -190,7 +182,6 @@ class _GraphBuilder:
                 param_key=key,
                 label=label or f"{segment}/{op.name}",
                 segment=segment,
-                param_names=param_names,
             )
         )
         return idx
@@ -329,15 +320,15 @@ def lower(
     -> pooled classifier head; dense blocks get a flattened-vector pipeline
     of the same shape.
     """
-    model, decls = _allocate(config, arch, beta, seed, precision, memoize, input_channels)
-    get = model.params.get
-    init_tensors([(get(key, name), spec) for key, name, spec in decls], np.random.default_rng(seed))
+    model, specs = _allocate(config, arch, beta, seed, precision, memoize, input_channels)
+    values = [(model.params.get(key, name), spec) for (key, name), spec in specs.items()]
+    init_tensors(values, np.random.default_rng(seed))
     return model
 
 
 def _allocate(config, arch, beta, seed, precision, memoize, input_channels):
     """The model that :func:`lower` returns, with its tensors allocated but
-    not initialized, and their declarations in binding order."""
+    not initialized, and the spec of each ``(key, name)`` in binding order."""
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta}")
     size = config.input_size
@@ -387,8 +378,8 @@ def _allocate(config, arch, beta, seed, precision, memoize, input_channels):
         memoize=memoize, input_channels=input_channels,
     )
     dtype = DTYPES[precision]
-    params = ParamStore.allocate((key, name, spec.shape, dtype) for key, name, spec in gb.decls)
-    return Model(gb.graph(), params, meta), gb.decls
+    params = ParamStore.allocate((key, name, s.shape, dtype) for (key, name), s in gb.specs.items())
+    return Model(gb.graph(), params, meta), gb.specs
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +402,8 @@ def _zero_last_layer(model: Model, key: str) -> None:
     its final layer, so the block outputs zero until trained."""
     node = next(n for n in reversed(model.graph.nodes) if n.param_key == key)
     group = model.params.group(key)
-    for name in node.param_names.values() if node.param_names else group:
-        group[name].fill(0)
+    for spec in node.op.param_specs():
+        group[spec.name].fill(0)
 
 
 def _lower_retaining(

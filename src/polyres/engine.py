@@ -65,7 +65,7 @@ NORM_MOMENTUM = 0.9
 
 _STATE_NAMES = frozenset({"running_mean", "running_var"})
 
-# Where a trainable tensor sits in a packed ParamStore:
+# Where a trainable tensor sits in a ParamStore's arena:
 # (key, name, shape, dtype, span of its dtype's buffer).
 _Slot = tuple[str, str, tuple[int, ...], np.dtype, slice]
 
@@ -188,38 +188,38 @@ class Tensor:
 class ParamStore:
     """Ordered map share_key -> {tensor name -> ndarray}.
 
-    Iteration order is insertion order, which is fixed by construction, so
-    flattened views (used by the optimizer and the finite-difference oracle)
-    are deterministic. ``running_mean``/``running_var`` are state, not
-    trainable parameters.
+    Iteration order is the order of the entries the store was allocated
+    with, so flattened views (used by the optimizer and the
+    finite-difference oracle) are deterministic. ``running_mean``/
+    ``running_var`` are state, not trainable parameters.
 
-    The trainable tensors live in an arena: one contiguous buffer per dtype
-    in ``flat_items(trainable_only=True)`` order, each entry a view into it.
-    :meth:`allocate` makes a store packed from the start; the first flat use
-    packs one built by :meth:`add` (:meth:`layout`, :meth:`arena`,
-    :meth:`clone`, :meth:`zeros_like`, and through them :func:`backward` and
-    the optimizer). :meth:`add` drops the pack and the next flat use
-    repacks. Twins made by :meth:`clone` and :meth:`zeros_like` share the
-    layout. Entries are written in place and never rebound, so the views
-    stay the tensors that :func:`forward` reads. Packing rebinds them, so
-    it must not run while another thread reads the store. Running
-    statistics stay standalone arrays.
+    A store comes from :meth:`allocate` (as in ``lower`` and
+    ``load_checkpoint``) or is a twin of one (:meth:`clone`,
+    :meth:`zeros_like`); ``ParamStore()`` is the empty store of a graph
+    without parameters. The trainable tensors live in an arena: one
+    contiguous buffer per dtype in ``flat_items(trainable_only=True)``
+    order, each entry a view into it; twins share the layout. Views are set
+    once and never rebound, and writes go through them in place, so they
+    stay the tensors that :func:`forward` reads, also while other threads
+    read the store. Running statistics stay standalone arrays. Tensor names
+    are the ones each op declares in its ``param_specs``.
     """
 
     def __init__(self):
         self._groups: dict[str, dict[str, np.ndarray]] = {}
-        self._layout: tuple[_Slot, ...] | None = None  # None until packed
+        self._layout: tuple[_Slot, ...] = ()
         self._buffers: dict[np.dtype, np.ndarray] = {}
-        self._stats: tuple[np.ndarray, ...] = ()  # the running statistics, when packed
+        self._stats: tuple[np.ndarray, ...] = ()  # the running statistics
         self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def allocate(
         cls, entries: Iterable[tuple[str, str, tuple[int, ...], np.dtype]]
     ) -> "ParamStore":
-        """A packed store of uninitialised tensors, one per ``(key, name,
-        shape, dtype)`` entry, ordered as :meth:`add` would order them. Running
-        statistics are standalone arrays. The one place a layout is made."""
+        """A store of uninitialised tensors, one per ``(key, name, shape,
+        dtype)`` entry: groups in the order their key first appears, tensors
+        in entry order within a group. Running statistics are standalone
+        arrays. The one place a layout is made."""
         store = cls()
         groups = store._groups
         for key, name, shape, dtype in entries:
@@ -243,13 +243,6 @@ class ParamStore:
         store._layout, store._stats, store._buffers = tuple(layout), tuple(stats), buffers
         return store
 
-    def add(self, key: str, name: str, value: np.ndarray) -> None:
-        group = self._groups.setdefault(key, {})
-        if name in group:
-            raise EngineError(f"duplicate parameter {key}/{name}")
-        group[name] = value
-        self._layout = None
-
     def get(self, key: str, name: str) -> np.ndarray:
         try:
             return self._groups[key][name]
@@ -261,9 +254,6 @@ class ParamStore:
             return self._groups[key]
         except KeyError:
             raise EngineError(f"missing parameter group {key!r}") from None
-
-    def has_group(self, key: str) -> bool:
-        return key in self._groups
 
     def keys(self) -> Iterator[str]:
         return iter(self._groups)
@@ -280,26 +270,13 @@ class ParamStore:
                     continue
                 yield key, name, value
 
-    def n_scalars(self, trainable_only: bool = True) -> int:
-        return sum(v.size for _, _, v in self.flat_items(trainable_only))
-
     def layout(self) -> tuple[_Slot, ...]:
         """``(key, name, shape, dtype, span)`` of each trainable tensor, in
-        arena order; packs the store if it is not packed."""
-        if self._layout is None:
-            old = list(self.flat_items())
-            packed = ParamStore.allocate((k, n, v.shape, v.dtype) for k, n, v in old)
-            for (key, name, value), (_, _, view) in zip(old, packed.flat_items()):
-                if name not in _STATE_NAMES:  # running statistics stay as they are
-                    view[...] = value
-                    self._groups[key][name] = view
-            self._layout, self._buffers = packed._layout, packed._buffers
-            self._stats = tuple(v for _, n, v in old if n in _STATE_NAMES)
+        arena order."""
         return self._layout
 
     def arena(self) -> dict[np.dtype, np.ndarray]:
         """The buffer per dtype that holds every trainable tensor."""
-        self.layout()
         return self._buffers
 
     def _views(self) -> Iterator[np.ndarray]:
@@ -310,7 +287,7 @@ class ParamStore:
         """A store of this layout whose buffers are ``fill(buffer)``; running
         statistics become ``state_fill(value)``, or are left out."""
         out = ParamStore()
-        out._layout = self.layout()
+        out._layout = self._layout
         out._buffers = {dtype: fill(buf) for dtype, buf in self._buffers.items()}
         views, stats = out._views(), []
         for key, name, value in self.flat_items(trainable_only=state_fill is None):
@@ -342,8 +319,7 @@ class ParamStore:
         """``(key, name)`` of the first tensor holding a NaN or Inf, or None.
         One scan per arena buffer and per running statistic; the tensors are
         searched one by one only when a scan fails."""
-        buffers = self.arena()
-        if all(np.isfinite(a).all() for a in (*buffers.values(), *self._stats)):
+        if all(np.isfinite(a).all() for a in (*self._buffers.values(), *self._stats)):
             return None
         return next((k, n) for k, n, v in self.flat_items() if not np.isfinite(v).all())
 
@@ -398,7 +374,7 @@ class Op:
 
 
 class ParamSpec(NamedTuple):
-    """One tensor that a parameter op binds: its local name, its shape and its
+    """One tensor that a parameter op binds: its name, its shape and its
     initial value, either He fan-in (a standard normal draw times ``std``)
     or the constant ``fill``."""
 
@@ -449,13 +425,6 @@ class ParamOp(Op):
     def param_specs(self) -> tuple[ParamSpec, ...]:
         raise NotImplementedError
 
-    def init_params(self, rng: np.random.Generator, dtype) -> dict[str, np.ndarray]:
-        """Standalone tensors for one binding, initialized as lowering does."""
-        specs = self.param_specs()
-        values = {spec.name: np.empty(spec.shape, dtype) for spec in specs}
-        init_tensors([(values[spec.name], spec) for spec in specs], rng)
-        return values
-
 
 class InputOp(Op):
     name = "input"
@@ -482,18 +451,21 @@ class Flatten(Op):
 
 
 class Dense(ParamOp):
-    """Affine map on (batch, feature) tensors: y = x @ w + b."""
+    """Affine map on (batch, feature) tensors: y = x @ w + b. The tensors are
+    named ``w<suffix>`` and ``b<suffix>``, so several layers can keep theirs
+    under one share key."""
 
     name = "dense"
 
-    def __init__(self, d_in: int, d_out: int):
+    def __init__(self, d_in: int, d_out: int, suffix: str = ""):
         self.d_in = d_in
         self.d_out = d_out
+        self.w_name, self.b_name = "w" + suffix, "b" + suffix
 
     def param_specs(self):
         return (
-            ParamSpec("w", (self.d_in, self.d_out), std=math.sqrt(2.0 / self.d_in)),
-            ParamSpec("b", (self.d_out,)),
+            ParamSpec(self.w_name, (self.d_in, self.d_out), std=math.sqrt(2.0 / self.d_in)),
+            ParamSpec(self.b_name, (self.d_out,)),
         )
 
     def infer_shape(self, in_shapes):
@@ -504,12 +476,13 @@ class Dense(ParamOp):
 
     def forward(self, inputs, params, mode, gates=None):
         (x,) = inputs
-        return x @ params["w"] + params["b"], (x, params["w"])
+        w = params[self.w_name]
+        return x @ w + params[self.b_name], (x, w)
 
     def backward(self, grad, saved, input_grads=True):
         x, w = saved
         dx = grad @ w.T if input_grads else None
-        return [dx], {"w": x.T @ grad, "b": grad.sum(axis=0)}
+        return [dx], {self.w_name: x.T @ grad, self.b_name: grad.sum(axis=0)}
 
     def macs(self, in_shapes, out_shape):
         return in_shapes[0][0] * self.d_in * self.d_out
@@ -576,12 +549,13 @@ class Conv2D(ParamOp):
     convs build the columns with im2col from a zero-bordered copy of the
     input. Backward is dw = sum_b g_b cols_b^T and, for the input gradient,
     w^T g: reshaped for 1x1 stride 1, otherwise one GEMM per kernel tap
-    added straight onto the input pixels that tap read.
+    added straight onto the input pixels that tap read. The tensors are
+    named ``w<suffix>`` and ``b<suffix>``, as for :class:`Dense`.
     """
 
     name = "conv2d"
 
-    def __init__(self, kernel: int, c_in: int, c_out: int, stride: int = 1):
+    def __init__(self, kernel: int, c_in: int, c_out: int, stride: int = 1, suffix: str = ""):
         if kernel not in (1, 3):
             raise EngineError(f"unsupported kernel size {kernel}")
         self.kernel = kernel
@@ -590,15 +564,16 @@ class Conv2D(ParamOp):
         self.stride = stride
         self.pad = kernel // 2
         self.pointwise = kernel == 1 and stride == 1
+        self.w_name, self.b_name = "w" + suffix, "b" + suffix
 
     def param_specs(self):
         fan_in = self.kernel * self.kernel * self.c_in
         return (
             ParamSpec(
-                "w", (self.c_out, self.c_in, self.kernel, self.kernel),
+                self.w_name, (self.c_out, self.c_in, self.kernel, self.kernel),
                 std=math.sqrt(2.0 / fan_in),
             ),
-            ParamSpec("b", (self.c_out,)),
+            ParamSpec(self.b_name, (self.c_out,)),
         )
 
     def infer_shape(self, in_shapes):
@@ -610,7 +585,7 @@ class Conv2D(ParamOp):
 
     def forward(self, inputs, params, mode, gates=None):
         (x,) = inputs
-        w, b = params["w"], params["b"]
+        w, b = params[self.w_name], params[self.b_name]
         n, _, h, wd = x.shape
         hout, wout = _conv_geometry(h, wd, self.kernel, self.stride, self.pad)
         if self.pointwise:
@@ -626,13 +601,14 @@ class Conv2D(ParamOp):
         g2 = grad.reshape(grad.shape[0], self.c_out, -1)
         dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         db = grad.sum(axis=(0, 2, 3))
+        p_grads = {self.w_name: dw, self.b_name: db}
         if not input_grads:
-            return [None], {"w": dw, "b": db}
+            return [None], p_grads
         if self.pointwise:
             dx = (w.reshape(self.c_out, -1).T @ g2).reshape(x_shape)
         else:
             dx = _conv_input_grad(g2, w, x_shape, self.stride, self.pad)
-        return [dx], {"w": dw, "b": db}
+        return [dx], p_grads
 
     def macs(self, in_shapes, out_shape):
         b, _, hout, wout = out_shape
@@ -842,22 +818,6 @@ class GraphNode:
     param_key: str | None = None
     label: str = ""
     segment: str = ""  # cost-attribution tag: stem / <stage>.<i> / transition / head
-    # Maps the op's local tensor names to names inside the share-key group,
-    # so several ops can store their tensors under one shared key.
-    param_names: dict[str, str] | None = None
-
-    def resolve_params(self, params: "ParamStore") -> dict[str, np.ndarray] | None:
-        if self.param_key is None:
-            return None
-        group = params.group(self.param_key)
-        if self.param_names is None:
-            return group
-        return {local: group[stored] for local, stored in self.param_names.items()}
-
-    def stored_name(self, local: str) -> str:
-        if self.param_names is None:
-            return local
-        return self.param_names[local]
 
     @property
     def where(self) -> str:
@@ -1015,7 +975,7 @@ def forward(
             values[node.idx] = x
             continue
         ins = [values[i] for i in node.inputs]
-        group = node.resolve_params(params)
+        group = None if node.param_key is None else params.group(node.param_key)
         gate_vec = gates.get(node.idx) if gates else None
         try:
             out, ctx = node.op.forward(ins, group, mode, gates=gate_vec)
@@ -1072,8 +1032,8 @@ def backward(
                 node_grads[i] = gi
         if p_grads:
             group = grads.group(node.param_key)
-            for local, pg in p_grads.items():
-                view = group[node.stored_name(local)]
+            for name, pg in p_grads.items():
+                view = group[name]
                 view += pg
     if return_input_grad:
         return grads, input_grad

@@ -333,7 +333,7 @@ def _step(model: Model, images, labels, gates, state, hp, lr, it) -> float:
         key, name = bad
         node = next(
             n for n in model.graph.nodes
-            if n.param_key == key and (n.param_names is None or name in n.param_names.values())
+            if n.param_key == key and any(s.name == name for s in n.op.param_specs())
         )
         raise TrainingDiverged(it, lr, f"non-finite {key}/{name} of {node.where}")
     return loss

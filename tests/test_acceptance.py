@@ -48,6 +48,7 @@ from polyres.engine import (
     backward,
     finite_diff_grad,
     forward,
+    init_tensors,
     softmax_cross_entropy,
 )
 from polyres.evaluation import (
@@ -177,18 +178,28 @@ def _primitive_chain_graph():
     return ComputationGraph(nodes, (2, 8, 8))
 
 
+def _jittered_params(bindings, rng):
+    """An f64 store of each ``(key, op)``'s tensors: drawn in turn as
+    lowering draws them, each op's then jittered by up to 0.2."""
+    specs = [(key, op.param_specs()) for key, op in bindings]
+    params = ParamStore.allocate(
+        (key, spec.name, spec.shape, np.float64) for key, own in specs for spec in own
+    )
+    for key, own in specs:
+        values = [(params.get(key, spec.name), spec) for spec in own]
+        init_tensors(values, rng)
+        for value, _ in values:
+            value += rng.uniform(-0.2, 0.2, size=value.shape)
+    return params
+
+
 def test_04_gradient_oracle():
     started = time.perf_counter()
     rng = np.random.default_rng(42)
 
     # Every primitive in one chain.
     graph = _primitive_chain_graph()
-    params = ParamStore()
-    for node in graph.nodes:
-        if node.param_key and hasattr(node.op, "init_params"):
-            for name, value in node.op.init_params(rng, np.float64).items():
-                value += rng.uniform(-0.2, 0.2, size=value.shape)
-                params.add(node.param_key, name, value)
+    params = _jittered_params([(n.param_key, n.op) for n in graph.nodes if n.param_key], rng)
     x = rng.standard_normal((3, 2, 8, 8))
     labels = rng.integers(0, 3, 3)
     worst = _gradcheck_graph(graph, params, x, labels)
@@ -213,20 +224,16 @@ def test_04_gradient_oracle():
     # contributions, each matching finite differences.
     nodes = []
 
-    def add(op, inputs, key=None, names=None):
-        nodes.append(GraphNode(len(nodes), op, tuple(inputs), param_key=key,
-                               label=op.name, param_names=names))
+    def add(op, inputs, key=None):
+        nodes.append(GraphNode(len(nodes), op, tuple(inputs), param_key=key, label=op.name))
         return len(nodes) - 1
 
     xn = add(InputOp(), [])
-    f1 = add(Dense(5, 5), [xn], "F", {"w": "w", "b": "b"})
-    f2 = add(Dense(5, 5), [f1], "F", {"w": "w", "b": "b"})
+    f1 = add(Dense(5, 5), [xn], "F")
+    f2 = add(Dense(5, 5), [f1], "F")
     add(GatedSum(), [f1, f2])
     graph2 = ComputationGraph(nodes, (5,))
-    params2 = ParamStore()
-    for name, value in Dense(5, 5).init_params(rng, np.float64).items():
-        value += rng.uniform(-0.2, 0.2, size=value.shape)
-        params2.add("F", name, value)
+    params2 = _jittered_params([("F", Dense(5, 5))], rng)
     x2 = rng.standard_normal((4, 5))
     c = rng.standard_normal((4, 5))
 
@@ -277,7 +284,8 @@ def test_05_stochastic_paths():
             values[node.idx] = x
             continue
         ins = [values[i] for i in node.inputs]
-        out, _ = node.op.forward(ins, node.resolve_params(model.params), "train")
+        group = model.params.group(node.param_key) if node.param_key else None
+        out, _ = node.op.forward(ins, group, "train")
         values[node.idx] = out
     paths = np.stack([values[i] for i in model.graph.nodes[site.gate_node].inputs])
     x_mod = values[model.graph.nodes[site.gate_node + 2].inputs[0]]

@@ -118,7 +118,7 @@ class TestLowering:
         stemless = tiny("A: ir", beta=0.3)
         for key in ("stem.fc", "stem.norm", "head.fc"):
             for name, value in model.params.group(key).items():
-                stemless.params.group(key)[name] = value.copy()
+                stemless.params.group(key)[name][...] = value
         for name in ("w2", "b2"):
             stemless.params.get("A.0.F", name)[:] = 0.0
         assert np.array_equal(with_block, stemless.logits(x))
@@ -140,7 +140,8 @@ class TestLowering:
                 values[node.idx] = x
                 continue
             ins = [values[i] for i in node.inputs]
-            out, _ = node.op.forward(ins, node.resolve_params(model.params), "eval")
+            group = model.params.group(node.param_key) if node.param_key else None
+            out, _ = node.op.forward(ins, group, "eval")
             values[node.idx] = out
         module_input = values[site.gate_node - 4]  # stem relu feeding the block
         assert np.allclose(values[add_node], module_input + 0.3)
@@ -323,6 +324,25 @@ class TestPinnedInit:
         assert params_digest(models) == PINNED_SURGERY_DIGEST
 
 
+@pytest.mark.parametrize("arch", [DENSE, CONV], ids=["dense", "conv"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_each_group_holds_exactly_what_its_nodes_declare(name, arch):
+    # Ops own their tensor names: the specs of the nodes bound to a key,
+    # taken together, are the group, each name at one shape.
+    config = preset(name, classes=3, input_size=8, base_width=4)
+    model = lower(config, arch, beta=0.3, seed=5, input_channels=1)
+    declared = {}
+    for node in model.graph.nodes:
+        if node.param_key is not None:
+            specs = {(spec.name, spec.shape) for spec in node.op.param_specs()}
+            declared.setdefault(node.param_key, set()).update(specs)
+    held = {
+        key: {(name, value.shape) for name, value in group.items()}
+        for key, group in model.params.items()
+    }
+    assert declared == held
+
+
 def assert_only_last_layers_zeroed(zeroed, plain, new_keys, last_layer):
     """``zeroed`` equals ``plain`` except that the last-layer tensors of the
     blocks in ``new_keys`` are zero (and the weights were not zero before)."""
@@ -347,8 +367,8 @@ class TestUpgrade:
         assert np.array_equal(
             up.params.get("A.0.F", "w1"), src.params.get("A.0.F", "w1")
         )
-        assert up.params.has_group("A.0.G")
-        assert not src.params.has_group("A.0.G")
+        assert "A.0.G" in set(up.params.keys())
+        assert "A.0.G" not in set(src.params.keys())
 
     def test_noop_target_is_bitwise_identical(self):
         src = tiny("A: ir -> poly-2", seed=4)
@@ -368,9 +388,7 @@ class TestUpgrade:
             # Biases start at zero, so zeroing a block's first layer would
             # also keep the function; only the new last layers may change.
             plain = upgrade(src, target, zero_last=False, seed=6)
-            new_keys = {
-                k for m in up.modules for k in m.block_keys if not src.params.has_group(k)
-            }
+            new_keys = {k for m in up.modules for k in m.block_keys} - set(src.params.keys())
             assert_only_last_layers_zeroed(up, plain, new_keys, LAST_LAYER[arch])
 
     def test_zero_last_rejected_for_poly_targets(self):

@@ -23,6 +23,7 @@ from polyres.engine import (
     InputOp,
     NumericError,
     Op,
+    ParamOp,
     ParamStore,
     ReLU,
     ScalarScale,
@@ -33,6 +34,7 @@ from polyres.engine import (
     backward,
     finite_diff_grad,
     forward,
+    init_tensors,
     softmax,
     softmax_cross_entropy,
 )
@@ -46,13 +48,29 @@ def single_op_graph(op, input_shape, key=None):
     return ComputationGraph(nodes, input_shape)
 
 
-def params_for(op, key, rng):
-    store = ParamStore()
-    if hasattr(op, "init_params"):
-        for name, value in op.init_params(rng, np.float64).items():
-            store.add(key, name, value)
-            # Jitter so relu-style kinks and zero biases stay generic.
-            value += rng.uniform(-0.2, 0.2, size=value.shape)
+def params_for(bindings, rng, jitter=0.2):
+    """An f64 store of each ``(key, op)``'s tensors. Each op's tensors are
+    drawn in turn with ``init_tensors``, as lowering draws them, then
+    jittered by up to ``jitter`` so relu-style kinks and zero biases stay
+    generic."""
+    specs = [(key, op.param_specs()) for key, op in bindings]
+    store = ParamStore.allocate(
+        (key, spec.name, spec.shape, np.float64) for key, own in specs for spec in own
+    )
+    for key, own in specs:
+        values = [(store.get(key, spec.name), spec) for spec in own]
+        init_tensors(values, rng)
+        if jitter:
+            for value, _ in values:
+                value += rng.uniform(-jitter, jitter, size=value.shape)
+    return store
+
+
+def store_of(*entries):
+    """A store holding a copy of each ``(key, name, array)`` entry."""
+    store = ParamStore.allocate((key, name, v.shape, v.dtype) for key, name, v in entries)
+    for key, name, value in entries:
+        store.get(key, name)[...] = value
     return store
 
 
@@ -74,7 +92,7 @@ def check_graph_gradients(graph, params, x, label, rtol=1e-6):
         y, _ = forward(graph, p, x, "train")
         return scalar_loss(y.data)
 
-    if params.n_scalars():
+    if any(params.flat_items(trainable_only=True)):
         numeric = finite_diff_grad(loss_fn, params, h=1e-6)
         for pkey, name, a in grads.flat_items():
             f = numeric.get(pkey, name)
@@ -99,8 +117,9 @@ def check_graph_gradients(graph, params, x, label, rtol=1e-6):
 def check_op_gradients(op, input_shape, key="p", rtol=1e-6):
     """Backward vs central differences for one primitive."""
     rng = np.random.default_rng(7)
-    graph = single_op_graph(op, input_shape[1:], key if hasattr(op, "init_params") else None)
-    params = params_for(op, key, rng)
+    bindings = [(key, op)] if isinstance(op, ParamOp) else []
+    graph = single_op_graph(op, input_shape[1:], key if bindings else None)
+    params = params_for(bindings, rng)
     x = rng.standard_normal(input_shape) + 0.1
     check_graph_gradients(graph, params, x, op.name, rtol)
 
@@ -202,7 +221,7 @@ class TestConvReference:
     def test_forward_matches_loop_sum(self, kernel, stride, hw):
         rng = np.random.default_rng(11)
         op = Conv2D(kernel, 3, 5, stride=stride)
-        params = params_for(op, "c", rng)
+        params = params_for([("c", op)], rng)
         x = rng.standard_normal((2, 3, *hw))
         graph = single_op_graph(op, x.shape[1:], key="c")
         out, _ = forward(graph, params, x, "train")
@@ -218,7 +237,7 @@ class TestConvReference:
         from polyres.engine import _im2col
 
         rng = np.random.default_rng(23)
-        params = params_for(op, "c", rng)
+        params = params_for([("c", op)], rng)
         x = rng.standard_normal((2, 3, 7, 6))
         graph = single_op_graph(op, x.shape[1:], key="c")
         out, tape = forward(graph, params, x, "train")
@@ -255,10 +274,7 @@ class TestConvReference:
             GraphNode(4, Add(), (2, 3)),
         ]
         graph = ComputationGraph(nodes, (3, 5, 7))
-        params = ParamStore()
-        for key, op in (("c1", c1), ("c2", c2)):
-            for name, value in params_for(op, key, rng).group(key).items():
-                params.add(key, name, value)
+        params = params_for([("c1", c1), ("c2", c2)], rng)
         x = rng.standard_normal((2, 3, 5, 7))
         x_before = x.copy()
         out, tape = forward(graph, params, x, "train")
@@ -285,10 +301,7 @@ class TestStemInputGradient:
             GraphNode(3, down, (2,), param_key="down"),
             GraphNode(4, GlobalAvgPool(), (3,)),
         ]
-        params = ParamStore()
-        for key, op in (("stem", stem), ("down", down)):
-            for name, value in params_for(op, key, rng).group(key).items():
-                params.add(key, name, value)
+        params = params_for([("stem", stem), ("down", down)], rng)
         return ComputationGraph(nodes, (3, 7, 6)), params, rng.standard_normal((2, 3, 7, 6))
 
     def test_parameter_gradients_are_bitwise_unchanged(self, monkeypatch):
@@ -327,10 +340,7 @@ class TestStemInputGradient:
             GraphNode(3, ReLU(), (2,)),
             GraphNode(4, head, (3,), param_key="head"),
         ]
-        params = ParamStore()
-        for key, op in (("stem", stem), ("head", head)):
-            for name, value in params_for(op, key, rng).group(key).items():
-                params.add(key, name, value)
+        params = params_for([("stem", stem), ("head", head)], rng)
         return ComputationGraph(nodes, (3, 4, 2)), params, rng.standard_normal((2, 3, 4, 2))
 
     def test_dense_stem_behind_flatten_skips_its_input_gradient(self, monkeypatch):
@@ -408,9 +418,7 @@ class TestGatedSum:
 class TestChannelNorm:
     def test_running_stats_converge_to_batch_stats(self):
         op = ChannelNorm(4)
-        params = ParamStore()
-        for name, value in op.init_params(np.random.default_rng(0), np.float64).items():
-            params.add("n", name, value)
+        params = params_for([("n", op)], np.random.default_rng(0), jitter=0)
         graph = single_op_graph(op, (4,), key="n")
         mean_true = np.array([1.0, -2.0, 0.5, 3.0])
         std_true = np.array([0.5, 2.0, 1.0, 0.1])
@@ -424,9 +432,7 @@ class TestChannelNorm:
 
     def test_eval_uses_running_stats(self):
         op = ChannelNorm(3)
-        params = ParamStore()
-        for name, value in op.init_params(np.random.default_rng(0), np.float64).items():
-            params.add("n", name, value)
+        params = params_for([("n", op)], np.random.default_rng(0), jitter=0)
         params.get("n", "running_mean")[:] = [1.0, 2.0, 3.0]
         params.get("n", "running_var")[:] = [4.0, 4.0, 4.0]
         graph = single_op_graph(op, (3,), key="n")
@@ -438,9 +444,9 @@ class TestChannelNorm:
     def test_eval_scale_and_shift_matches_the_normalize_then_affine_formula(self, shape):
         rng = np.random.default_rng(8)
         op = ChannelNorm(3)
-        params = ParamStore()
-        for name, value in op.init_params(rng, np.float64).items():
-            params.add("n", name, value + rng.uniform(0.1, 2.0, size=value.shape))
+        params = params_for([("n", op)], rng, jitter=0)
+        for _, _, value in params.flat_items():
+            value += rng.uniform(0.1, 2.0, size=value.shape)
         before = params.clone()
         graph = single_op_graph(op, shape[1:], key="n")
         x = rng.standard_normal(shape) * 3.0 + 1.0
@@ -460,7 +466,7 @@ class TestChannelNorm:
         against the per-pixel sums and the folded backward."""
         rng = np.random.default_rng(29)
         op = ChannelNorm(3)
-        params = params_for(op, "n", rng)
+        params = params_for([("n", op)], rng)
         before = params.clone()
         graph = single_op_graph(op, shape[1:], key="n")
         x = rng.standard_normal(shape) * 2.0 + 0.5
@@ -491,9 +497,7 @@ class TestChannelNorm:
 
     def test_backward_rejects_eval_tape(self):
         op = ChannelNorm(3)
-        params = ParamStore()
-        for name, value in op.init_params(np.random.default_rng(0), np.float64).items():
-            params.add("n", name, value)
+        params = params_for([("n", op)], np.random.default_rng(0), jitter=0)
         graph = single_op_graph(op, (3,), key="n")
         _, tape = forward(graph, params, np.ones((2, 3)), "eval")
         with pytest.raises(EngineError):
@@ -504,7 +508,7 @@ class TestExecution:
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(0)
         op = Dense(5, 3)
-        params = params_for(op, "d", np.random.default_rng(4))
+        params = params_for([("d", op)], np.random.default_rng(4))
         graph = single_op_graph(op, (5,), key="d")
         x = rng.standard_normal((4, 5))
         a, _ = forward(graph, params, x, "train")
@@ -516,7 +520,7 @@ class TestExecution:
         # failure surfaces at the node with its label attached, at every
         # call: a failed check is not remembered as a pass.
         graph = single_op_graph(Dense(5, 3), (7,), key="d")
-        params = params_for(Dense(5, 3), "d", np.random.default_rng(0))
+        params = params_for([("d", Dense(5, 3))], np.random.default_rng(0))
         for _ in range(2):
             with pytest.raises(ShapeError) as err:
                 forward(graph, params, np.ones((2, 7)), "train")
@@ -542,7 +546,7 @@ class TestExecution:
             GraphNode(2, counted(ReLU()), (1,)),
         ]
         graph = ComputationGraph(nodes, (3,))
-        params = params_for(Dense(3, 4), "d", np.random.default_rng(0))
+        params = params_for([("d", Dense(3, 4))], np.random.default_rng(0))
         for batch in (2, 5):
             forward(graph, params, np.ones((batch, 3)), "train")
         assert calls == {"dense": 1, "relu": 1}
@@ -589,7 +593,7 @@ class TestExecution:
             GraphNode(4, Add(), (1, 3)),
         ]
         graph = ComputationGraph(nodes, (3,))
-        params = params_for(op1, "shared", np.random.default_rng(1))
+        params = params_for([("shared", op1)], np.random.default_rng(1))
         x = np.random.default_rng(2).standard_normal((4, 3))
         out, tape = forward(graph, params, x, "train")
         grads = backward(tape, np.ones_like(out.data))
@@ -597,20 +601,17 @@ class TestExecution:
         assert np.allclose(grads.get("shared", "w"), expected_w)
 
     def test_finite_diff_requires_f64(self):
-        params = ParamStore()
-        params.add("p", "w", np.ones(3, dtype=np.float32))
+        params = store_of(("p", "w", np.ones(3, dtype=np.float32)))
         with pytest.raises(EngineError):
             finite_diff_grad(lambda p: 0.0, params)
 
     def test_finite_diff_hand_example(self):
-        params = ParamStore()
-        params.add("p", "w", np.array([3.0]))
+        params = store_of(("p", "w", np.array([3.0])))
         grads = finite_diff_grad(lambda p: float(p.get("p", "w")[0] ** 2), params, h=1e-6)
         assert abs(grads.get("p", "w")[0] - 6.0) < 1e-6
 
     def test_finite_diff_constant_loss(self):
-        params = ParamStore()
-        params.add("p", "w", np.arange(4.0))
+        params = store_of(("p", "w", np.arange(4.0)))
         grads = finite_diff_grad(lambda p: 1.25, params)
         assert np.array_equal(grads.get("p", "w"), np.zeros(4))
 
@@ -690,12 +691,8 @@ class TestLiveness:
             7: (GlobalAvgPool(), (6,), None), 8: (Dense(4, 3), (7,), "h"),
         }
         nodes = [GraphNode(0, InputOp(), ())]
-        params = ParamStore()
-        for i, (op, ins, key) in ops.items():
-            nodes.append(GraphNode(i, op, ins, param_key=key))
-            if key:
-                for name, value in params_for(op, key, rng).group(key).items():
-                    params.add(key, name, value)
+        nodes += [GraphNode(i, op, ins, param_key=key) for i, (op, ins, key) in ops.items()]
+        params = params_for([(key, op) for op, _, key in ops.values() if key], rng)
         graph = ComputationGraph(nodes, (3, 7, 6))
         x = rng.standard_normal((2, 3, 7, 6))
         kept = params.clone()
@@ -706,9 +703,8 @@ class TestLiveness:
 
         values, saved = [x], [None]
         for node in nodes[1:]:
-            y, ctx = node.op.forward(
-                [values[i] for i in node.inputs], node.resolve_params(kept), "train"
-            )
+            group = kept.group(node.param_key) if node.param_key else None
+            y, ctx = node.op.forward([values[i] for i in node.inputs], group, "train")
             values.append(y)
             saved.append(values[node.inputs[0]] if isinstance(node.op, ReLU) else ctx)
         assert outputs[2]() is values[1]
@@ -752,26 +748,16 @@ class TestArena:
             ParamStore.allocate([("a", "w", (1,), np.float32)] * 2)
 
     def test_one_buffer_per_dtype_in_insertion_order(self):
-        store = ParamStore()
-        store.add("a", "w", np.ones(2, dtype=np.float32))
-        store.add("a", "running_mean", np.zeros(2, dtype=np.float32))
-        store.add("a", "b", np.zeros(3))
-        store.add("c", "w", np.full(2, 2.0, dtype=np.float32))
+        store = store_of(
+            ("a", "w", np.ones(2, dtype=np.float32)),
+            ("a", "running_mean", np.zeros(2, dtype=np.float32)),
+            ("a", "b", np.zeros(3)),
+            ("c", "w", np.full(2, 2.0, dtype=np.float32)),
+        )
         arenas = store.arena()
         assert np.array_equal(arenas[np.dtype(np.float32)], [1, 1, 2, 2])
         assert np.array_equal(arenas[np.dtype(np.float64)], [0, 0, 0])
         assert store.get("a", "running_mean").base is None
-
-    def test_add_after_packing_repacks(self):
-        store = ParamStore()
-        store.add("a", "w", np.arange(3.0))
-        (first,) = store.arena().values()
-        store.get("a", "w")[0] = 7.0  # written through the view
-        store.add("b", "v", np.ones(2))
-        (second,) = store.arena().values()
-        assert second is not first
-        assert np.array_equal(second, [7.0, 1.0, 2.0, 1.0, 1.0])
-        assert store.get("a", "w").base is second and store.get("b", "v").base is second
 
     def test_backward_returns_a_new_zeroed_twin_per_call(self):
         # Node 1 reaches no output, so its tensors get zero gradients.
@@ -782,9 +768,7 @@ class TestArena:
             GraphNode(2, Dense(3, 2), (0,), param_key="live"),
         ]
         graph = ComputationGraph(nodes, (3,))
-        params = params_for(Dense(3, 2), "live", rng)
-        for name, value in Dense(3, 2).init_params(rng, np.float64).items():
-            params.add("dead", name, value)
+        params = params_for([("live", Dense(3, 2)), ("dead", Dense(3, 2))], rng)
         out, tape = forward(graph, params, rng.standard_normal((4, 3)), "train")
         first = backward(tape, np.ones_like(out.data))
         kept = first.get("live", "w")
@@ -801,9 +785,7 @@ class TestArena:
 
     def test_equal_compares_dtype_and_shape(self):
         def one(dtype, shape=(3,)):
-            store = ParamStore()
-            store.add("k", "w", np.ones(shape, dtype=dtype))
-            return store
+            return store_of(("k", "w", np.ones(shape, dtype=dtype)))
 
         assert one(np.float32).equal(one(np.float32))
         assert not one(np.float32).equal(one(np.float64))
@@ -868,7 +850,7 @@ class TestConcurrency:
     def dense_op():
         rng = np.random.default_rng(0)
         op = Dense(6, 4)
-        params = params_for(op, "d", np.random.default_rng(1))
+        params = params_for([("d", op)], np.random.default_rng(1))
         return lambda: (single_op_graph(op, (6,), key="d"), params), [
             rng.standard_normal((8, 6)) for _ in range(16)
         ]

@@ -17,6 +17,7 @@ from polyres.builder import (
     save_checkpoint,
     upgrade,
 )
+from polyres.cost import count_params
 from polyres.data import AugmentConfig, synth_dataset
 from polyres.dsl import parse_network, preset
 from polyres.engine import (
@@ -44,9 +45,10 @@ from polyres.training import (
 
 
 def store(**arrays):
-    s = ParamStore()
-    for name, value in arrays.items():
-        s.add("g", name, np.asarray(value, dtype=np.float64))
+    values = {name: np.asarray(value, dtype=np.float64) for name, value in arrays.items()}
+    s = ParamStore.allocate(("g", name, v.shape, v.dtype) for name, v in values.items())
+    for name, value in values.items():
+        s.get("g", name)[...] = value
     return s
 
 
@@ -102,9 +104,7 @@ class TestRmsprop:
         p = store(w=[1.0, 2.0], b=[0.0])
         with pytest.raises(ValueError, match="^gradient layout mismatch: expected g/b .*, got nothing$"):
             rmsprop_step(p, store(w=[1.0, 1.0]), p.zeros_like(), OptimizerHP(), 0.1)
-        narrow = ParamStore()
-        narrow.add("g", "w", np.zeros(2, dtype=np.float32))
-        narrow.add("g", "b", np.zeros(1, dtype=np.float32))
+        narrow = ParamStore.allocate([("g", "w", (2,), np.float32), ("g", "b", (1,), np.float32)])
         with pytest.raises(
             ValueError,
             match=r"^state layout mismatch: expected g/w \(2,\) float64, got g/w \(2,\) float32$",
@@ -133,7 +133,7 @@ class TestBlockedRmsprop:
         monkeypatch.setattr(training, "_BLOCK", block)
         config = parse_network("A: ir -> poly-2; B: mpoly-2 -> 2-way", input_size=16, classes=4, base_width=8)
         new, old = (lower(config, arch, beta=0.3, seed=4, precision=precision) for _ in range(2))
-        n = new.params.n_scalars()
+        n = count_params(new).params
         # One partial block, or several with a partial one last.
         assert (n > 2 * block and n % block) if block == 1000 else n < block
         new_state, old_state = new.params.zeros_like(), old.params.zeros_like()
@@ -169,7 +169,7 @@ class TestBlockedRmsprop:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert model.params.n_scalars() > 4 * training._BLOCK
+        assert count_params(model).params > 4 * training._BLOCK
         assert peak < 16 * 1024, f"peak {peak} bytes"
 
     def test_hyperparameter_validation(self):
@@ -247,7 +247,8 @@ class TestGates:
                 # the stem's relu output (modules preserve non-negative
                 # inputs when all paths are dropped)
                 ins = [values[max(values)]]
-            v, _ = node.op.forward(ins, node.resolve_params(model.params), "train")
+            group = model.params.group(node.param_key) if node.param_key else None
+            v, _ = node.op.forward(ins, group, "train")
             values[node.idx] = v
         assert np.allclose(out.data, values[max(values)], atol=1e-12)
 
@@ -269,7 +270,8 @@ class TestGates:
                 values[node.idx] = x
                 continue
             ins = [values[i] for i in node.inputs]
-            v, _ = node.op.forward(ins, node.resolve_params(model.params), "train")
+            group = model.params.group(node.param_key) if node.param_key else None
+            v, _ = node.op.forward(ins, group, "train")
             values[node.idx] = v
         paths = np.stack([values[i] for i in model.graph.nodes[site.gate_node].inputs])
         x_mod = values[model.graph.nodes[site.gate_node + 2].inputs[0]]
@@ -448,6 +450,28 @@ class TestTrainLoop:
         node = model.graph.nodes[int(idx)]
         assert node.param_key == key and label == node.label
         assert f"iteration {err.value.iteration} " in str(err.value)
+
+    @pytest.mark.parametrize(
+        "arch,name", [(DenseBlock(8, 16), "w2"), (ConvBlock(8, 2), "w3")], ids=["dense", "conv"]
+    )
+    def test_a_non_finite_block_tensor_names_the_layer_that_owns_it(
+        self, dataset, monkeypatch, arch, name
+    ):
+        # A block's layers share one key; the error names the block's last
+        # layer, which owns the tensor, not the first node bound to the key.
+        def poisoned_step(params, *args, **kwargs):
+            rmsprop_step(params, *args, **kwargs)
+            params.get("A.0.F", name).flat[0] = np.nan
+
+        monkeypatch.setattr(training, "rmsprop_step", poisoned_step)
+        config = parse_network("A: ir -> ir", input_size=16, classes=4, base_width=8)
+        model = lower(config, arch, beta=0.3, seed=0, precision="f32")
+        with pytest.raises(TrainingDiverged) as err:
+            train(model, dataset, OptimizerHP.desk(20), seed=0)
+        bound = [n for n in model.graph.nodes if n.param_key == "A.0.F"]
+        assert len(bound) == (2 if arch.tag == "dense" else 3)
+        assert err.value.iteration == 0
+        assert err.value.detail == f"non-finite A.0.F/{name} of {bound[-1].where}"
 
     def test_each_step_releases_its_tape_before_the_next_forward(self, dataset, monkeypatch):
         tapes = []
