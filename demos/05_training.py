@@ -33,9 +33,9 @@ for r in history.records:
 
 # Stochastic paths: per-module drop probabilities rise linearly with depth;
 # each non-identity path survives independently. Here they are on from the
-# start ("auto" waits for an overfitting signal instead).
+# start (start="auto" waits for an overfitting signal instead).
 print("\ndrop probabilities over 4 modules:", gate_probabilities(4, 0.25))
-spc = StochasticPathConfig(enabled=True, max_prob=0.25)
+spc = StochasticPathConfig(max_prob=0.25)
 model2 = lower(config, DenseBlock(16, 32), beta=0.3, seed=0, precision="f32")
 model2, history2 = train(model2, dataset, hp, spc=spc, eval_every=300, seed=0)
 print("with stochastic paths:")

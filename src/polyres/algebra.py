@@ -247,12 +247,7 @@ def expand_module(kind: ModuleKind, beta: float = 1.0) -> OperatorExpr:
     """
     beta = _validate_beta(beta)
     monos = [_monomial_expr(m) for m in module_monomials(kind)]
-    branch = _sum_of(monos)
-    if beta != 1.0:
-        branch = Scaled(beta, branch)
-    return Sum((IDENTITY, branch)) if not isinstance(branch, Sum) else Sum(
-        (IDENTITY, *branch.terms)
-    )
+    return _rebuild_module(beta, _sum_of(monos))
 
 
 # ---------------------------------------------------------------------------

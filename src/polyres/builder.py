@@ -221,8 +221,8 @@ class Model:
     def modules(self) -> list[ModuleSite]:
         return self.graph.modules
 
-    def forward(self, x, mode: str = "eval", gates=None, allow_eval_gates: bool = False):
-        return forward(self.graph, self.params, x, mode, gates, allow_eval_gates)
+    def forward(self, x, mode: str = "eval", gates=None):
+        return forward(self.graph, self.params, x, mode, gates)
 
     def logits(self, x, mode: str = "eval") -> np.ndarray:
         out, _ = self.forward(x, mode)

@@ -267,9 +267,8 @@ def _stochastic_config(args) -> StochasticPathConfig | None:
     if not args.stochastic_paths:
         return None
     return StochasticPathConfig(
-        enabled=True,
         max_prob=args.max_prob,
-        adaptive=args.adaptive,
+        start="auto" if args.adaptive == "auto" else 0,
         rescale=args.rescale,
     )
 
@@ -505,7 +504,7 @@ def build_parser() -> _Parser:
     p.add_argument("--augment", action="store_true")
     p.add_argument("--stochastic-paths", action="store_true")
     p.add_argument("--max-prob", type=float, default=0.25)
-    p.add_argument("--adaptive", choices=("off", "manual", "auto"), default="off")
+    p.add_argument("--adaptive", choices=("off", "auto"), default="off")
     p.add_argument("--rescale", choices=("none", "train", "eval"), default="none")
     _add_common(p)
     p.set_defaults(func=cmd_train)

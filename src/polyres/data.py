@@ -76,6 +76,16 @@ class Dataset:
     def val_indices(self) -> np.ndarray:
         return np.flatnonzero(self.val_mask)
 
+    def indices(self, split: str) -> np.ndarray:
+        """The indices of the "train" or "val" split; ValueError naming the
+        split when it is empty."""
+        if split not in ("train", "val"):
+            raise ValueError(f"unknown split {split!r}")
+        indices = self.train_indices if split == "train" else self.val_indices
+        if not len(indices):
+            raise ValueError(f"the {split} split of a {len(self)}-image dataset is empty")
+        return indices
+
     def subset(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.images[indices], self.labels[indices]
 

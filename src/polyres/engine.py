@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,11 +88,8 @@ class NumericError(EngineError):
 # ---------------------------------------------------------------------------
 
 
-def _as_array(x, dtype=None) -> np.ndarray:
-    a = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if dtype is not None:
-        a = np.ascontiguousarray(a, dtype=dtype)
-    return a
+def _as_array(x) -> np.ndarray:
+    return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
 def tensor_header(shape: tuple[int, ...], dtype) -> bytes:
@@ -199,14 +197,15 @@ class ParamStore:
     without parameters. The trainable tensors live in an arena: one
     contiguous buffer per dtype in ``flat_items(trainable_only=True)``
     order, each entry a view into it; twins share the layout. Views are set
-    once and never rebound, and writes go through them in place, so they
-    stay the tensors that :func:`forward` reads, also while other threads
-    read the store. Running statistics stay standalone arrays. Tensor names
-    are the ones each op declares in its ``param_specs``.
+    once and never rebound: groups are read-only mappings, and writes go
+    through the views in place, so they stay the tensors that
+    :func:`forward` reads, also while other threads read the store.
+    Running statistics stay standalone arrays. Tensor names are the ones
+    each op declares in its ``param_specs``.
     """
 
     def __init__(self):
-        self._groups: dict[str, dict[str, np.ndarray]] = {}
+        self._groups: dict[str, Mapping[str, np.ndarray]] = {}
         self._layout: tuple[_Slot, ...] = ()
         self._buffers: dict[np.dtype, np.ndarray] = {}
         self._stats: tuple[np.ndarray, ...] = ()  # the running statistics
@@ -220,8 +219,7 @@ class ParamStore:
         dtype)`` entry: groups in the order their key first appears, tensors
         in entry order within a group. Running statistics are standalone
         arrays. The one place a layout is made."""
-        store = cls()
-        groups = store._groups
+        store, groups = cls(), {}
         for key, name, shape, dtype in entries:
             group = groups.setdefault(key, {})
             if name in group:
@@ -240,6 +238,7 @@ class ParamStore:
         buffers = {dtype: np.empty(n, dtype) for dtype, n in sizes.items()}
         for key, name, shape, dtype, span in layout:
             groups[key][name] = buffers[dtype][span].reshape(shape)
+        store._groups = {key: MappingProxyType(group) for key, group in groups.items()}
         store._layout, store._stats, store._buffers = tuple(layout), tuple(stats), buffers
         return store
 
@@ -249,7 +248,7 @@ class ParamStore:
         except KeyError:
             raise EngineError(f"missing parameter {key}/{name}") from None
 
-    def group(self, key: str) -> dict[str, np.ndarray]:
+    def group(self, key: str) -> Mapping[str, np.ndarray]:
         try:
             return self._groups[key]
         except KeyError:
@@ -258,7 +257,7 @@ class ParamStore:
     def keys(self) -> Iterator[str]:
         return iter(self._groups)
 
-    def items(self) -> Iterator[tuple[str, dict[str, np.ndarray]]]:
+    def items(self) -> Iterator[tuple[str, Mapping[str, np.ndarray]]]:
         return iter(self._groups.items())
 
     def flat_items(
@@ -289,14 +288,15 @@ class ParamStore:
         out = ParamStore()
         out._layout = self._layout
         out._buffers = {dtype: fill(buf) for dtype, buf in self._buffers.items()}
-        views, stats = out._views(), []
+        views, stats, groups = out._views(), [], {}
         for key, name, value in self.flat_items(trainable_only=state_fill is None):
             if name in _STATE_NAMES:
                 value = state_fill(value)
                 stats.append(value)
             else:
                 value = next(views)
-            out._groups.setdefault(key, {})[name] = value
+            groups.setdefault(key, {})[name] = value
+        out._groups = {key: MappingProxyType(group) for key, group in groups.items()}
         out._stats = tuple(stats)
         return out
 
@@ -929,7 +929,6 @@ class Tape:
     graph: ComputationGraph
     params: ParamStore
     saved: list
-    input_array: np.ndarray
 
 
 def forward(
@@ -938,15 +937,13 @@ def forward(
     x,
     mode: str = "train",
     gates: dict[int, Sequence[float]] | None = None,
-    allow_eval_gates: bool = False,
     *,
     check_finite: bool = False,
 ) -> tuple[Tensor, Tape]:
     """Evaluate the graph in topological order.
 
-    ``gates`` maps gate-node index -> per-path multipliers for this call.
-    Eval mode uses running norm statistics and ignores gates (unless
-    ``allow_eval_gates`` opts into deterministic eval-time path scaling).
+    ``gates`` maps gate-node index -> per-path multipliers for this call,
+    in either mode. Eval mode uses running norm statistics.
     Wiring and shapes are checked once per graph, by
     :meth:`ComputationGraph.infer_shapes`. With ``check_finite`` the first
     node whose output holds a NaN or Inf raises NumericError naming it.
@@ -966,8 +963,6 @@ def forward(
         )
     graph.infer_shapes()
     train = mode == "train"
-    if not train and not allow_eval_gates:
-        gates = None
     values: list[np.ndarray] = [None] * len(graph.nodes)
     saved: list = [None] * len(graph.nodes) if train else []
     for node, frees in zip(graph.nodes, graph._frees):
@@ -991,7 +986,7 @@ def forward(
         del out, ctx
         for i in frees:
             values[i] = None
-    return Tensor(values[graph.output]), Tape(mode, graph, params, saved, x)
+    return Tensor(values[graph.output]), Tape(mode, graph, params, saved)
 
 
 def backward(

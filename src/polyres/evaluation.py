@@ -80,24 +80,12 @@ def topk_error(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
     return float(1.0 - hit.mean())
 
 
-def single_crop_eval(model: Model, dataset: Dataset, split: str = "val") -> tuple[float, float]:
-    """Plain full-image top-1/top-5 error on the chosen split."""
-    images, labels = _split(dataset, split)
+def single_crop_eval(model: Model, dataset: Dataset) -> tuple[float, float]:
+    """Plain full-image top-1/top-5 error on the val split."""
+    images, labels = dataset.subset(dataset.indices("val"))
     logits = model.logits(images.astype(DTYPES[model.meta.precision], copy=False))
     k5 = min(5, logits.shape[1])
     return topk_error(logits, labels, 1), topk_error(logits, labels, k5)
-
-
-def _split(dataset: Dataset, split: str):
-    if split == "val":
-        indices = dataset.val_indices
-    elif split == "train":
-        indices = dataset.train_indices
-    else:
-        raise ValueError(f"unknown split {split!r}")
-    if not len(indices):
-        raise ValueError(f"the {split} split of a {len(dataset)}-image dataset is empty")
-    return dataset.subset(indices)
 
 
 def _cpu_count() -> int:
@@ -231,7 +219,6 @@ def multicrop_eval(
     model: Model,
     dataset: Dataset,
     cfg: PoolingConfig,
-    split: str = "val",
     checkpoint: str | None = None,
 ) -> EvalReport:
     """Multi-crop evaluation: per image and scale, score the crop grid, pool
@@ -247,7 +234,7 @@ def multicrop_eval(
     on; the pooled scores are bitwise equal to those of a single worker.
     """
     started = time.perf_counter()
-    images, labels = _split(dataset, split)
+    images, labels = dataset.subset(dataset.indices("val"))
     usable, pooled = _pooled_scores(model, images, cfg)
     k5 = min(5, dataset.classes)
     return EvalReport(

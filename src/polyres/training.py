@@ -150,30 +150,32 @@ def _check_layout(want, got, role: str) -> None:
 
 @dataclass(frozen=True)
 class StochasticPathConfig:
-    """Path-dropping policy.
+    """Path-dropping policy; :func:`train` without one drops no paths.
 
-    ``adaptive`` selects when dropping becomes active: "off" means from the
-    first iteration, "manual" from ``manual_start``, and "auto" waits until
-    the validation loss has risen for ``window`` consecutive evals while the
-    train loss fell (an explicit stand-in for "serious overfitting"); once
-    on, dropping stays on for the rest of the run. ``rescale``
-    chooses between no compensation (default), dropout-style 1/(1-p)
-    scaling of surviving paths at train time, or deterministic (1-p) path
-    scaling at eval time, from the first eval after dropping is active.
+    ``start`` is the iteration from which paths are dropped, or "auto" to
+    wait until the validation loss has risen for ``window`` consecutive
+    evals while the train loss fell (an explicit stand-in for "serious
+    overfitting"); once on, dropping stays on for the rest of the run.
+    ``rescale`` chooses between no compensation (default), dropout-style
+    1/(1-p) scaling of surviving paths at train time, or deterministic
+    (1-p) path scaling at eval time, from the first eval after dropping is
+    active.
     """
 
-    enabled: bool = False
     max_prob: float = 0.25
-    adaptive: str = "off"  # "off" | "manual" | "auto"
+    start: int | str = 0  # an iteration, or "auto"
     window: int = 3
-    manual_start: int = 0
     rescale: str = "none"  # "none" | "train" | "eval"
 
     def __post_init__(self):
         if not 0.0 <= self.max_prob < 1.0:
             raise ValueError("max_prob must be in [0, 1)")
-        if self.adaptive not in ("off", "manual", "auto"):
-            raise ValueError(f"unknown adaptive mode {self.adaptive!r}")
+        if self.start != "auto" and (
+            not isinstance(self.start, int) or isinstance(self.start, bool) or self.start < 0
+        ):
+            raise ValueError(f"start must be an iteration >= 0 or 'auto', got {self.start!r}")
+        if self.window < 1:
+            raise ValueError(f"window must be at least 1, got {self.window}")
         if self.rescale not in ("none", "train", "eval"):
             raise ValueError(f"unknown rescale mode {self.rescale!r}")
 
@@ -302,7 +304,7 @@ class _BatchSampler:
 
 
 def _evaluate(model: Model, images, labels, gates) -> tuple[float, float, float]:
-    out, _ = model.forward(images, mode="eval", gates=gates, allow_eval_gates=True)
+    out, _ = model.forward(images, mode="eval", gates=gates)
     loss, _ = softmax_cross_entropy(out.data, labels)
     k5 = min(5, out.data.shape[1])
     return loss, topk_error(out.data, labels, 1), topk_error(out.data, labels, k5)
@@ -359,6 +361,7 @@ def train(
     gates, augmentation) derives from ``seed`` through named substreams, so
     equal seeds give identical histories. Checkpoints are written at every
     learning-rate decay and at termination when ``checkpoint_dir`` is set.
+    An empty train or val split raises ValueError before the first step.
     """
     started = time.perf_counter()
     history = TrainHistory(seed=seed)
@@ -369,12 +372,14 @@ def train(
     rng_data, rng_gates, rng_aug = (np.random.default_rng(s) for s in ss.spawn(3))
     dtype = DTYPES[model.meta.precision]
 
-    sampler = _BatchSampler(dataset.train_indices, batch_size, rng_data)
-    val_images, val_labels = dataset.subset(dataset.val_indices)
+    sampler = _BatchSampler(dataset.indices("train"), batch_size, rng_data)
+    val_images, val_labels = dataset.subset(dataset.indices("val"))
     val_images = val_images.astype(dtype)
 
     probs = gate_probabilities(len(model.modules), spc.max_prob) if spc else []
-    gates_active = bool(spc and spc.enabled and spc.adaptive == "off")
+    # Paths are dropped from iteration `start` on; None is not yet, and
+    # "auto" sets it at the first overfitting signal.
+    start = None if spc is None or spc.start == "auto" else spc.start
     state = model.params.zeros_like(trainable_only=True)
     recent_losses: list[float] = []
 
@@ -388,9 +393,7 @@ def train(
         if new_lr != lr and checkpoint_dir is not None:
             save_checkpoint(model, checkpoint_dir / f"iter{it:08d}.ckpt")
         lr = new_lr
-
-        if spc is not None and spc.enabled and spc.adaptive == "manual":
-            gates_active = it >= spc.manual_start
+        gates_active = start is not None and it >= start
 
         idx = sampler.next_batch()
         images = dataset.images[idx]
@@ -424,14 +427,8 @@ def train(
                 )
             )
             recent_losses.clear()
-            if (
-                spc is not None
-                and spc.enabled
-                and spc.adaptive == "auto"
-                and not gates_active
-                and _overfitting(history.records, spc.window)
-            ):
-                gates_active = True
+            if spc is not None and start is None and _overfitting(history.records, spc.window):
+                start = it + 1
 
     if checkpoint_dir is not None:
         save_checkpoint(model, checkpoint_dir / "final.ckpt")

@@ -209,15 +209,25 @@ class TestTrainEvalSurgery:
         assert [r["iteration"] for r in records] == [10, 20]
         assert all(r["gates_active"] for r in records)
 
-    def test_eval_on_an_empty_val_split_names_it(self, trained, tmp_path, capsys):
-        code = dispatch(
-            [
-                "eval", "--checkpoint", str(trained / "final.ckpt"), "--data-n", "2",
-                "--out", str(tmp_path),
-            ]
-        )
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_an_empty_val_split_is_named(self, trained, tmp_path, capsys, command):
+        if command == "eval":
+            argv = ["eval", "--checkpoint", str(trained / "final.ckpt")]
+        else:
+            argv = ["train", "--network", "A: ir", "--iters", "5"]
+        code = dispatch(argv + ["--data-n", "2", "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert "val split of a 2-image dataset is empty" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.ckpt"))
+
+    def test_manual_start_mode_is_gone(self, tmp_path, capsys):
+        argv = ["train", "--network", "A: ir", "--iters", "5", "--out", str(tmp_path)]
+        assert dispatch(argv + ["--stochastic-paths", "--adaptive", "manual"]) == EXIT_USAGE
+        assert "invalid choice: 'manual'" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stochastic_paths = yes\nadaptive = manual\n")
+        assert dispatch(argv + ["--config", str(cfg)]) == EXIT_VALIDATION
+        assert f"{cfg}:2: adaptive: 'manual' is not one of off, auto" in capsys.readouterr().err
 
     def test_parse_reads_dsl_files(self, tmp_path, capsys):
         source = tmp_path / "net.dsl"

@@ -387,19 +387,10 @@ class TestGatedSum:
         out, _ = forward(graph, ParamStore(), x, "train", gates={4: (1.0, 0.0, 0.5)})
         assert np.allclose(out.data, (1.0 + 0.0 + 1.5) * x)
 
-    def test_eval_mode_ignores_gates(self):
+    def test_eval_mode_applies_gates(self):
         graph = self.build(2)
         x = np.ones((1, 3))
-        gated, _ = forward(graph, ParamStore(), x, "eval", gates={3: (0.0, 0.0)})
-        plain, _ = forward(graph, ParamStore(), x, "eval")
-        assert np.array_equal(gated.data, plain.data)
-
-    def test_eval_gates_opt_in(self):
-        graph = self.build(2)
-        x = np.ones((1, 3))
-        out, _ = forward(
-            graph, ParamStore(), x, "eval", gates={3: (0.5, 0.5)}, allow_eval_gates=True
-        )
+        out, _ = forward(graph, ParamStore(), x, "eval", gates={3: (0.5, 0.5)})
         assert np.allclose(out.data, 1.5 * x)
 
     def test_gradient_respects_gates(self):
@@ -712,7 +703,7 @@ class TestLiveness:
 
         g = rng.standard_normal(out.shape)
         grads, dx = backward(tape, g, return_input_grad=True)
-        want, want_dx = backward(Tape("train", graph, kept, saved, x), g, return_input_grad=True)
+        want, want_dx = backward(Tape("train", graph, kept, saved), g, return_input_grad=True)
         assert grads.equal(want) and np.array_equal(dx, want_dx)
         assert params.equal(kept)
 
@@ -782,6 +773,17 @@ class TestArena:
             for name in ("w", "b"):
                 assert not grads.get("dead", name).any()
         assert not np.shares_memory(first.get("live", "w"), second.get("live", "w"))
+
+    def test_groups_are_read_only_and_in_place_writes_reach_forward(self):
+        op = Dense(3, 2)
+        params = params_for([("d", op)], np.random.default_rng(0))
+        for store in (params, params.clone(), params.zeros_like()):
+            with pytest.raises(TypeError):
+                store.group("d")["w"] = np.zeros((3, 2))
+        params.group("d")["w"][...] = 0.0
+        params.group("d")["b"][...] = 1.5
+        out, _ = forward(single_op_graph(op, (3,), key="d"), params, np.ones((1, 3)), "eval")
+        assert np.array_equal(out.data, np.full((1, 2), 1.5))
 
     def test_equal_compares_dtype_and_shape(self):
         def one(dtype, shape=(3,)):

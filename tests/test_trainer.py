@@ -18,7 +18,7 @@ from polyres.builder import (
     upgrade,
 )
 from polyres.cost import count_params
-from polyres.data import AugmentConfig, synth_dataset
+from polyres.data import AugmentConfig, load_dataset, save_dataset, synth_dataset
 from polyres.dsl import parse_network, preset
 from polyres.engine import (
     DTYPES,
@@ -308,9 +308,18 @@ class TestGates:
         with pytest.raises(ValueError):
             StochasticPathConfig(max_prob=1.0)
         with pytest.raises(ValueError):
-            StochasticPathConfig(adaptive="sometimes")
+            StochasticPathConfig(rescale="sometimes")
         with pytest.raises(ValueError):
             gate_probabilities(0, 0.25)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("start", -1), ("start", True), ("start", 2.0), ("start", "manual"), ("start", None),
+         ("window", 0), ("window", -3)],
+    )
+    def test_invalid_start_and_window_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StochasticPathConfig(**{field: value})
 
 
 @pytest.fixture(scope="module")
@@ -345,16 +354,9 @@ class TestTrainLoop:
         assert history.records[-1].val_loss < history.records[0].val_loss
         assert history.records[-1].top1 <= 0.25
 
-    def test_disabled_stochastic_paths_match_plain_training(self, dataset):
-        hp = OptimizerHP.desk(60)
-        spc = StochasticPathConfig(enabled=False, max_prob=0.25)
-        _, h_plain = train(self.small_model(3), dataset, hp, spc=None, eval_every=30, seed=5)
-        _, h_off = train(self.small_model(3), dataset, hp, spc=spc, eval_every=30, seed=5)
-        assert h_plain.records == h_off.records
-
     def test_stochastic_paths_change_the_run_and_are_flagged(self, dataset):
         hp = OptimizerHP.desk(60)
-        spc = StochasticPathConfig(enabled=True, max_prob=0.5)
+        spc = StochasticPathConfig(max_prob=0.5)
         _, h_on = train(self.small_model(4), dataset, hp, spc=spc, eval_every=30, seed=5)
         _, h_off = train(self.small_model(4), dataset, hp, spc=None, eval_every=30, seed=5)
         assert all(r.gates_active for r in h_on.records)
@@ -371,25 +373,47 @@ class TestTrainLoop:
         assert h1.records != h3.records
         assert not m1.params.equal(m3.params)
 
-    def test_manual_activation_iteration(self, dataset):
+    def count_gate_draws(self, monkeypatch) -> list[int]:
+        """Patch gate sampling to log the iteration of each draw."""
+        iterations = []
+
+        def sample(model, probs, rng):
+            iterations.append(model.meta.iteration)
+            return sample_gates(model, probs, rng)
+
+        monkeypatch.setattr(training, "sample_gates", sample)
+        return iterations
+
+    def test_a_default_config_drops_paths_from_iteration_0(self, dataset, monkeypatch):
+        drawn = self.count_gate_draws(monkeypatch)
+        hp = OptimizerHP.desk(20)
+        _, history = train(
+            self.small_model(5), dataset, hp, spc=StochasticPathConfig(), eval_every=10, seed=6
+        )
+        assert drawn == list(range(20))
+        assert [r.gates_active for r in history.records] == [True, True]
+
+    def test_start_turns_dropping_on_at_that_iteration(self, dataset, monkeypatch):
+        drawn = self.count_gate_draws(monkeypatch)
         hp = OptimizerHP.desk(80)
-        spc = StochasticPathConfig(enabled=True, max_prob=0.5, adaptive="manual", manual_start=40)
+        spc = StochasticPathConfig(max_prob=0.5, start=40)
         _, history = train(self.small_model(5), dataset, hp, spc=spc, eval_every=20, seed=6)
-        flags = [r.gates_active for r in history.records]
-        assert flags[0] is False and flags[-1] is True
+        assert drawn == list(range(40, 80))
+        assert [r.gates_active for r in history.records] == [False, False, True, True]
+        _, plain = train(self.small_model(5), dataset, hp, eval_every=20, seed=6)
+        assert history.records[:2] == plain.records[:2]
+        assert history.records[2:] != plain.records[2:]
 
     def test_eval_rescaling_waits_until_paths_are_dropped(self, dataset):
         hp = OptimizerHP.desk(60)
-        spc = StochasticPathConfig(
-            enabled=True, adaptive="manual", manual_start=10**6, rescale="eval"
-        )
+        spc = StochasticPathConfig(start=10**6, rescale="eval")
         _, h_waiting = train(self.small_model(3), dataset, hp, spc=spc, eval_every=30, seed=5)
         _, h_plain = train(self.small_model(3), dataset, hp, spc=None, eval_every=30, seed=5)
         assert h_waiting.records == h_plain.records
 
     def test_eval_rescaling_scales_each_path_by_its_survival_probability(self, dataset):
         hp = OptimizerHP.desk(20)
-        spc = StochasticPathConfig(enabled=True, max_prob=0.5, rescale="eval")
+        spc = StochasticPathConfig(max_prob=0.5, rescale="eval")
         model, history = train(self.small_model(4), dataset, hp, spc=spc, eval_every=20, seed=5)
         images, labels = dataset.subset(dataset.val_indices)
         n = len(model.modules)
@@ -399,8 +423,7 @@ class TestTrainLoop:
         }
         losses = [
             softmax_cross_entropy(
-                model.forward(images.astype(np.float32), mode="eval", gates=gates,
-                              allow_eval_gates=True)[0].data,
+                model.forward(images.astype(np.float32), mode="eval", gates=gates)[0].data,
                 labels,
             )[0]
             for gates in (by_hand, None)
@@ -417,12 +440,14 @@ class TestTrainLoop:
             return len(records) == 2
 
         monkeypatch.setattr(training, "_overfitting", signal_at_second_eval)
+        drawn = self.count_gate_draws(monkeypatch)
         hp = OptimizerHP.desk(80)
-        spc = StochasticPathConfig(enabled=True, max_prob=0.5, adaptive="auto")
+        spc = StochasticPathConfig(max_prob=0.5, start="auto")
         _, history = train(self.small_model(5), dataset, hp, spc=spc, eval_every=10, seed=6)
         # A record flags the gates used in the iterations before it, so the
         # signal after eval 2 shows from record 3 on.
         assert [r.gates_active for r in history.records] == [False] * 2 + [True] * 6
+        assert drawn == list(range(20, 80))
         assert calls == [1, 2]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -472,6 +497,21 @@ class TestTrainLoop:
         assert len(bound) == (2 if arch.tag == "dense" else 3)
         assert err.value.iteration == 0
         assert err.value.detail == f"non-finite A.0.F/{name} of {bound[-1].where}"
+
+    def test_an_empty_train_split_is_named_before_any_step(self, tmp_path, monkeypatch):
+        save_dataset(synth_dataset(3, 4, 16, seed=0), tmp_path)
+        for path in tmp_path.glob("*.tns"):
+            if path.name != "2_00002.tns":
+                path.unlink()
+        only_val = load_dataset(tmp_path, classes=4)
+        assert only_val.val_mask.tolist() == [True]
+
+        def step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(training, "_step", step)
+        with pytest.raises(ValueError, match="the train split of a 1-image dataset is empty"):
+            train(self.small_model(), only_val, OptimizerHP.desk(10))
 
     def test_each_step_releases_its_tape_before_the_next_forward(self, dataset, monkeypatch):
         tapes = []
