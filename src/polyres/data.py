@@ -63,7 +63,7 @@ class Dataset:
 
     def __post_init__(self):
         if self.val_mask is None:
-            self.val_mask = np.array([_is_val(i) for i in range(len(self.labels))])
+            self.val_mask = np.array([_is_val(i) for i in range(len(self.labels))], dtype=bool)
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -344,9 +344,10 @@ class ParamStore:
 class Op:
     """A primitive kernel: a shape rule, a forward, and a backward.
 
-    No kernel writes into an array it did not allocate: inputs, gradients
-    and saved contexts may be shared (Add.backward hands one gradient array
-    to every input, and pointwise conv columns alias the input)."""
+    No kernel writes into an array it did not allocate, except the gradient
+    group its backward is handed: inputs, gradients and saved contexts may be
+    shared (Add.backward hands one gradient array to every input, and
+    pointwise conv columns alias the input)."""
 
     name = "op"
 
@@ -357,11 +358,12 @@ class Op:
         """Return (output array, saved context for backward)."""
         raise NotImplementedError
 
-    def backward(self, grad, saved, input_grads=True):
-        """Return (per-input gradients, param-name -> gradient or None).
-
-        With ``input_grads`` False nobody reads the input gradients, and an
-        op may skip them and return None in their place."""
+    def backward(self, grad, saved, grads, input_grads=True):
+        """Add the parameter gradients into ``grads``, the node's group of the
+        step's gradient store (None without a share key), never assigning its
+        views, as nodes sharing a key add into the same ones; return the list
+        of per-input gradients. With ``input_grads`` False nobody reads those,
+        and an op may skip them and return None in their place."""
         raise NotImplementedError
 
     def macs(self, in_shapes, out_shape) -> int:
@@ -446,8 +448,8 @@ class Flatten(Op):
         (x,) = inputs
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, grad, saved, input_grads=True):
-        return [grad.reshape(saved)], None
+    def backward(self, grad, saved, grads, input_grads=True):
+        return [grad.reshape(saved)]
 
 
 class Dense(ParamOp):
@@ -479,10 +481,11 @@ class Dense(ParamOp):
         w = params[self.w_name]
         return x @ w + params[self.b_name], (x, w)
 
-    def backward(self, grad, saved, input_grads=True):
+    def backward(self, grad, saved, grads, input_grads=True):
         x, w = saved
-        dx = grad @ w.T if input_grads else None
-        return [dx], {self.w_name: x.T @ grad, self.b_name: grad.sum(axis=0)}
+        grads[self.w_name][...] += x.T @ grad
+        grads[self.b_name][...] += grad.sum(axis=0)
+        return [grad @ w.T if input_grads else None]
 
     def macs(self, in_shapes, out_shape):
         return in_shapes[0][0] * self.d_in * self.d_out
@@ -596,19 +599,17 @@ class Conv2D(ParamOp):
         y += b[None, :, None, None]
         return y, (x.shape, w, cols)
 
-    def backward(self, grad, saved, input_grads=True):
+    def backward(self, grad, saved, grads, input_grads=True):
         x_shape, w, cols = saved
         g2 = grad.reshape(grad.shape[0], self.c_out, -1)
-        dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        db = grad.sum(axis=(0, 2, 3))
-        p_grads = {self.w_name: dw, self.b_name: db}
+        dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+        grads[self.w_name][...] += dw.reshape(w.shape)
+        grads[self.b_name][...] += grad.sum(axis=(0, 2, 3))
         if not input_grads:
-            return [None], p_grads
+            return [None]
         if self.pointwise:
-            dx = (w.reshape(self.c_out, -1).T @ g2).reshape(x_shape)
-        else:
-            dx = _conv_input_grad(g2, w, x_shape, self.stride, self.pad)
-        return [dx], p_grads
+            return [(w.reshape(self.c_out, -1).T @ g2).reshape(x_shape)]
+        return [_conv_input_grad(g2, w, x_shape, self.stride, self.pad)]
 
     def macs(self, in_shapes, out_shape):
         b, _, hout, wout = out_shape
@@ -635,8 +636,8 @@ class ReLU(Op):
         y = np.maximum(x, 0)
         return y, y  # y > 0 exactly where x > 0, so the input need not be kept
 
-    def backward(self, grad, saved, input_grads=True):
-        return [grad * (saved > 0)], None
+    def backward(self, grad, saved, grads, input_grads=True):
+        return [grad * (saved > 0)]
 
 
 class Add(Op):
@@ -655,8 +656,8 @@ class Add(Op):
             out += x
         return out, len(inputs)
 
-    def backward(self, grad, saved, input_grads=True):
-        return [grad] * saved, None
+    def backward(self, grad, saved, grads, input_grads=True):
+        return [grad] * saved
 
 
 class GatedSum(Op):
@@ -687,8 +688,8 @@ class GatedSum(Op):
                 out += gi * x if gi != 1.0 else x
         return out, g
 
-    def backward(self, grad, saved, input_grads=True):
-        return [grad * gi if gi != 1.0 else grad for gi in saved], None
+    def backward(self, grad, saved, grads, input_grads=True):
+        return [grad * gi if gi != 1.0 else grad for gi in saved]
 
 
 class ScalarScale(Op):
@@ -705,8 +706,8 @@ class ScalarScale(Op):
     def forward(self, inputs, params, mode, gates=None):
         return self.beta * inputs[0], None
 
-    def backward(self, grad, saved, input_grads=True):
-        return [self.beta * grad], None
+    def backward(self, grad, saved, grads, input_grads=True):
+        return [self.beta * grad]
 
 
 class ChannelNorm(ParamOp):
@@ -768,7 +769,7 @@ class ChannelNorm(ParamOp):
         y += beta[:, None]
         return y.reshape(x.shape), (xhat, inv_std, gamma)
 
-    def backward(self, grad, saved, input_grads=True):
+    def backward(self, grad, saved, grads, input_grads=True):
         xhat, inv_std, gamma = saved
         g3 = grad.reshape(xhat.shape)
         n = xhat.shape[0] * xhat.shape[2]
@@ -781,7 +782,9 @@ class ChannelNorm(ParamOp):
         np.subtract(g3, dx, out=dx)
         dx -= (dbeta / n)[:, None]
         dx *= (gamma * inv_std)[:, None]
-        return [dx.reshape(grad.shape)], {"gamma": dgamma, "beta": dbeta}
+        grads["gamma"][...] += dgamma
+        grads["beta"][...] += dbeta
+        return [dx.reshape(grad.shape)]
 
 
 class GlobalAvgPool(Op):
@@ -799,10 +802,10 @@ class GlobalAvgPool(Op):
         (x,) = inputs
         return x.mean(axis=(2, 3)), x.shape
 
-    def backward(self, grad, saved, input_grads=True):
+    def backward(self, grad, saved, grads, input_grads=True):
         b, c, h, w = saved
         dx = np.broadcast_to(grad[:, :, None, None], saved) / (h * w)
-        return [np.ascontiguousarray(dx)], None
+        return [np.ascontiguousarray(dx)]
 
 
 # ---------------------------------------------------------------------------
@@ -810,8 +813,7 @@ class GlobalAvgPool(Op):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphNode:
+class GraphNode(NamedTuple):
     idx: int
     op: Op
     inputs: tuple[int, ...]
@@ -995,11 +997,11 @@ def backward(
     """Reverse the tape, accumulating gradients per trainable parameter.
 
     The gradients are a new zeroed twin of the parameters' layout (see
-    :class:`ParamStore`), into whose views each node adds its parameter
-    gradient; a tensor no node reached keeps a zero gradient. Share keys
-    referenced by several nodes receive the sum of all occurrence
-    contributions, in reverse node order. The tape must come from a
-    train-mode forward. Unless
+    :class:`ParamStore`). Each node's op adds its parameter gradients into
+    its key's group of the twin, so a tensor no node reached keeps a zero
+    gradient, and share keys referenced by several nodes receive the sum of
+    all occurrence contributions, in reverse node order. The tape must come
+    from a train-mode forward. Unless
     ``return_input_grad`` is set, a node with no trainable node at or above
     any of its inputs (the stem conv, or the dense stem behind ``Flatten``)
     skips its input gradient.
@@ -1019,17 +1021,13 @@ def backward(
             input_grad = g
             continue
         need = return_input_grad or graph._grad_read[node.idx]
-        in_grads, p_grads = node.op.backward(g, tape.saved[node.idx], input_grads=need)
+        group = None if node.param_key is None else grads.group(node.param_key)
+        in_grads = node.op.backward(g, tape.saved[node.idx], group, input_grads=need)
         for i, gi in zip(node.inputs, in_grads if need else ()):
             if i in node_grads:
                 node_grads[i] = node_grads[i] + gi
             else:
                 node_grads[i] = gi
-        if p_grads:
-            group = grads.group(node.param_key)
-            for name, pg in p_grads.items():
-                view = group[name]
-                view += pg
     if return_input_grad:
         return grads, input_grad
     return grads

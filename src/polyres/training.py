@@ -361,8 +361,12 @@ def train(
     gates, augmentation) derives from ``seed`` through named substreams, so
     equal seeds give identical histories. Checkpoints are written at every
     learning-rate decay and at termination when ``checkpoint_dir`` is set.
-    An empty train or val split raises ValueError before the first step.
+    An empty train or val split, or an ``eval_every`` or ``batch_size``
+    below 1, raises ValueError before the first step.
     """
+    for name, value in (("eval_every", eval_every), ("batch_size", batch_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     started = time.perf_counter()
     history = TrainHistory(seed=seed)
     if hp.total_iters == 0:

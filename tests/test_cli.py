@@ -220,6 +220,22 @@ class TestTrainEvalSurgery:
         assert "val split of a 2-image dataset is empty" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.ckpt"))
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--data-n", "0", "the train split of a 0-image dataset is empty"),
+            ("--eval-every", "0", "eval_every must be at least 1, got 0"),
+            ("--batch-size", "0", "batch_size must be at least 1, got 0"),
+            ("--batch-size", "-3", "batch_size must be at least 1, got -3"),
+        ],
+    )
+    def test_bad_run_sizes_are_validation_errors(self, tmp_path, capsys, flag, value, message):
+        argv = ["train", "--network", "A: ir", "--iters", "5", "--data-n", "64"]
+        code = dispatch(argv + [flag, value, "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.ckpt"))
+
     def test_manual_start_mode_is_gone(self, tmp_path, capsys):
         argv = ["train", "--network", "A: ir", "--iters", "5", "--out", str(tmp_path)]
         assert dispatch(argv + ["--stochastic-paths", "--adaptive", "manual"]) == EXIT_USAGE

@@ -43,6 +43,13 @@ class TestSynthDataset:
         assert 0.07 < frac < 0.13
         assert len(ds.train_indices) + len(ds.val_indices) == len(ds)
 
+    def test_an_empty_dataset_names_each_empty_split(self):
+        ds = synth_dataset(0, 4, 8, 0)
+        assert ds.val_mask.dtype == bool
+        for split in ("train", "val"):
+            with pytest.raises(ValueError, match=f"the {split} split of a 0-image dataset is empty"):
+                ds.indices(split)
+
     def test_linear_classifier_reaches_eighty_percent(self):
         # Frozen learnability calibration: least squares on raw pixels.
         ds = synth_dataset(512, 4, 32, seed=0)

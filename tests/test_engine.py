@@ -574,8 +574,8 @@ class TestExecution:
         assert np.isinf(out.data).all()
 
     def test_shared_key_gradients_accumulate(self):
-        # One parameter group used by two graph nodes: y = w*(x) + w*(2x).
-        op1, op2 = Dense(3, 3), Dense(3, 3)
+        # y = dense(x) + dense(2x) on one key: node 3 adds c2 into the zeroed
+        # twin first, then node 1 adds c1, so the gradient is (0 + c2) + c1.
         nodes = [
             GraphNode(0, InputOp(), ()),
             GraphNode(1, Dense(3, 3), (0,), param_key="shared"),
@@ -584,12 +584,32 @@ class TestExecution:
             GraphNode(4, Add(), (1, 3)),
         ]
         graph = ComputationGraph(nodes, (3,))
-        params = params_for([("shared", op1)], np.random.default_rng(1))
-        x = np.random.default_rng(2).standard_normal((4, 3))
+        params = params_for([("shared", Dense(3, 3))], np.random.default_rng(1))
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((4, 3))
         out, tape = forward(graph, params, x, "train")
-        grads = backward(tape, np.ones_like(out.data))
-        expected_w = x.T @ np.ones((4, 3)) + (2 * x).T @ np.ones((4, 3))
-        assert np.allclose(grads.get("shared", "w"), expected_w)
+        g = rng.standard_normal(out.shape)
+        grads = backward(tape, g)
+        for name, c1, c2 in (
+            ("w", x.T @ g, (2.0 * x).T @ g),
+            ("b", g.sum(axis=0), g.sum(axis=0)),
+        ):
+            want = np.zeros_like(c1)
+            want += c2
+            want += c1
+            assert np.array_equal(grads.get("shared", name), want), name
+
+    def test_graph_nodes_keep_their_fields_and_defaults(self):
+        op = ReLU()
+        node = GraphNode(3, op, (1, 2), "k", "relu.1", "A.0")
+        assert node == GraphNode(
+            idx=3, op=op, inputs=(1, 2), param_key="k", label="relu.1", segment="A.0"
+        )
+        plain = GraphNode(0, op, ())
+        assert (plain.param_key, plain.label, plain.segment) == (None, "", "")
+        assert plain.where == "node 0 (relu)" and node.where == "node 3 (relu.1)"
+        with pytest.raises(AttributeError):
+            node.idx = 4
 
     def test_finite_diff_requires_f64(self):
         params = store_of(("p", "w", np.ones(3, dtype=np.float32)))
@@ -605,6 +625,57 @@ class TestExecution:
         params = store_of(("p", "w", np.arange(4.0)))
         grads = finite_diff_grad(lambda p: 1.25, params)
         assert np.array_equal(grads.get("p", "w"), np.zeros(4))
+
+
+class TestGradientGroups:
+    """Ops add their parameter gradients into the group they are handed and
+    return only the list of input gradients."""
+
+    @pytest.mark.parametrize(
+        "op,shape",
+        [
+            (Dense(4, 3, suffix="2"), (5, 4)),
+            (Conv2D(1, 3, 4), (2, 3, 5, 5)),
+            (Conv2D(3, 3, 4, suffix="1"), (2, 3, 5, 6)),
+            (StridedConvDownsample(3, 4), (2, 3, 7, 7)),
+            (ChannelNorm(4), (6, 4)),
+            (ChannelNorm(3), (2, 3, 4, 4)),
+        ],
+    )
+    def test_parameter_ops_add_into_a_prefilled_group(self, op, shape):
+        rng = np.random.default_rng(41)
+        params = params_for([("p", op)], rng)
+        x = rng.standard_normal(shape)
+        y, ctx = op.forward([x], params.group("p"), "train")
+        g = rng.standard_normal(y.shape)
+        zero = params.zeros_like()
+        want = op.backward(g, ctx, zero.group("p"))
+        filled = params.zeros_like()
+        for _, _, view in filled.flat_items():
+            view[...] = rng.standard_normal(view.shape)
+        before = filled.clone()
+        got = op.backward(g, ctx, filled.group("p"))
+        assert type(got) is list and len(got) == 1
+        assert np.array_equal(got[0], want[0]) and got[0].shape == shape
+        for name in filled.group("p"):
+            added = before.get("p", name) + zero.get("p", name)
+            assert zero.get("p", name).any(), name
+            assert np.array_equal(filled.get("p", name), added), name
+
+    @pytest.mark.parametrize(
+        "op,saved,n_inputs",
+        [
+            (Flatten(), (2, 3, 1, 1), 1),
+            (ReLU(), np.ones((2, 3)), 1),
+            (Add(), 3, 3),
+            (GatedSum(), (1.0, 0.5), 2),
+            (ScalarScale(0.5), None, 1),
+            (GlobalAvgPool(), (2, 3, 2, 2), 1),
+        ],
+    )
+    def test_ops_without_parameters_return_only_input_gradients(self, op, saved, n_inputs):
+        got = op.backward(np.ones((2, 3)), saved, None)
+        assert type(got) is list and len(got) == n_inputs
 
 
 class _Probe(Op):

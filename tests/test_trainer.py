@@ -513,6 +513,15 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="the train split of a 1-image dataset is empty"):
             train(self.small_model(), only_val, OptimizerHP.desk(10))
 
+    @pytest.mark.parametrize("name,value", [("eval_every", 0), ("batch_size", 0), ("batch_size", -3)])
+    def test_sizes_below_one_are_named_before_any_step(self, dataset, monkeypatch, name, value):
+        def step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(training, "_step", step)
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
+            train(self.small_model(), dataset, OptimizerHP.desk(10), **{name: value})
+
     def test_each_step_releases_its_tape_before_the_next_forward(self, dataset, monkeypatch):
         tapes = []
         held = []  # per forward or evaluation: how many earlier tapes are alive
