@@ -21,7 +21,6 @@ from .algebra import ModuleKind, module_monomials
 from .dsl import NetworkConfig, StageConfig, parse_network, render_network
 from .engine import (
     DTYPES,
-    Add,
     ChannelNorm,
     ComputationGraph,
     Conv2D,
@@ -39,7 +38,6 @@ from .engine import (
     ParamStore,
     Precision,
     ReLU,
-    ScalarScale,
     StridedConvDownsample,
     Tensor,
     forward,
@@ -279,12 +277,8 @@ def _emit_module(
                 block_apps += 1
             path_nodes.append(node)
 
-    gate_node = gb.add(GatedSum(), path_nodes, segment=segment, label=f"{segment}/paths")
-    branch = gate_node
-    if beta != 1.0:
-        branch = gb.add(ScalarScale(beta), [branch], segment=segment)
-    out = gb.add(Add(), [x, branch], segment=segment)
-    out = gb.add(ReLU(), [out], segment=segment)
+    gate_node = gb.add(GatedSum(beta), path_nodes, segment=segment, label=f"{segment}/paths")
+    out = gb.add(ReLU(), [x, gate_node], segment=segment)
     gb.modules.append(
         ModuleSite(
             stage=stage,

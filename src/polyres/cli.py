@@ -192,7 +192,6 @@ def _add_common(p: _Parser):
 
 def _add_data_options(p: _Parser):
     p.add_argument("--data-n", type=int, default=512)
-    p.add_argument("--data-size", type=int, default=32)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +276,14 @@ def cmd_train(args) -> int:
     config = _resolve_network(args)
     arch = parse_arch(args.arch)
     data_seed, init_seed, train_seed, _ = _substream_seeds(args.seed)
-    dataset = synth_dataset(args.data_n, config.classes, args.data_size, data_seed)
+    dataset = synth_dataset(args.data_n, config.classes, config.input_size, data_seed)
     model = lower(
         config, arch, beta=args.beta, seed=init_seed, precision=args.precision,
     )
     hp = OptimizerHP.desk(args.iters, base_lr=args.lr) if not args.paper_schedule else OptimizerHP()
     out = _out_dir(args, "train")
     _write_manifest(out, "train", args)
-    augment_cfg = AugmentConfig(out_size=args.data_size) if args.augment else None
+    augment_cfg = AugmentConfig(out_size=config.input_size) if args.augment else None
     model, history = train(
         model, dataset, hp,
         spc=_stochastic_config(args),
@@ -434,7 +433,7 @@ def cmd_sweep(args) -> int:
     data_seed, init_seed, train_seed, _ = _substream_seeds(args.seed)
     dataset = None
     if args.iters > 0:
-        dataset = synth_dataset(args.data_n, base.classes, args.data_size, data_seed)
+        dataset = synth_dataset(args.data_n, base.classes, base.input_size, data_seed)
     rows = cost.efficiency_table(grid, arch, beta=args.beta)
     for (name, config), row in zip(grid, rows):
         row["ms_per_iter"] = None

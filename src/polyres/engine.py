@@ -49,9 +49,7 @@ __all__ = [
     "Conv2D",
     "StridedConvDownsample",
     "ReLU",
-    "Add",
     "GatedSum",
-    "ScalarScale",
     "ChannelNorm",
     "GlobalAvgPool",
 ]
@@ -346,7 +344,7 @@ class Op:
 
     No kernel writes into an array it did not allocate, except the gradient
     group its backward is handed: inputs, gradients and saved contexts may be
-    shared (Add.backward hands one gradient array to every input, and
+    shared (ReLU.backward hands one gradient array to every input, and
     pointwise conv columns alias the input)."""
 
     name = "op"
@@ -626,42 +624,29 @@ class StridedConvDownsample(Conv2D):
 
 
 class ReLU(Op):
+    """Rectified sum of any number of same-shaped inputs: ``relu(x)``, or
+    ``relu(x + branch)`` at a module output."""
+
     name = "relu"
 
     def infer_shape(self, in_shapes):
-        return in_shapes[0]
-
-    def forward(self, inputs, params, mode, gates=None):
-        (x,) = inputs
-        y = np.maximum(x, 0)
-        return y, y  # y > 0 exactly where x > 0, so the input need not be kept
-
-    def backward(self, grad, saved, grads, input_grads=True):
-        return [grad * (saved > 0)]
-
-
-class Add(Op):
-    """Elementwise sum of any number of same-shaped inputs."""
-
-    name = "add"
-
-    def infer_shape(self, in_shapes):
         if len(set(in_shapes)) != 1:
-            raise ShapeError(f"add inputs disagree: {in_shapes}")
+            raise ShapeError(f"relu inputs disagree: {in_shapes}")
         return in_shapes[0]
 
     def forward(self, inputs, params, mode, gates=None):
-        out = inputs[0].copy()
-        for x in inputs[1:]:
-            out += x
-        return out, len(inputs)
+        y = np.maximum(sum(inputs[1:], inputs[0]), 0)
+        # y > 0 exactly where the sum is > 0, so the inputs need not be kept
+        return y, (y, len(inputs))
 
     def backward(self, grad, saved, grads, input_grads=True):
-        return [grad] * saved
+        y, n = saved
+        return [grad * (y > 0)] * n
 
 
 class GatedSum(Op):
-    """Sum of monomial-path outputs with per-path scalar gates.
+    """Residual branch of a module: ``beta`` times the sum of its
+    monomial-path outputs, each scaled by a per-path gate.
 
     Gate values are supplied at call time (one scalar per input); absent
     gates default to all-ones, which makes the op a plain sum. Dropping a
@@ -669,6 +654,9 @@ class GatedSum(Op):
     """
 
     name = "gated_sum"
+
+    def __init__(self, beta: float = 1.0):
+        self.beta = float(beta)
 
     def infer_shape(self, in_shapes):
         if len(set(in_shapes)) != 1:
@@ -686,28 +674,14 @@ class GatedSum(Op):
         for gi, x in zip(g, inputs):
             if gi != 0.0:
                 out += gi * x if gi != 1.0 else x
+        if self.beta != 1.0:
+            out *= self.beta
         return out, g
 
     def backward(self, grad, saved, grads, input_grads=True):
+        if self.beta != 1.0:
+            grad = self.beta * grad
         return [grad * gi if gi != 1.0 else grad for gi in saved]
-
-
-class ScalarScale(Op):
-    """Multiply by a fixed scalar (the residual dampening factor)."""
-
-    name = "scale"
-
-    def __init__(self, beta: float):
-        self.beta = float(beta)
-
-    def infer_shape(self, in_shapes):
-        return in_shapes[0]
-
-    def forward(self, inputs, params, mode, gates=None):
-        return self.beta * inputs[0], None
-
-    def backward(self, grad, saved, grads, input_grads=True):
-        return [self.beta * grad]
 
 
 class ChannelNorm(ParamOp):

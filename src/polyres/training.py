@@ -310,6 +310,7 @@ def _evaluate(model: Model, images, labels, gates) -> tuple[float, float, float]
     return loss, topk_error(out.data, labels, 1), topk_error(out.data, labels, k5)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _step(model: Model, images, labels, gates, state, hp, lr, it) -> float:
     """One forward, backward and RMSProp update; returns the loss. The
     step's output, tape and gradients are locals, so they are freed on
@@ -318,7 +319,9 @@ def _step(model: Model, images, labels, gates, state, hp, lr, it) -> float:
     A non-finite loss is located by replaying the forward with
     ``check_finite``. After the update every parameter and running
     statistic must be finite: train-mode norm uses batch statistics, so the
-    loss can stay finite while a running variance overflows."""
+    loss can stay finite while a running variance overflows. Numpy's
+    floating-point warnings are off inside the step, as these checks name
+    the node that went bad and a warning turned error would not."""
     out, tape = forward(model.graph, model.params, images, "train", gates)
     loss, dlogits = softmax_cross_entropy(out.data, labels)
     if not np.isfinite(loss):

@@ -31,7 +31,6 @@ from polyres.cost import count_macs, count_params
 from polyres.data import AugmentConfig, augment, sample_crop_box, synth_dataset
 from polyres.dsl import PRESET_NAMES, parse_network, preset, render_network
 from polyres.engine import (
-    Add,
     ChannelNorm,
     ComputationGraph,
     Conv2D,
@@ -43,7 +42,6 @@ from polyres.engine import (
     InputOp,
     ParamStore,
     ReLU,
-    ScalarScale,
     StridedConvDownsample,
     backward,
     finite_diff_grad,
@@ -168,8 +166,8 @@ def _primitive_chain_graph():
     c = add(ChannelNorm(4), [c], "norm")
     c = add(ReLU(), [c])
     c1 = add(Conv2D(1, 4, 4), [c], "conv1")
-    c2 = add(ScalarScale(0.3), [c1])
-    c = add(Add(), [c, c2])
+    c2 = add(GatedSum(0.3), [c1, c])
+    c = add(ReLU(), [c, c2])
     g = add(GatedSum(), [c, c1])
     d = add(StridedConvDownsample(4, 4), [g], "down")
     p = add(GlobalAvgPool(), [d])
@@ -276,7 +274,9 @@ def test_05_stochastic_paths():
         parse_network("A: 3-way", input_size=8, classes=3, base_width=4),
         DenseBlock(4, 8), beta=beta, seed=3, precision="f64", input_channels=1,
     )
-    x = np.random.default_rng(5).standard_normal((1, 1, 8, 8))
+    # A batch of 4: train-mode norm maps a batch of 1 to zeros, which
+    # would make every path and the module input 0.
+    x = np.random.default_rng(5).standard_normal((4, 1, 8, 8))
     site = model.modules[0]
     values = {}
     for node in model.graph.nodes:
@@ -288,7 +288,11 @@ def test_05_stochastic_paths():
         out, _ = node.op.forward(ins, group, "train")
         values[node.idx] = out
     paths = np.stack([values[i] for i in model.graph.nodes[site.gate_node].inputs])
-    x_mod = values[model.graph.nodes[site.gate_node + 2].inputs[0]]
+    (out_node,) = (n for n in model.graph.nodes if site.gate_node in n.inputs)
+    x_mod = values[out_node.inputs[0]]
+    assert paths.any() and x_mod.any()
+    want = np.maximum(x_mod + beta * paths.sum(axis=0), 0)  # every gate at 1
+    assert np.allclose(values[out_node.idx], want, rtol=0, atol=1e-12)
 
     p = 0.25
     n_draws = 100_000

@@ -24,6 +24,9 @@ from polyres.engine import (
     DTYPES,
     Dense,
     EngineError,
+    GatedSum,
+    InputOp,
+    ReLU,
     Tensor,
     backward,
     forward,
@@ -131,11 +134,9 @@ class TestLowering:
         model.params.get("A.0.F", "b2")[:] = 1.0
         x = batch(2, seed=8)
         site = model.modules[0]
-        add_node = site.gate_node + 2  # gated -> scale -> add
+        (out_node,) = (n for n in model.graph.nodes if site.gate_node in n.inputs)
         values = {}
-        from polyres.engine import InputOp
-
-        for node in model.graph.nodes[: add_node + 1]:
+        for node in model.graph.nodes[: out_node.idx + 1]:
             if isinstance(node.op, InputOp):
                 values[node.idx] = x
                 continue
@@ -143,14 +144,32 @@ class TestLowering:
             group = model.params.group(node.param_key) if node.param_key else None
             out, _ = node.op.forward(ins, group, "eval")
             values[node.idx] = out
-        module_input = values[site.gate_node - 4]  # stem relu feeding the block
-        assert np.allclose(values[add_node], module_input + 0.3)
+        stem_relu = model.graph.nodes[out_node.inputs[0]]
+        assert stem_relu.segment == "stem" and isinstance(stem_relu.op, ReLU)
+        module_input = values[stem_relu.idx]
+        assert np.allclose(values[out_node.idx], module_input + 0.3)
 
     def test_beta_one_emits_no_scale_node(self):
-        from polyres.engine import ScalarScale
+        # Every module output is two nodes whatever beta; at beta = 1 the
+        # gated sum does not scale.
+        plain, scaled = tiny("A: ir -> 2-way", beta=1.0), tiny("A: ir -> 2-way", beta=0.3)
+        assert len(plain.graph.nodes) == len(scaled.graph.nodes)
+        betas = [n.op.beta for n in plain.graph.nodes if isinstance(n.op, GatedSum)]
+        assert betas == [1.0, 1.0]
 
-        model = tiny("A: ir", beta=1.0)
-        assert not any(isinstance(n.op, ScalarScale) for n in model.graph.nodes)
+    @pytest.mark.parametrize("arch", [DENSE, CONV], ids=["dense", "conv"])
+    def test_each_module_output_is_a_gated_sum_then_a_residual_relu(self, arch):
+        model = tiny("A: " + " -> ".join(KINDS), arch=arch, beta=0.3)
+        for site in model.modules:
+            gated = model.graph.nodes[site.gate_node]
+            readers = [n for n in model.graph.nodes if site.gate_node in n.inputs]
+            assert isinstance(gated.op, GatedSum) and gated.op.beta == 0.3
+            assert len(gated.inputs) == site.n_paths
+            assert len(readers) == 1 and isinstance(readers[0].op, ReLU)
+            x, branch = readers[0].inputs
+            assert branch == site.gate_node
+            # x feeds the module's first block applications too
+            assert any(x in model.graph.nodes[i].inputs for i in range(x + 1, site.gate_node))
 
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):

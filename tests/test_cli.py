@@ -189,7 +189,6 @@ class TestTrainEvalSurgery:
         )
         assert code == EXIT_VALIDATION
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_exits_numeric(self, tmp_path, capsys):
         code, _ = run(
             capsys, "train", "--network", "A: ir", "--iters", "30", "--lr", "1e30",
@@ -235,6 +234,23 @@ class TestTrainEvalSurgery:
         assert code == EXIT_VALIDATION
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("*.ckpt"))
+
+    def test_data_takes_the_network_input_size(self, tmp_path, capsys):
+        code, _ = run(
+            capsys, "train", "--network", "A: poly-2 -> mpoly-3; B: poly-3 -> 2-way",
+            "--arch", "conv:8,4", "--input-size", "16", "--iters", "2", "--eval-every", "2",
+            "--data-n", "32", "--batch-size", "4", "--augment", "--out", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        lines = (tmp_path / "history.jsonl").read_text().splitlines()
+        assert [json.loads(line)["iteration"] for line in lines] == [2]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    def test_data_size_option_is_gone(self, tmp_path, capsys, command):
+        argv = {"train": ["--network", "A: ir"], "eval": ["--checkpoint", "x.ckpt"], "sweep": []}
+        code = dispatch([command, *argv[command], "--data-size", "16", "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --data-size 16" in capsys.readouterr().err
 
     def test_manual_start_mode_is_gone(self, tmp_path, capsys):
         argv = ["train", "--network", "A: ir", "--iters", "5", "--out", str(tmp_path)]

@@ -10,7 +10,6 @@ from polyres.dsl import parse_network
 from polyres.engine import (
     NORM_EPS,
     NORM_MOMENTUM,
-    Add,
     ChannelNorm,
     ComputationGraph,
     Conv2D,
@@ -26,7 +25,6 @@ from polyres.engine import (
     ParamOp,
     ParamStore,
     ReLU,
-    ScalarScale,
     ShapeError,
     StridedConvDownsample,
     Tape,
@@ -165,8 +163,8 @@ class TestPrimitiveGradients:
     def test_relu(self):
         check_op_gradients(ReLU(), (4, 9))
 
-    def test_scalar_scale(self):
-        check_op_gradients(ScalarScale(0.3), (4, 5))
+    def test_scaled_gated_sum(self):
+        check_op_gradients(GatedSum(0.3), (4, 5))
 
     def test_channel_norm_2d(self):
         check_op_gradients(ChannelNorm(5), (6, 5))
@@ -180,20 +178,43 @@ class TestPrimitiveGradients:
     def test_flatten(self):
         check_op_gradients(Flatten(), (3, 2, 4, 4))
 
-    def test_add_and_gated_sum(self):
-        rng = np.random.default_rng(0)
-        xs = [rng.standard_normal((3, 4)) for _ in range(3)]
+    def test_relu_of_a_sum_and_scaled_gated_sums(self):
+        x = np.random.default_rng(0).standard_normal((3, 4))
         nodes = [GraphNode(0, InputOp(), ())]
         # Fan the input through three scales, then merge.
         for i, beta in enumerate((1.0, 0.5, 0.25)):
-            nodes.append(GraphNode(1 + i, ScalarScale(beta), (0,)))
-        nodes.append(GraphNode(4, Add(), (1, 2, 3)))
+            nodes.append(GraphNode(1 + i, GatedSum(beta), (0,)))
+        nodes.append(GraphNode(4, ReLU(), (1, 2, 3)))
         graph = ComputationGraph(nodes, (4,))
-        x = xs[0]
         out, tape = forward(graph, ParamStore(), x, "train")
-        assert np.allclose(out.data, 1.75 * x)
+        assert np.allclose(out.data, np.maximum(1.75 * x, 0))
         _, dx = backward(tape, np.ones_like(x), return_input_grad=True)
-        assert np.allclose(dx, 1.75)
+        assert np.allclose(dx, 1.75 * (x > 0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_module_output_matches_the_four_op_spelling(self, dtype):
+        # GatedSum(beta) -> ReLU(x, gated) does the float operations of a
+        # plain gated sum, then a beta scale, then a residual add, then a
+        # relu, in that order, forward and backward.
+        rng = np.random.default_rng(4)
+        x, p1, p2, g = (rng.standard_normal((3, 5)).astype(dtype) for _ in range(4))
+        beta, gates = 0.3, (1.0, 0.5)
+        summed = np.zeros_like(p1)
+        summed += p1
+        summed += 0.5 * p2
+        residual = x.copy()
+        residual += beta * summed
+        y = np.maximum(residual, 0)
+        mask = g * (y > 0)
+        scaled = beta * mask
+
+        gated, gctx = GatedSum(beta).forward([p1, p2], None, "train", gates)
+        out, rctx = ReLU().forward([x, gated], None, "train")
+        dx, dgated = ReLU().backward(g, rctx, None)
+        dp1, dp2 = GatedSum(beta).backward(dgated, gctx, None)
+        assert np.array_equal(out, y) and out.dtype == dtype
+        assert np.array_equal(dx, mask) and dx is dgated
+        assert np.array_equal(dp1, scaled) and np.array_equal(dp2, scaled * 0.5)
 
     def test_softmax_cross_entropy_gradient(self):
         rng = np.random.default_rng(2)
@@ -261,17 +282,17 @@ class TestConvReference:
         assert dx.flags.c_contiguous
 
     def test_conv_input_feeding_other_nodes(self):
-        # Each 1x1 conv's input also feeds an Add, so a conv that saves a
-        # view of its input must neither write to it nor be corrupted by
-        # later nodes: y = v + conv(v), v = x + conv(x).
+        # Each 1x1 conv's input also feeds a residual relu, so a conv that
+        # saves a view of its input must neither write to it nor be corrupted
+        # by later nodes: y = relu(v + conv(v)), v = relu(x + conv(x)).
         rng = np.random.default_rng(13)
         c1, c2 = Conv2D(1, 3, 3), Conv2D(1, 3, 3)
         nodes = [
             GraphNode(0, InputOp(), ()),
             GraphNode(1, c1, (0,), param_key="c1"),
-            GraphNode(2, Add(), (0, 1)),
+            GraphNode(2, ReLU(), (0, 1)),
             GraphNode(3, c2, (2,), param_key="c2"),
-            GraphNode(4, Add(), (2, 3)),
+            GraphNode(4, ReLU(), (2, 3)),
         ]
         graph = ComputationGraph(nodes, (3, 5, 7))
         params = params_for([("c1", c1), ("c2", c2)], rng)
@@ -280,8 +301,8 @@ class TestConvReference:
         out, tape = forward(graph, params, x, "train")
         backward(tape, scalar_loss_grad(out.data), return_input_grad=True)
         assert np.array_equal(x, x_before)
-        v = x + conv_reference(x, params.get("c1", "w"), params.get("c1", "b"), 1, 0)
-        want = v + conv_reference(v, params.get("c2", "w"), params.get("c2", "b"), 1, 0)
+        v = np.maximum(x + conv_reference(x, params.get("c1", "w"), params.get("c1", "b"), 1, 0), 0)
+        want = np.maximum(v + conv_reference(v, params.get("c2", "w"), params.get("c2", "b"), 1, 0), 0)
         assert np.abs(out.data - want).max() < 1e-12 * max(1.0, np.abs(want).max())
         check_graph_gradients(graph, params, x, "conv fan-out")
 
@@ -371,7 +392,7 @@ class TestGatedSum:
     def build(self, n):
         nodes = [GraphNode(0, InputOp(), ())]
         for i in range(n):
-            nodes.append(GraphNode(1 + i, ScalarScale(float(i + 1)), (0,)))
+            nodes.append(GraphNode(1 + i, GatedSum(float(i + 1)), (0,)))
         nodes.append(GraphNode(n + 1, GatedSum(), tuple(range(1, n + 1))))
         return ComputationGraph(nodes, (3,))
 
@@ -559,17 +580,17 @@ class TestExecution:
             forward(graph, ParamStore(), np.ones((2, 5)), "train")
 
     def test_debug_tripwire_names_the_node(self):
-        op = ScalarScale(float("inf"))
+        op = GatedSum(float("inf"))
         graph = single_op_graph(op, (3,))
         with pytest.raises(NumericError) as err:
             forward(graph, ParamStore(), np.ones((1, 3)), "train", check_finite=True)
-        assert "scale" in str(err.value)
+        assert "gated_sum" in str(err.value)
 
     def test_finite_check_holds_for_one_call(self):
-        graph = single_op_graph(ScalarScale(float("inf")), (3,))
+        graph = single_op_graph(GatedSum(float("inf")), (3,))
         with pytest.raises(NumericError) as err:
             forward(graph, ParamStore(), np.ones((1, 3)), "train", check_finite=True)
-        assert "node 1 (scale)" in str(err.value)
+        assert "node 1 (gated_sum)" in str(err.value)
         out, _ = forward(graph, ParamStore(), np.ones((1, 3)), "train")
         assert np.isinf(out.data).all()
 
@@ -579,9 +600,9 @@ class TestExecution:
         nodes = [
             GraphNode(0, InputOp(), ()),
             GraphNode(1, Dense(3, 3), (0,), param_key="shared"),
-            GraphNode(2, ScalarScale(2.0), (0,)),
+            GraphNode(2, GatedSum(2.0), (0,)),
             GraphNode(3, Dense(3, 3), (2,), param_key="shared"),
-            GraphNode(4, Add(), (1, 3)),
+            GraphNode(4, GatedSum(), (1, 3)),
         ]
         graph = ComputationGraph(nodes, (3,))
         params = params_for([("shared", Dense(3, 3))], np.random.default_rng(1))
@@ -666,10 +687,10 @@ class TestGradientGroups:
         "op,saved,n_inputs",
         [
             (Flatten(), (2, 3, 1, 1), 1),
-            (ReLU(), np.ones((2, 3)), 1),
-            (Add(), 3, 3),
+            (ReLU(), (np.ones((2, 3)), 1), 1),
+            (ReLU(), (np.ones((2, 3)), 3), 3),
             (GatedSum(), (1.0, 0.5), 2),
-            (ScalarScale(0.5), None, 1),
+            (GatedSum(0.5), (1.0,), 1),
             (GlobalAvgPool(), (2, 3, 2, 2), 1),
         ],
     )
@@ -733,7 +754,7 @@ class TestLiveness:
         """A conv output read only by a norm is dead before the next conv
         runs, while the pass and its tape go on, and the tape still gives
         the gradients of a forward that kept every value (with ReLU saving
-        its input: the mask y > 0 equals x > 0)."""
+        the sum of its inputs: the mask y > 0 equals sum > 0)."""
         rng = np.random.default_rng(31)
         outputs, alive = [], []
 
@@ -749,7 +770,7 @@ class TestLiveness:
         ops = {
             1: (recorded(Conv2D)(3, 3, 4), (0,), "c"), 2: (ChannelNorm(4), (1,), "n"),
             3: (ReLU(), (2,), None), 4: (Conv2D(1, 4, 4), (3,), "p"),
-            5: (Add(), (3, 4), None), 6: (recorded(StridedConvDownsample)(4, 4), (5,), "d"),
+            5: (ReLU(), (3, 4), None), 6: (recorded(StridedConvDownsample)(4, 4), (5,), "d"),
             7: (GlobalAvgPool(), (6,), None), 8: (Dense(4, 3), (7,), "h"),
         }
         nodes = [GraphNode(0, InputOp(), ())]
@@ -766,9 +787,10 @@ class TestLiveness:
         values, saved = [x], [None]
         for node in nodes[1:]:
             group = kept.group(node.param_key) if node.param_key else None
-            y, ctx = node.op.forward([values[i] for i in node.inputs], group, "train")
+            ins = [values[i] for i in node.inputs]
+            y, ctx = node.op.forward(ins, group, "train")
             values.append(y)
-            saved.append(values[node.inputs[0]] if isinstance(node.op, ReLU) else ctx)
+            saved.append((sum(ins[1:], ins[0]), len(ins)) if isinstance(node.op, ReLU) else ctx)
         assert outputs[2]() is values[1]
         assert np.array_equal(out.data, values[-1])
 

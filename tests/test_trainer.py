@@ -262,7 +262,9 @@ class TestGates:
             parse_network("A: 3-way", input_size=8, classes=3, base_width=4),
             DenseBlock(4, 8), beta=beta, seed=3, precision="f64", input_channels=1,
         )
-        x = np.random.default_rng(5).standard_normal((1, 1, 8, 8))
+        # A batch of 4: train-mode norm maps a batch of 1 to zeros, which
+        # would make every path and the module input 0.
+        x = np.random.default_rng(5).standard_normal((4, 1, 8, 8))
         site = model.modules[0]
         values = {}
         for node in model.graph.nodes:
@@ -274,7 +276,11 @@ class TestGates:
             v, _ = node.op.forward(ins, group, "train")
             values[node.idx] = v
         paths = np.stack([values[i] for i in model.graph.nodes[site.gate_node].inputs])
-        x_mod = values[model.graph.nodes[site.gate_node + 2].inputs[0]]
+        (out_node,) = (n for n in model.graph.nodes if site.gate_node in n.inputs)
+        x_mod = values[out_node.inputs[0]]
+        assert paths.any() and x_mod.any()
+        want = np.maximum(x_mod + beta * paths.sum(axis=0), 0)  # every gate at 1
+        assert np.allclose(values[out_node.idx], want, rtol=0, atol=1e-12)
 
         p = 0.25
         n_draws = 20_000
@@ -450,7 +456,6 @@ class TestTrainLoop:
         assert drawn == list(range(20, 80))
         assert calls == [1, 2]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self, dataset):
         model = self.small_model(6)
         hp = OptimizerHP(base_lr=1e30, lr_step=1000, total_iters=50, epsilon=1e-12)
@@ -466,7 +471,7 @@ class TestTrainLoop:
         dataset = synth_dataset(512, 4, 32, seed=0)
         config = preset("very-deep-polynet", classes=4)
         model = lower(config, DenseBlock(16, 32), beta=0.3, seed=0, precision="f32")
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingDiverged) as err:
+        with pytest.raises(TrainingDiverged) as err:
             train(model, dataset, OptimizerHP.desk(200), seed=0)
         match = re.fullmatch(r"non-finite (\S+)/(\w+) of node (\d+) \((\S+)\)", err.value.detail)
         assert match, err.value.detail
