@@ -344,8 +344,8 @@ class Op:
 
     No kernel writes into an array it did not allocate, except the gradient
     group its backward is handed: inputs, gradients and saved contexts may be
-    shared (ReLU.backward hands one gradient array to every input, and
-    pointwise conv columns alias the input)."""
+    shared (ReLU.backward hands one gradient array to every input, and a
+    conv's context holds its input array)."""
 
     name = "op"
 
@@ -450,6 +450,15 @@ class Flatten(Op):
         return [grad.reshape(saved)]
 
 
+_INTEGERS = (int, np.integer)
+
+
+def _check_sizes(op: str, **sizes) -> None:
+    for name, value in sizes.items():
+        if not isinstance(value, _INTEGERS) or value < 1:
+            raise EngineError(f"{op} {name} must be a positive integer, got {value!r}")
+
+
 class Dense(ParamOp):
     """Affine map on (batch, feature) tensors: y = x @ w + b. The tensors are
     named ``w<suffix>`` and ``b<suffix>``, so several layers can keep theirs
@@ -458,6 +467,7 @@ class Dense(ParamOp):
     name = "dense"
 
     def __init__(self, d_in: int, d_out: int, suffix: str = ""):
+        _check_sizes("dense", d_in=d_in, d_out=d_out)
         self.d_in = d_in
         self.d_out = d_out
         self.w_name, self.b_name = "w" + suffix, "b" + suffix
@@ -493,65 +503,64 @@ def _conv_geometry(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, 
     return (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """Lower (b, c, h, w) to columns (b, c*k*k, hout*wout): one copy of the
-    input into a zero-bordered buffer, then one strided copy per kernel tap."""
-    b, c, h, w = x.shape
-    hout, wout = _conv_geometry(h, w, k, stride, pad)
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad : pad + h, pad : pad + w] = x
-    cols = np.empty((b, c, k, k, hout, wout), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[
-                :, :, i : i + stride * hout : stride, j : j + stride * wout : stride
-            ]
-    return cols.reshape(b, c * k * k, hout * wout)
-
-
-def _tap_spans(n: int, nout: int, k: int, stride: int, pad: int) -> list[tuple[slice, slice]]:
-    """Per kernel offset t along one axis: the output indices o whose input
-    index ``stride*o + t - pad`` lies inside [0, n), and those input indices."""
-    spans = []
-    for t in range(k):
-        d = t - pad
-        lo, hi = max(0, -(d // stride)), min(nout, (n - 1 - d) // stride + 1)
-        first = stride * lo + d
-        spans.append((slice(lo, hi), slice(first, first + stride * (hi - lo), stride)))
-    return spans
+def _phase_planes(x_shape, dtype, k: int, stride: int, pad: int):
+    """Zeroed phase planes (s*s, n, c, R*Q + (k-1)//s) of the zero-bordered
+    input xp, s the stride: plane ``a*s + b`` holds ``xp[s*r + a, s*q + b]``
+    at ``r*Q + q``, for R = ceil((h + 2*pad) / s) rows of pitch Q =
+    ceil((w + 2*pad) / s). Returns, as views of the planes, per kernel tap
+    (row-major) the (n, c, hout*Q) slice whose element ``oy*Q + ox`` the tap
+    reads for output pixel (oy, ox), and per phase the view of its pixels
+    inside the input, with their index into the input."""
+    n, c, h, w = x_shape
+    s, rows, q = stride, -(-(h + 2 * pad) // stride), -(-(w + 2 * pad) // stride)
+    planes = np.zeros((s * s, n, c, rows * q + (k - 1) // s), dtype)
+    span = _conv_geometry(h, w, k, s, pad)[0] * q
+    offsets = [(i // s * q + j // s, i % s * s + j % s) for i in range(k) for j in range(k)]
+    taps = [planes[p, ..., off : off + span] for off, p in offsets]
+    grid = planes[..., : rows * q].reshape(s, s, n, c, rows, q)
+    # Per phase and axis: the plane indices that hold input pixels, and those
+    # pixels' input indices; input index y sits at plane index (y + pad) // s.
+    spans = [
+        [(slice((y + pad) // s, (y + pad) // s + (size - y + s - 1) // s), slice(y, size, s))
+         for y in [(a - pad) % s for a in range(s)]]
+        for size in (h, w)
+    ]
+    views = [(grid[a, b, ..., rh, rw], (..., yh, yw))
+             for a, (rh, yh) in enumerate(spans[0]) for b, (rw, yw) in enumerate(spans[1])]
+    return taps, views
 
 
 def _conv_input_grad(g2: np.ndarray, w: np.ndarray, x_shape, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col` applied to ``w^T g``: per kernel tap one
-    GEMM ``w[:, :, i, j]^T g`` into a reused work array, added onto the
-    input pixels that tap read. Nothing is padded, so taps are clipped."""
-    b, c, h, wd = x_shape
-    k = w.shape[-1]
-    hout, wout = _conv_geometry(h, wd, k, stride, pad)
-    taps = w.transpose(2, 3, 1, 0).copy()  # (k, k, c_in, c_out)
-    work = np.empty((b, c, hout * wout), dtype=g2.dtype)
-    grid = work.reshape(b, c, hout, wout)
-    dx = np.zeros(x_shape, dtype=g2.dtype)
-    cols = _tap_spans(wd, wout, k, stride, pad)
-    for i, (oy, iy) in enumerate(_tap_spans(h, hout, k, stride, pad)):
-        for j, (ox, ix) in enumerate(cols):
-            np.matmul(taps[i, j], g2, out=work)
-            dx[:, :, iy, ix] += grid[:, :, oy, ox]
+    """Input gradient from the row-pitched output gradient ``g2`` (n, c_out,
+    hout*Q), zero in its pad columns: per kernel tap one GEMM ``w[:, :, i,
+    j]^T g`` into a reused work array, added onto the tap's slice of zeroed
+    phase planes, in tap order. The planes' interior is the input gradient."""
+    c, k = x_shape[1], w.shape[-1]
+    w_taps = w.transpose(2, 3, 1, 0).reshape(k * k, c, -1).copy()  # (k*k, c_in, c_out)
+    taps, views = _phase_planes(x_shape, g2.dtype, k, stride, pad)
+    work = np.empty_like(taps[0])
+    for w_tap, tap in zip(w_taps, taps):
+        np.matmul(w_tap, g2, out=work)
+        tap += work
+    dx = np.empty(x_shape, dtype=g2.dtype)
+    for view, index in views:
+        dx[index] = view
     return dx
 
 
 class Conv2D(ParamOp):
-    """2D convolution, same padding at stride 1 (kernel 1x1 or 3x3).
+    """2D convolution, same padding at stride 1 (kernel 1x1 or 3x3). Its
+    context is its input and weight.
 
-    Every conv is a batched GEMM of the (c_out, c_in*k*k) weight matrix with
-    a (batch, c_in*k*k, pixels) column tensor. A 1x1 stride-1 conv uses the
-    input itself, reshaped to (batch, c_in, h*w), as its columns: no copy,
-    so the saved view aliases the input and nothing may write to it. Other
-    convs build the columns with im2col from a zero-bordered copy of the
-    input. Backward is dw = sum_b g_b cols_b^T and, for the input gradient,
-    w^T g: reshaped for 1x1 stride 1, otherwise one GEMM per kernel tap
-    added straight onto the input pixels that tap read. The tensors are
-    named ``w<suffix>`` and ``b<suffix>``, as for :class:`Dense`.
+    A 1x1 stride-1 conv is a batched GEMM of the (c_out, c_in) weight with
+    the input itself reshaped to (batch, c_in, h*w): no copy, so nothing may
+    write to the input. Other convs copy the input into zero-bordered phase
+    planes of one row pitch Q (:func:`_phase_planes`), where a kernel tap is
+    one contiguous slice. Forward stacks the tap slices into columns for one
+    GEMM and crops the Q - wout pad columns off its output. Backward builds
+    the planes again, pitches the output gradient with zero pad columns and
+    takes dw per tap with one batched GEMM against the tap's slice; see
+    :func:`_conv_input_grad` for dx. Tensors are named as for :class:`Dense`.
     """
 
     name = "conv2d"
@@ -559,6 +568,7 @@ class Conv2D(ParamOp):
     def __init__(self, kernel: int, c_in: int, c_out: int, stride: int = 1, suffix: str = ""):
         if kernel not in (1, 3):
             raise EngineError(f"unsupported kernel size {kernel}")
+        _check_sizes("conv", c_in=c_in, c_out=c_out, stride=stride)
         self.kernel = kernel
         self.c_in = c_in
         self.c_out = c_out
@@ -584,30 +594,53 @@ class Conv2D(ParamOp):
         hout, wout = _conv_geometry(s[2], s[3], self.kernel, self.stride, self.pad)
         return (s[0], self.c_out, hout, wout)
 
+    def _input_taps(self, x):
+        taps, views = _phase_planes(x.shape, x.dtype, self.kernel, self.stride, self.pad)
+        for view, index in views:
+            view[...] = x[index]  # the one copy of x
+        return taps
+
     def forward(self, inputs, params, mode, gates=None):
         (x,) = inputs
-        w, b = params[self.w_name], params[self.b_name]
-        n, _, h, wd = x.shape
-        hout, wout = _conv_geometry(h, wd, self.kernel, self.stride, self.pad)
+        w, b = params[self.w_name], params[self.b_name][None, :, None, None]
+        n, w2 = x.shape[0], w.reshape(self.c_out, -1)
+        hout, wout = _conv_geometry(*x.shape[2:], self.kernel, self.stride, self.pad)
         if self.pointwise:
-            cols = x.reshape(n, self.c_in, h * wd)
+            y = (w2 @ x.reshape(n, self.c_in, -1)).reshape(n, self.c_out, hout, wout)
         else:
-            cols = _im2col(x, self.kernel, self.stride, self.pad)
-        y = (w.reshape(self.c_out, -1) @ cols).reshape(n, self.c_out, hout, wout)
-        y += b[None, :, None, None]
-        return y, (x.shape, w, cols)
+            taps = self._input_taps(x)
+            cols = np.empty((n, self.c_in, len(taps), taps[0].shape[-1]), dtype=x.dtype)
+            for t, tap in enumerate(taps):
+                cols[:, :, t] = tap
+            del taps
+            y = (w2 @ cols.reshape(n, -1, cols.shape[-1])).reshape(n, self.c_out, hout, -1)
+            del cols
+            y = y[..., :wout].copy()  # one copy crops the pad columns
+        y += b
+        return y, (x, w)
 
     def backward(self, grad, saved, grads, input_grads=True):
-        x_shape, w, cols = saved
-        g2 = grad.reshape(grad.shape[0], self.c_out, -1)
-        dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+        x, w = saved
+        n, _, hout, wout = grad.shape
+        if self.pointwise:
+            g2 = grad.reshape(n, self.c_out, -1)
+            dw = np.matmul(g2, x.reshape(n, self.c_in, -1).transpose(0, 2, 1)).sum(axis=0)
+        else:
+            taps = self._input_taps(x)
+            g2 = np.zeros((n, self.c_out, hout, taps[0].shape[-1] // hout), dtype=grad.dtype)
+            g2[..., :wout] = grad
+            g2 = g2.reshape(n, self.c_out, -1)
+            dw = np.empty((self.c_out, self.c_in, len(taps)), dtype=grad.dtype)
+            for t, tap in enumerate(taps):
+                dw[:, :, t] = np.matmul(g2, tap.transpose(0, 2, 1)).sum(axis=0)
+            del taps, tap  # frees the planes before the input gradient makes its own
         grads[self.w_name][...] += dw.reshape(w.shape)
         grads[self.b_name][...] += grad.sum(axis=(0, 2, 3))
         if not input_grads:
             return [None]
         if self.pointwise:
-            return [(w.reshape(self.c_out, -1).T @ g2).reshape(x_shape)]
-        return [_conv_input_grad(g2, w, x_shape, self.stride, self.pad)]
+            return [(w.reshape(self.c_out, -1).T @ g2).reshape(x.shape)]
+        return [_conv_input_grad(g2, w, x.shape, self.stride, self.pad)]
 
     def macs(self, in_shapes, out_shape):
         b, _, hout, wout = out_shape

@@ -139,6 +139,24 @@ def conv_reference(x, w, b, stride, pad):
     return y + b[None, :, None, None]
 
 
+def im2col_reference(x, k, stride, pad):
+    """Columns (n, c*k*k, hout*wout), one pixel at a time: entry (c, i, j)
+    of output pixel (oy, ox) is x[:, c, stride*oy + i - pad, stride*ox + j -
+    pad], or 0 outside the input."""
+    n, c, h, wd = x.shape
+    hout = (h + 2 * pad - k) // stride + 1
+    wout = (wd + 2 * pad - k) // stride + 1
+    cols = np.zeros((n, c, k, k, hout, wout))
+    for i in range(hout):
+        for j in range(wout):
+            for di in range(k):
+                for dj in range(k):
+                    r, q = i * stride + di - pad, j * stride + dj - pad
+                    if 0 <= r < h and 0 <= q < wd:
+                        cols[:, :, di, dj, i, j] = x[:, :, r, q]
+    return cols.reshape(n, c * k * k, hout * wout)
+
+
 class TestPrimitiveGradients:
     def test_dense(self):
         check_op_gradients(Dense(6, 4), (3, 6))
@@ -234,10 +252,37 @@ class TestPrimitiveGradients:
             assert abs(analytic.reshape(-1)[i] - fd) < 1e-8
 
 
+class TestSizeChecks:
+    """Bad layer sizes fail at construction, naming the argument."""
+
+    @pytest.mark.parametrize(
+        "op,args,kwargs,arg",
+        [
+            (Conv2D, (3, 3, 4), {"stride": 0}, "stride"),
+            (Conv2D, (3, 3, 4), {"stride": -1}, "stride"),
+            (Conv2D, (3, 0, 4), {}, "c_in"),
+            (Conv2D, (3, 3, 0), {}, "c_out"),
+            (StridedConvDownsample, (0, 4), {}, "c_in"),
+            (Dense, (0, 4), {}, "d_in"),
+            (Dense, (4, 0), {}, "d_out"),
+            (Dense, (4, 2.5), {}, "d_out"),
+        ],
+        ids=["stride-0", "stride-neg", "c_in-0", "c_out-0", "down-c_in-0", "d_in-0", "d_out-0",
+             "d_out-float"],
+    )
+    def test_bad_size_is_rejected_at_construction(self, op, args, kwargs, arg):
+        with pytest.raises(EngineError, match=rf"\b{arg} must be a positive integer"):
+            op(*args, **kwargs)
+
+    def test_good_sizes_construct(self):
+        assert Conv2D(3, 3, 4, stride=np.int64(2)).stride == 2
+        assert Dense(np.int64(3), 1).d_in == 3
+
+
 class TestConvReference:
     """Conv kernels against a direct loop-sum reference at f64."""
 
-    @pytest.mark.parametrize("kernel,stride", [(1, 1), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("kernel,stride", [(1, 1), (1, 2), (3, 1), (3, 2), (3, 3)])
     @pytest.mark.parametrize("hw", [(6, 6), (7, 7), (7, 5), (4, 9)])
     def test_forward_matches_loop_sum(self, kernel, stride, hw):
         rng = np.random.default_rng(11)
@@ -252,14 +297,14 @@ class TestConvReference:
         assert np.abs(out.data - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
     @pytest.mark.parametrize("op", [Conv2D(3, 3, 5), StridedConvDownsample(3, 5)])
-    def test_input_gradient_equals_col2im_of_the_columns_gradient(self, op):
-        """The per-tap input gradient against the im2col adjoint it replaced:
+    @pytest.mark.parametrize("hw", [(7, 6), (7, 7), (5, 9), (8, 8)])
+    def test_input_gradient_equals_col2im_of_the_columns_gradient(self, op, hw):
+        """The per-tap input gradient against the im2col adjoint:
         dcols = w^T g, scatter-added onto a zero-bordered grid."""
-        from polyres.engine import _im2col
-
         rng = np.random.default_rng(23)
         params = params_for([("c", op)], rng)
-        x = rng.standard_normal((2, 3, 7, 6))
+        n, (h, wd) = 3, hw
+        x = rng.standard_normal((n, 3, h, wd))
         graph = single_op_graph(op, x.shape[1:], key="c")
         out, tape = forward(graph, params, x, "train")
         g = rng.standard_normal(out.shape)
@@ -268,15 +313,15 @@ class TestConvReference:
         k, s, pad = 3, op.stride, 1
         hout, wout = out.shape[2:]
         w = params.get("c", "w")
-        dcols = w.reshape(5, -1).T @ g.reshape(2, 5, -1)
-        grid = np.zeros((2, 3, 7 + 2 * pad, 6 + 2 * pad))
-        dc = dcols.reshape(2, 3, k, k, hout, wout)
+        dcols = w.reshape(5, -1).T @ g.reshape(n, 5, -1)
+        grid = np.zeros((n, 3, h + 2 * pad, wd + 2 * pad))
+        dc = dcols.reshape(n, 3, k, k, hout, wout)
         for i in range(k):
             for j in range(k):
                 grid[:, :, i : i + s * hout : s, j : j + s * wout : s] += dc[:, :, i, j]
-        want = grid[:, :, pad : pad + 7, pad : pad + 6]
+        want = grid[:, :, pad : pad + h, pad : pad + wd]
         # The reference is the adjoint of im2col: <im2col(x), dcols> = <x, want>.
-        cols = _im2col(x, k, s, pad)
+        cols = im2col_reference(x, k, s, pad)
         assert abs((cols * dcols).sum() - (x * want).sum()) < 1e-10 * np.abs(x * want).sum()
         assert np.array_equal(dx, want)
         assert dx.flags.c_contiguous
@@ -799,6 +844,54 @@ class TestLiveness:
         want, want_dx = backward(Tape("train", graph, kept, saved), g, return_input_grad=True)
         assert grads.equal(want) and np.array_equal(dx, want_dx)
         assert params.equal(kept)
+
+
+class TestConvContexts:
+    """A conv's train context keeps its input and weight, never columns."""
+
+    def test_contexts_hold_the_input_itself_and_no_columns(self):
+        model = lower(parse_network("IR 1-2-1", classes=3, input_size=12), ConvBlock(8, 2),
+                      precision="f64")
+        x = np.random.default_rng(5).standard_normal((2, *model.graph.input_shape))
+        _, tape = forward(model.graph, model.params, x, "train")
+        convs = [n for n in model.graph.nodes if isinstance(n.op, Conv2D) and not n.op.pointwise]
+        assert {type(n.op) for n in convs} == {Conv2D, StridedConvDownsample}
+        for node in convs:
+            (src,) = node.inputs
+            # The input is the graph input or a ReLU output, which ReLU's
+            # own context already holds.
+            if isinstance(model.graph.nodes[src].op, InputOp):
+                held = x
+            else:
+                assert isinstance(model.graph.nodes[src].op, ReLU)
+                held = tape.saved[src][0]
+            ctx = tape.saved[node.idx]
+            assert len(ctx) == 2 and ctx[0] is held, node.where
+            assert ctx[1] is model.params.get(node.param_key, node.op.w_name), node.where
+
+    def test_train_tape_holds_less_than_the_pass_outputs(self):
+        """The distinct non-parameter bytes a conv model's train tape holds
+        are at most the bytes of all node outputs of that pass."""
+        model = lower(parse_network("IR 1-2-1", classes=4, input_size=32), ConvBlock(16, 4),
+                      precision="f32")
+        x = np.random.default_rng(6).standard_normal((32, 3, 32, 32)).astype(np.float32)
+        _, tape = forward(model.graph, model.params, x, "train")
+
+        def root(a):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            return a
+
+        params = {id(root(v)) for _, _, v in model.params.flat_items()}
+        held, todo = {}, list(tape.saved)
+        while todo:
+            item = todo.pop()
+            if isinstance(item, np.ndarray) and id(root(item)) not in params:
+                held[id(root(item))] = root(item)
+            elif isinstance(item, (tuple, list)):
+                todo.extend(item)
+        outputs = sum(np.prod(s) for s in model.graph.infer_shapes()) * 32 * x.itemsize
+        assert sum(a.nbytes for a in held.values()) <= outputs
 
 
 class TestArena:
