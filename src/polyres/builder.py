@@ -70,7 +70,8 @@ class BlockArch:
     composition is well-typed; instantiated blocks adopt the stage width and
     keep this template's internal proportions. A template only emits layers:
     each layer's op names its own tensors (``w1``, ``b1``, ...) under the
-    block's share key."""
+    block's share key. Each size a template is built with must be at least
+    1."""
 
     tag = "block"
 
@@ -80,6 +81,11 @@ class BlockArch:
 
     def emit(self, gb: "_GraphBuilder", x: int, width: int, key: str, segment: str) -> int:
         raise NotImplementedError
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 1:
+                raise ValueError(f"{self.tag} block {name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -325,6 +331,8 @@ def _allocate(config, arch, beta, seed, precision, memoize, input_channels):
     not initialized, and the spec of each ``(key, name)`` in binding order."""
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta}")
+    if input_channels < 1:
+        raise ValueError(f"input_channels must be at least 1, got {input_channels}")
     size = config.input_size
     conv = isinstance(arch, ConvBlock)
     gb = _GraphBuilder((input_channels, size, size))
@@ -621,6 +629,9 @@ def _manifest_model(path, manifest: dict) -> Model:
     def bad(field, why) -> EngineError:
         return EngineError(f"{path}: manifest field {field!r}: {why}")
 
+    for field in ("input_size", "classes", "input_channels"):
+        if manifest[field] < 1:
+            raise bad(field, f"must be at least 1, got {manifest[field]}")
     try:
         config = parse_network(
             manifest["config"], input_size=manifest["input_size"], classes=manifest["classes"]
@@ -630,9 +641,12 @@ def _manifest_model(path, manifest: dict) -> Model:
     widths = manifest["widths"]
     if len(widths) != len(config.stages):
         raise bad("widths", f"{len(widths)} widths for {len(config.stages)} stages")
-    config = replace(
-        config, stages=tuple(replace(s, width=w) for s, w in zip(config.stages, widths))
-    )
+    try:
+        config = replace(
+            config, stages=tuple(replace(s, width=w) for s, w in zip(config.stages, widths))
+        )
+    except (TypeError, ValueError) as e:  # a width below 1, or not a number
+        raise bad("widths", e) from None
     try:
         arch = parse_arch(manifest["arch"])
     except ValueError as e:

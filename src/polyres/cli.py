@@ -137,6 +137,16 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
     return argv
 
 
+def _list_of(kind):
+    """An option type: comma-separated ``kind`` values, as a tuple."""
+
+    def parse(text: str) -> tuple:
+        return tuple(kind(v) for v in text.split(","))
+
+    parse.__name__ = f"{kind.__name__} list"  # argparse's "invalid float list value"
+    return parse
+
+
 def _out_dir(args, command: str) -> Path:
     out = Path(args.out) if args.out else Path("runs") / command
     out.mkdir(parents=True, exist_ok=True)
@@ -316,7 +326,7 @@ def cmd_eval(args) -> int:
     single = {"config": model.meta.config_text, "top1": top1, "top5": top5}
     (out / "single_crop.json").write_text(json.dumps(single, indent=2))
     pooling = PoolingConfig(
-        scales=tuple(float(s) for s in args.scales.split(",")),
+        scales=args.scales,
         crops_per_scale=args.crops,
         top_fraction=args.fraction,
     )
@@ -395,8 +405,9 @@ def cmd_surgery(args) -> int:
     out = _out_dir(args, "surgery")
     _write_manifest(out, "surgery", args)
     if args.interleave:
-        counts = [int(v) for v in args.interleave.split(",")]
-        result = deepen_interleave(model, counts, zero_last=args.zero_last, seed=args.seed)
+        result = deepen_interleave(
+            model, args.interleave, zero_last=args.zero_last, seed=args.seed
+        )
     elif args.target:
         target = parse_network(
             args.target,
@@ -511,7 +522,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="single-crop and multi-crop evaluation")
     p.add_argument("--checkpoint", required=True)
     _add_data_options(p)
-    p.add_argument("--scales", default="1.0,1.15,1.3")
+    p.add_argument("--scales", type=_list_of(float), default="1.0,1.15,1.3")
     p.add_argument("--crops", type=int, default=8)
     p.add_argument("--fraction", type=float, default=0.3)
     _add_common(p)
@@ -527,7 +538,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("surgery", help="upgrade or deepen a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--target", default=None, help="target architecture text")
-    p.add_argument("--interleave", default=None, help="per-stage new-unit counts, comma separated")
+    p.add_argument("--interleave", type=_list_of(int), default=None,
+                   help="per-stage new-unit counts, comma separated")
     p.add_argument("--zero-last", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_surgery)

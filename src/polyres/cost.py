@@ -19,7 +19,6 @@ from typing import Mapping, Sequence
 
 from .builder import BlockArch, Model, lower
 from .dsl import NetworkConfig, render_network
-from .engine import _STATE_NAMES
 
 __all__ = [
     "CostRow",
@@ -101,10 +100,9 @@ def _segment_params(model: Model) -> dict[str, int]:
         if node.param_key is not None and node.param_key not in key_segment:
             key_segment[node.param_key] = node.segment
     out: dict[str, int] = {}
-    for key, group in model.params.items():
+    for key, _, value in model.params.flat_items(trainable_only=True):
         seg = key_segment[key]
-        n = sum(v.size for name, v in group.items() if name not in _STATE_NAMES)
-        out[seg] = out.get(seg, 0) + n
+        out[seg] = out.get(seg, 0) + value.size
     return out
 
 

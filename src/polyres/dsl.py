@@ -65,6 +65,9 @@ class NetworkConfig:
         names = [s.name for s in self.stages]
         if len(set(names)) != len(names):
             raise ValueError(f"stage names must be unique, got {names}")
+        for name, value in (("input_size", self.input_size), ("classes", self.classes)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 # ---------------------------------------------------------------------------

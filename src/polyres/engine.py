@@ -64,8 +64,8 @@ NORM_MOMENTUM = 0.9
 
 _STATE_NAMES = frozenset({"running_mean", "running_var"})
 
-# Where a trainable tensor sits in a ParamStore's arena:
-# (key, name, shape, dtype, span of its dtype's buffer).
+# Where a tensor sits in a ParamStore: (key, name, shape, dtype, span of the
+# store's buffer).
 _Slot = tuple[str, str, tuple[int, ...], np.dtype, slice]
 
 
@@ -192,22 +192,24 @@ class ParamStore:
     A store comes from :meth:`allocate` (as in ``lower`` and
     ``load_checkpoint``) or is a twin of one (:meth:`clone`,
     :meth:`zeros_like`); ``ParamStore()`` is the empty store of a graph
-    without parameters. The trainable tensors live in an arena: one
-    contiguous buffer per dtype in ``flat_items(trainable_only=True)``
-    order, each entry a view into it; twins share the layout. Views are set
-    once and never rebound: groups are read-only mappings, and writes go
-    through the views in place, so they stay the tensors that
-    :func:`forward` reads, also while other threads read the store.
-    Running statistics stay standalone arrays. Tensor names are the ones
-    each op declares in its ``param_specs``.
+    without parameters. Every tensor is a view into one buffer of one
+    dtype: the trainable tensors first, in ``flat_items(trainable_only=True)``
+    order (the arena), then the running statistics. A twin binds the same
+    entry table, shared layout included, to a new buffer, with one view per
+    entry that buffer holds: ``zeros_like`` is the arena alone, ``clone`` a
+    full copy. Views are set once and never rebound: groups are read-only
+    mappings, and writes go through the views in place, so they stay the
+    tensors that :func:`forward` reads, also while other threads read the
+    store. Tensor names are the ones each op declares in its
+    ``param_specs``.
     """
 
     def __init__(self):
         self._groups: dict[str, Mapping[str, np.ndarray]] = {}
-        self._layout: tuple[_Slot, ...] = ()
-        self._buffers: dict[np.dtype, np.ndarray] = {}
-        self._stats: tuple[np.ndarray, ...] = ()  # the running statistics
-        self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
+        self._slots: tuple[_Slot, ...] = ()  # every tensor, in flat_items order
+        self._layout: tuple[_Slot, ...] = ()  # the trainable ones, in arena order
+        self._buffer = self._arena = np.empty(0)
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def allocate(
@@ -215,30 +217,32 @@ class ParamStore:
     ) -> "ParamStore":
         """A store of uninitialised tensors, one per ``(key, name, shape,
         dtype)`` entry: groups in the order their key first appears, tensors
-        in entry order within a group. Running statistics are standalone
-        arrays. The one place a layout is made."""
-        store, groups = cls(), {}
+        in entry order within a group. Every entry must have the same dtype.
+        The one place a layout is made."""
+        groups = {}
         for key, name, shape, dtype in entries:
             group = groups.setdefault(key, {})
             if name in group:
                 raise EngineError(f"duplicate parameter {key}/{name}")
-            group[name] = (shape, np.dtype(dtype))
-        layout, stats, sizes = [], [], {}
-        for key, group in groups.items():
-            for name, (shape, dtype) in group.items():
-                if name in _STATE_NAMES:
-                    group[name] = np.empty(shape, dtype)
-                    stats.append(group[name])
-                else:
-                    start = sizes.get(dtype, 0)
-                    sizes[dtype] = end = start + math.prod(shape)
-                    layout.append((key, name, shape, dtype, slice(start, end)))
-        buffers = {dtype: np.empty(n, dtype) for dtype, n in sizes.items()}
-        for key, name, shape, dtype, span in layout:
-            groups[key][name] = buffers[dtype][span].reshape(shape)
-        store._groups = {key: MappingProxyType(group) for key, group in groups.items()}
-        store._layout, store._stats, store._buffers = tuple(layout), tuple(stats), buffers
-        return store
+            group[name] = (key, name, shape, np.dtype(dtype))
+        flat = [entry for group in groups.values() for entry in group.values()]
+        dtypes = {entry[3] for entry in flat}
+        if len(dtypes) > 1:
+            names = ", ".join(sorted(map(str, dtypes)))
+            raise EngineError(f"a parameter store holds one dtype, got {names}")
+        # The next free offset of the arena and of the running statistics,
+        # which follow it.
+        ends = [0, sum(math.prod(e[2]) for e in flat if e[1] not in _STATE_NAMES)]
+        slots = []
+        for key, name, shape, dtype in flat:
+            part = name in _STATE_NAMES
+            start = ends[part]
+            ends[part] += math.prod(shape)
+            slots.append((key, name, shape, dtype, slice(start, ends[part])))
+        store = cls()
+        store._slots = tuple(slots)
+        store._layout = tuple(s for s in slots if s[1] not in _STATE_NAMES)
+        return store._twin(np.empty(ends[1], dtypes.pop() if dtypes else np.float64))
 
     def get(self, key: str, name: str) -> np.ndarray:
         try:
@@ -272,52 +276,44 @@ class ParamStore:
         arena order."""
         return self._layout
 
-    def arena(self) -> dict[np.dtype, np.ndarray]:
-        """The buffer per dtype that holds every trainable tensor."""
-        return self._buffers
+    def arena(self) -> np.ndarray:
+        """The head of the buffer that holds every trainable tensor."""
+        return self._arena
 
-    def _views(self) -> Iterator[np.ndarray]:
-        for _, _, shape, dtype, span in self._layout:
-            yield self._buffers[dtype][span].reshape(shape)
-
-    def _twin(self, fill, state_fill=None) -> "ParamStore":
-        """A store of this layout whose buffers are ``fill(buffer)``; running
-        statistics become ``state_fill(value)``, or are left out."""
+    def _twin(self, buffer: np.ndarray) -> "ParamStore":
+        """This store's entry table bound to ``buffer``, one view per entry
+        that the buffer holds."""
         out = ParamStore()
-        out._layout = self._layout
-        out._buffers = {dtype: fill(buf) for dtype, buf in self._buffers.items()}
-        views, stats, groups = out._views(), [], {}
-        for key, name, value in self.flat_items(trainable_only=state_fill is None):
-            if name in _STATE_NAMES:
-                value = state_fill(value)
-                stats.append(value)
-            else:
-                value = next(views)
-            groups.setdefault(key, {})[name] = value
+        out._slots, out._layout, out._buffer = self._slots, self._layout, buffer
+        out._arena = buffer[: self._layout[-1][4].stop if self._layout else 0]
+        groups = {}
+        for key, name, shape, _, span in self._slots:
+            if span.stop <= buffer.size:
+                groups.setdefault(key, {})[name] = buffer[span].reshape(shape)
         out._groups = {key: MappingProxyType(group) for key, group in groups.items()}
-        out._stats = tuple(stats)
         return out
 
     def clone(self) -> "ParamStore":
-        return self._twin(np.copy, np.copy)
+        return self._twin(self._buffer.copy())
 
     def zeros_like(self, trainable_only: bool = True) -> "ParamStore":
-        return self._twin(np.zeros_like, None if trainable_only else np.zeros_like)
+        return self._twin(np.zeros_like(self._arena if trainable_only else self._buffer))
 
-    def scratch(self, dtype, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two work arrays of at least ``size`` elements, made at the first
-        call and kept by the store, so a blocked in-place update (RMSProp, on
-        its state store) allocates nothing after its first step."""
-        work = self._scratch.get(dtype)
-        if work is None or work[0].size < size:
-            work = self._scratch[dtype] = (np.empty(size, dtype), np.empty(size, dtype))
-        return work
+    def scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two work arrays of at least ``size`` elements of the store's
+        dtype, made at the first call and kept by the store, so a blocked
+        in-place update (RMSProp, on its state store) allocates nothing
+        after its first step."""
+        if self._scratch is None or self._scratch[0].size < size:
+            dtype = self._buffer.dtype
+            self._scratch = (np.empty(size, dtype), np.empty(size, dtype))
+        return self._scratch
 
     def first_non_finite(self) -> tuple[str, str] | None:
         """``(key, name)`` of the first tensor holding a NaN or Inf, or None.
-        One scan per arena buffer and per running statistic; the tensors are
-        searched one by one only when a scan fails."""
-        if all(np.isfinite(a).all() for a in (*self._buffers.values(), *self._stats)):
+        One scan of the store's buffer; the tensors are searched one by one
+        only when it fails."""
+        if np.isfinite(self._buffer).all():
             return None
         return next((k, n) for k, n, v in self.flat_items() if not np.isfinite(v).all())
 
@@ -1070,25 +1066,21 @@ def finite_diff_grad(
 ) -> ParamStore:
     """Central-difference gradient of a deterministic loss, per scalar.
 
-    Independent of the backward pass by construction; requires 64-bit
-    parameters.
+    The scalars are perturbed one at a time in arena order, which is
+    ``flat_items(trainable_only=True)`` order. Independent of the backward
+    pass by construction; requires 64-bit parameters.
     """
-    for key, name, value in params.flat_items(trainable_only=True):
-        if value.dtype != DTYPES["f64"]:
-            raise EngineError(
-                f"finite differences need f64 parameters ({key}/{name} is {value.dtype})"
-            )
+    flat = params.arena()
+    if flat.dtype != DTYPES["f64"]:
+        raise EngineError(f"finite differences need f64 parameters, not {flat.dtype}")
     grads = params.zeros_like(trainable_only=True)
-    for key, name, value in params.flat_items(trainable_only=True):
-        g = grads.get(key, name)
-        flat = value.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_fn(params)
-            flat[i] = orig - h
-            down = loss_fn(params)
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * h)
+    gflat = grads.arena()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = loss_fn(params)
+        flat[i] = orig - h
+        down = loss_fn(params)
+        flat[i] = orig
+        gflat[i] = (up - down) / (2.0 * h)
     return grads

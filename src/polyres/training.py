@@ -107,30 +107,28 @@ def rmsprop_step(
     ``grads`` and ``state`` must have the layout of ``params`` (as
     :func:`backward` and ``zeros_like`` make them); the first tensor that
     differs is named in a ValueError. The update is one pass over the three
-    arena buffers in blocks of ``_BLOCK`` elements, through two work arrays
-    that ``state`` keeps, so no step after the first allocates an array.
+    arenas in blocks of ``_BLOCK`` elements, through two work arrays that
+    ``state`` keeps, so no step after the first allocates an array.
     """
     layout = params.layout()
     for store, role in ((grads, "gradient"), (state, "state")):
         _check_layout(layout, store.layout(), role)
-    g_bufs, s_bufs = grads.arena(), state.arena()
-    for dtype, p_buf in params.arena().items():
-        g_buf, s_buf = g_bufs[dtype], s_bufs[dtype]
-        n = p_buf.size
-        u_buf, v_buf = state.scratch(dtype, min(n, _BLOCK))
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            p, g, s = p_buf[lo:hi], g_buf[lo:hi], s_buf[lo:hi]
-            u, v = u_buf[: hi - lo], v_buf[: hi - lo]
-            s *= hp.decay
-            np.multiply(g, 1.0 - hp.decay, out=u)
-            u *= g
-            s += u
-            np.add(s, hp.epsilon, out=v)
-            np.sqrt(v, out=v)
-            np.multiply(g, lr, out=u)
-            u /= v
-            p -= u
+    p_buf, g_buf, s_buf = params.arena(), grads.arena(), state.arena()
+    n = p_buf.size
+    u_buf, v_buf = state.scratch(min(n, _BLOCK))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        p, g, s = p_buf[lo:hi], g_buf[lo:hi], s_buf[lo:hi]
+        u, v = u_buf[: hi - lo], v_buf[: hi - lo]
+        s *= hp.decay
+        np.multiply(g, 1.0 - hp.decay, out=u)
+        u *= g
+        s += u
+        np.add(s, hp.epsilon, out=v)
+        np.sqrt(v, out=v)
+        np.multiply(g, lr, out=u)
+        u /= v
+        p -= u
 
 
 def _check_layout(want, got, role: str) -> None:
@@ -372,9 +370,6 @@ def train(
             raise ValueError(f"{name} must be at least 1, got {value}")
     started = time.perf_counter()
     history = TrainHistory(seed=seed)
-    if hp.total_iters == 0:
-        return model, history
-
     ss = np.random.SeedSequence(seed)
     rng_data, rng_gates, rng_aug = (np.random.default_rng(s) for s in ss.spawn(3))
     dtype = DTYPES[model.meta.precision]

@@ -675,6 +675,21 @@ class TestCheckpoints:
         )
         assert "manifest field 'seed' has the wrong type: '11'" in message
 
+    @pytest.mark.parametrize(
+        "field,value,why",
+        [
+            ("input_channels", 0, "must be at least 1, got 0"),
+            ("classes", 0, "must be at least 1, got 0"),
+            ("input_size", 0, "must be at least 1, got 0"),
+            ("widths", [0], "stage 'A' width must be positive"),
+        ],
+    )
+    def test_manifest_size_below_one_names_the_field(self, tmp_path, field, value, why):
+        message = self._load_error(
+            self._rewritten(tmp_path, lambda manifest, _: manifest.update({field: value}))
+        )
+        assert f"manifest field {field!r}: {why}" in message
+
     def test_tensor_of_another_shape_is_rejected(self, tmp_path):
         def transpose_first(manifest, chunks):
             w = Tensor.from_bytes(chunks[0]).data

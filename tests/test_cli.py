@@ -106,6 +106,20 @@ class TestAnalyzeAndSweep:
             assert 0.0 <= row["accuracy"] <= 1.0
             assert row["ms_per_iter"] > 0
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--classes", "0", "classes must be at least 1, got 0"),
+            ("--input-size", "0", "input_size must be at least 1, got 0"),
+            ("--channels", "0", "input_channels must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_analyze_sizes_are_validation_errors(self, tmp_path, capsys, flag, value, message):
+        code = dispatch(["analyze", "--network", "A: ir", flag, value, "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "cost.json").exists()
+
 
 class TestGradcheckCommand:
     def test_single_kind_passes(self, tmp_path, capsys):
@@ -226,6 +240,10 @@ class TestTrainEvalSurgery:
             ("--eval-every", "0", "eval_every must be at least 1, got 0"),
             ("--batch-size", "0", "batch_size must be at least 1, got 0"),
             ("--batch-size", "-3", "batch_size must be at least 1, got -3"),
+            ("--classes", "0", "classes must be at least 1, got 0"),
+            ("--input-size", "0", "input_size must be at least 1, got 0"),
+            ("--arch", "dense:0,4", "dense block dim must be at least 1, got 0"),
+            ("--arch", "conv:16,0", "conv block reduction must be at least 1, got 0"),
         ],
     )
     def test_bad_run_sizes_are_validation_errors(self, tmp_path, capsys, flag, value, message):
@@ -234,6 +252,15 @@ class TestTrainEvalSurgery:
         assert code == EXIT_VALIDATION
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("*.ckpt"))
+
+    def test_zero_iterations_write_the_final_checkpoint(self, tmp_path, capsys):
+        code, _ = run(
+            capsys, "train", "--network", "A: ir", "--iters", "0", "--data-n", "64",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        assert [path.name for path in tmp_path.glob("*.ckpt")] == ["final.ckpt"]
+        assert (tmp_path / "history.jsonl").read_text() == ""
 
     def test_data_takes_the_network_input_size(self, tmp_path, capsys):
         code, _ = run(
@@ -319,6 +346,34 @@ class TestConfigFile:
         code = dispatch(["train", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert f"{cfg}:2: augment: 'maybe' is not one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flag,value,message",
+        [
+            ("eval", "--scales", "1.0,abc", "invalid float list value: '1.0,abc'"),
+            ("surgery", "--interleave", "x", "invalid int list value: 'x'"),
+        ],
+    )
+    def test_bad_list_flag_names_the_option(self, tmp_path, capsys, command, flag, value, message):
+        argv = [command, "--checkpoint", "x.ckpt", flag, value, "--out", str(tmp_path)]
+        assert dispatch(argv) == EXIT_USAGE
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,line,message",
+        [
+            ("eval", "scales = 1.0,abc", "scales: could not convert string to float: 'abc'"),
+            ("surgery", "interleave = 1,x", "interleave: invalid literal for int()"),
+        ],
+    )
+    def test_bad_list_value_names_the_file_line_and_key(
+        self, tmp_path, capsys, command, line, message
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# options\n{line}\n")
+        argv = [command, "--checkpoint", "x.ckpt", "--config", str(cfg), "--out", str(tmp_path)]
+        assert dispatch(argv) == EXIT_VALIDATION
+        assert f"{cfg}:2: {message}" in capsys.readouterr().err
 
     def test_repeated_key_is_a_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -687,6 +687,36 @@ class TestExecution:
         grads = finite_diff_grad(lambda p: float(p.get("p", "w")[0] ** 2), params, h=1e-6)
         assert abs(grads.get("p", "w")[0] - 6.0) < 1e-6
 
+    def test_finite_diff_equals_a_per_tensor_loop_bitwise(self):
+        rng = np.random.default_rng(8)
+        bindings = [("a", Dense(3, 4)), ("n", ChannelNorm(4)), ("b", Dense(4, 2))]
+        nodes = [GraphNode(0, InputOp(), ())]
+        for i, (key, op) in enumerate(bindings, 1):
+            nodes.append(GraphNode(i, op, (i - 1,), param_key=key))
+        graph = ComputationGraph(nodes, (3,))
+        params = params_for(bindings, rng)
+        x = rng.standard_normal((5, 3))
+
+        def loss_fn(p):
+            return scalar_loss(forward(graph, p, x, "train")[0].data)
+
+        h, want = 1e-6, {}
+        for key, name, value in params.flat_items(trainable_only=True):
+            flat, g = value.reshape(-1), np.zeros(value.size)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = loss_fn(params)
+                flat[i] = orig - h
+                down = loss_fn(params)
+                flat[i] = orig
+                g[i] = (up - down) / (2.0 * h)
+            want[key, name] = g.reshape(value.shape)
+        got = finite_diff_grad(loss_fn, params, h)
+        assert [(k, n) for k, n, _ in got.flat_items()] == list(want)
+        for key, name, value in got.flat_items():
+            assert np.array_equal(value, want[key, name]), f"{key}/{name}"
+
     def test_finite_diff_constant_loss(self):
         params = store_of(("p", "w", np.arange(4.0)))
         grads = finite_diff_grad(lambda p: 1.25, params)
@@ -897,44 +927,84 @@ class TestConvContexts:
 class TestArena:
     STATS = ("running_mean", "running_var")
 
-    def test_lowering_returns_a_store_packed_in_flat_order(self):
+    @staticmethod
+    def conv_params():
         config = parse_network("A: ir -> 2-way", classes=3, input_size=8, base_width=4)
-        params = lower(config, ConvBlock(4, 2), precision="f64").params
+        return lower(config, ConvBlock(4, 2), precision="f64").params
+
+    def test_lowering_returns_a_store_packed_in_flat_order(self):
+        params = self.conv_params()
         entries = list(params.flat_items())
-        (arena,) = params.arena().values()
+        arena = params.arena()
         assert list(params.flat_items()) == entries  # no repack: the same arrays
         trainable = [v for k, n, v in entries if n not in self.STATS]
         assert np.array_equal(arena, np.concatenate([v.ravel() for v in trainable]))
         for key, name, value in entries:
-            assert (value.base is arena) == (name not in self.STATS), f"{key}/{name}"
+            assert value.base is arena.base, f"{key}/{name}"
+            assert np.shares_memory(value, arena) == (name not in self.STATS), f"{key}/{name}"
 
     def test_allocate_packs_without_values(self):
         store = ParamStore.allocate([
             ("a", "w", (2, 3), np.float32), ("a", "running_var", (3,), np.float32),
-            ("b", "w", (4,), np.float64), ("a", "b", (3,), np.float32),
+            ("b", "w", (4,), np.float32), ("a", "b", (3,), np.float32),
         ])
         assert [(k, n, v.shape, v.dtype) for k, n, v in store.flat_items()] == [
             ("a", "w", (2, 3), np.float32), ("a", "running_var", (3,), np.float32),
-            ("a", "b", (3,), np.float32), ("b", "w", (4,), np.float64),
+            ("a", "b", (3,), np.float32), ("b", "w", (4,), np.float32),
         ]
-        arenas = store.arena()
-        assert arenas[np.dtype(np.float32)].size == 9 and arenas[np.dtype(np.float64)].size == 4
-        assert store.get("a", "b").base is arenas[np.dtype(np.float32)]
-        assert store.get("a", "running_var").base is None
+        arena = store.arena()
+        assert arena.size == 13 and arena.dtype == np.float32 and arena.base.size == 16
+        assert np.shares_memory(store.get("a", "b"), arena)
+        assert store.get("a", "running_var").base is arena.base
+        assert not np.shares_memory(store.get("a", "running_var"), arena)
         with pytest.raises(EngineError, match="duplicate parameter a/w"):
             ParamStore.allocate([("a", "w", (1,), np.float32)] * 2)
 
-    def test_one_buffer_per_dtype_in_insertion_order(self):
+    def test_allocate_rejects_two_dtypes(self):
+        message = "^a parameter store holds one dtype, got float32, float64$"
+        with pytest.raises(EngineError, match=message):
+            ParamStore.allocate([("a", "w", (2,), np.float64), ("b", "w", (1,), np.float32)])
+
+    def test_one_buffer_in_insertion_order_statistics_last(self):
         store = store_of(
-            ("a", "w", np.ones(2, dtype=np.float32)),
-            ("a", "running_mean", np.zeros(2, dtype=np.float32)),
+            ("a", "w", np.ones(2)),
+            ("a", "running_mean", np.full(2, 5.0)),
             ("a", "b", np.zeros(3)),
-            ("c", "w", np.full(2, 2.0, dtype=np.float32)),
+            ("c", "w", np.full(2, 2.0)),
         )
-        arenas = store.arena()
-        assert np.array_equal(arenas[np.dtype(np.float32)], [1, 1, 2, 2])
-        assert np.array_equal(arenas[np.dtype(np.float64)], [0, 0, 0])
-        assert store.get("a", "running_mean").base is None
+        assert np.array_equal(store.arena(), [1, 1, 0, 0, 0, 2, 2])
+        assert np.array_equal(store.arena().base, [1, 1, 0, 0, 0, 2, 2, 5, 5])
+        assert not np.shares_memory(store.get("a", "running_mean"), store.arena())
+
+    def test_clone_holds_the_statistics_in_its_own_buffer(self):
+        params = self.conv_params()
+        twin = params.clone()
+        assert twin.equal(params) and twin.layout() is params.layout()
+        arena = twin.arena()
+        assert not np.shares_memory(arena.base, params.arena().base)
+        for key, name, value in twin.flat_items():
+            assert value.base is arena.base, f"{key}/{name}"
+            assert np.shares_memory(value, arena) == (name not in self.STATS), f"{key}/{name}"
+
+    def test_zeros_like_holds_no_statistics(self):
+        params = self.conv_params()
+        trainable = [(k, n, v.shape) for k, n, v in params.flat_items(trainable_only=True)]
+        zeros = params.zeros_like()
+        assert [(k, n, v.shape) for k, n, v in zeros.flat_items()] == trainable
+        assert zeros.layout() is params.layout()
+        assert zeros.arena().base.size == params.arena().size and not zeros.arena().any()
+        full = params.zeros_like(trainable_only=False)
+        names = [(k, n) for k, n, _ in params.flat_items()]
+        assert [(k, n) for k, n, _ in full.flat_items()] == names
+        assert not full.arena().base.any()
+
+    def test_first_non_finite_finds_a_nan_in_a_clones_running_variance(self):
+        params = self.conv_params()
+        twin = params.clone()
+        assert twin.first_non_finite() is None
+        twin.get("stem.norm", "running_var")[1] = np.nan
+        assert twin.first_non_finite() == ("stem.norm", "running_var")
+        assert params.first_non_finite() is None
 
     def test_backward_returns_a_new_zeroed_twin_per_call(self):
         # Node 1 reaches no output, so its tensors get zero gradients.

@@ -333,6 +333,17 @@ def dataset():
     return synth_dataset(256, 4, 16, seed=0)
 
 
+def only_val_dataset(tmp_path):
+    """A one-image dataset whose image is in the val split."""
+    save_dataset(synth_dataset(3, 4, 16, seed=0), tmp_path)
+    for path in tmp_path.glob("*.tns"):
+        if path.name != "2_00002.tns":
+            path.unlink()
+    only_val = load_dataset(tmp_path, classes=4)
+    assert only_val.val_mask.tolist() == [True]
+    return only_val
+
+
 class TestTrainLoop:
     def small_model(self, seed=0):
         config = parse_network("A: ir -> ir", input_size=16, classes=4, base_width=8)
@@ -345,6 +356,18 @@ class TestTrainLoop:
         result, history = train(model, dataset, hp, seed=0)
         assert result.params.equal(before)
         assert history.records == []
+
+    def test_zero_iterations_write_the_final_checkpoint(self, dataset, tmp_path):
+        model = self.small_model()
+        hp = OptimizerHP(base_lr=0.1, lr_step=10, total_iters=0)
+        train(model, dataset, hp, seed=0, checkpoint_dir=tmp_path)
+        assert [path.name for path in tmp_path.iterdir()] == ["final.ckpt"]
+        assert load_checkpoint(tmp_path / "final.ckpt").params.equal(model.params)
+
+    def test_zero_iterations_still_check_the_splits(self, tmp_path):
+        hp = OptimizerHP(base_lr=0.1, lr_step=10, total_iters=0)
+        with pytest.raises(ValueError, match="the train split of a 1-image dataset is empty"):
+            train(self.small_model(), only_val_dataset(tmp_path), hp)
 
     def test_identical_seeds_reproduce_the_history(self, dataset):
         hp = OptimizerHP.desk(120)
@@ -504,12 +527,7 @@ class TestTrainLoop:
         assert err.value.detail == f"non-finite A.0.F/{name} of {bound[-1].where}"
 
     def test_an_empty_train_split_is_named_before_any_step(self, tmp_path, monkeypatch):
-        save_dataset(synth_dataset(3, 4, 16, seed=0), tmp_path)
-        for path in tmp_path.glob("*.tns"):
-            if path.name != "2_00002.tns":
-                path.unlink()
-        only_val = load_dataset(tmp_path, classes=4)
-        assert only_val.val_mask.tolist() == [True]
+        only_val = only_val_dataset(tmp_path)
 
         def step(*args):
             raise AssertionError("a step ran")
@@ -550,18 +568,20 @@ class TestTrainLoop:
 
     def test_every_route_to_a_model_keeps_one_live_arena(self, dataset, tmp_path):
         """After train(), clone, a checkpoint load and both surgeries, a
-        train step leaves every trainable tensor a view of the model's one
-        buffer, and it changes what forward reads."""
+        train step leaves every tensor a view of the model's one buffer, the
+        trainable ones in its arena and no running statistic, and it changes
+        what forward reads."""
         x = dataset.images[:4].astype(np.float32)
         one_step = OptimizerHP(base_lr=0.05, lr_step=10, total_iters=1)
 
         def step_and_check(model):
             before = model.logits(x)
             train(model, dataset, one_step, eval_every=1, seed=0)
-            (arena,) = model.params.arena().values()
+            arena = model.params.arena()
             for key, name, value in model.params.flat_items():
                 stat = name in ("running_mean", "running_var")
-                assert (value.base is arena) != stat, f"{key}/{name}"
+                assert value.base is arena.base, f"{key}/{name}"
+                assert np.shares_memory(value, arena) != stat, f"{key}/{name}"
             assert not np.array_equal(model.logits(x), before)
 
         model, _ = train(self.small_model(9), dataset, OptimizerHP.desk(4), eval_every=4, seed=0)
