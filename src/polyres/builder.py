@@ -39,10 +39,11 @@ from .engine import (
     Precision,
     ReLU,
     StridedConvDownsample,
-    Tensor,
     forward,
     init_tensors,
+    read_tensor,
     tensor_header,
+    tensor_parts,
 )
 
 __all__ = [
@@ -248,7 +249,6 @@ def _emit_module(
     width: int,
     stage: str,
     idx_in_stage: int,
-    global_idx: int,
     kind: ModuleKind,
     beta: float,
     memoize: bool,
@@ -289,7 +289,6 @@ def _emit_module(
         ModuleSite(
             stage=stage,
             index_in_stage=idx_in_stage,
-            global_index=global_idx,
             kind=kind,
             gate_node=gate_node,
             n_paths=len(monomials),
@@ -351,13 +350,9 @@ def _allocate(config, arch, beta, seed, precision, memoize, input_channels):
         x = gb.add(ChannelNorm(w0), [x], "stem.norm", "stem")
         x = gb.add(ReLU(), [x], segment="stem")
 
-    global_idx = 0
     for i, stage in enumerate(config.stages):
         for j, kind in enumerate(stage.modules):
-            x = _emit_module(
-                gb, arch, x, stage.width, stage.name, j, global_idx, kind, beta, memoize
-            )
-            global_idx += 1
+            x = _emit_module(gb, arch, x, stage.width, stage.name, j, kind, beta, memoize)
         if i + 1 < len(config.stages):
             nxt = config.stages[i + 1]
             key = f"trans.{stage.name}-{nxt.name}"
@@ -556,8 +551,7 @@ def save_checkpoint(model: Model, path) -> None:
     blob = json.dumps(manifest).encode("utf-8")
     parts = [_CHECKPOINT_MAGIC, struct.pack("<q", len(blob)), blob]
     for _, _, value in tensors:
-        parts.append(tensor_header(value.shape, value.dtype))
-        parts.append(np.ascontiguousarray(value, f"<f{value.itemsize}"))
+        parts.extend(tensor_parts(value))
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))  # one write: many small ones cost more than this copy
 
@@ -580,8 +574,7 @@ def load_checkpoint(path) -> Model:
         start = offset + len(header)
         end = start + value.nbytes
         if not buf.startswith(header, offset) or len(buf) < end:
-            rest = memoryview(buf)[offset:]  # no copy of the rest of the file
-            raise _tensor_mismatch(path, key, name, value, rest, model.meta.precision)
+            raise _tensor_mismatch(path, key, name, value, buf, offset, model.meta.precision)
         data = np.frombuffer(buf, f"<f{value.itemsize}", value.size, start)
         value[...] = data.reshape(value.shape)
         offset = end
@@ -617,7 +610,7 @@ def _read_manifest(path, buf: bytes) -> tuple[dict, int]:
                 f"{path}: manifest field 'format' is {value!r}; "
                 f"only format {_CHECKPOINT_FORMAT} can be read"
             )
-        if not isinstance(value, kind):
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise EngineError(f"{path}: manifest field {field!r} has the wrong type: {value!r}")
     return manifest, offset + blob_len
 
@@ -632,6 +625,8 @@ def _manifest_model(path, manifest: dict) -> Model:
     for field in ("input_size", "classes", "input_channels"):
         if manifest[field] < 1:
             raise bad(field, f"must be at least 1, got {manifest[field]}")
+    if manifest["iteration"] < 0:
+        raise bad("iteration", f"must be at least 0, got {manifest['iteration']}")
     try:
         config = parse_network(
             manifest["config"], input_size=manifest["input_size"], classes=manifest["classes"]
@@ -645,7 +640,7 @@ def _manifest_model(path, manifest: dict) -> Model:
         config = replace(
             config, stages=tuple(replace(s, width=w) for s, w in zip(config.stages, widths))
         )
-    except (TypeError, ValueError) as e:  # a width below 1, or not a number
+    except ValueError as e:  # a width below 1, or not an integer
         raise bad("widths", e) from None
     try:
         arch = parse_arch(manifest["arch"])
@@ -690,16 +685,17 @@ def _indexed_tensors(path, index: list, params: ParamStore) -> list[tuple[str, s
     return out
 
 
-def _tensor_mismatch(path, key, name, value, rest, precision) -> EngineError:
-    """The error for tensor bytes ``rest`` whose header is not the one that
-    ``value`` needs, or whose data is cut short."""
+def _tensor_mismatch(path, key, name, value, buf, offset, precision) -> EngineError:
+    """The error for the tensor at ``offset`` of checkpoint bytes ``buf``
+    whose header is not the one that ``value`` needs, or whose data is cut
+    short."""
     try:
-        tensor = Tensor.from_bytes(rest)
+        data, _ = read_tensor(buf, offset)
     except EngineError as e:
         return EngineError(f"{path}: tensor {key}/{name}: {e}")
-    if tensor.shape != value.shape:
+    if data.shape != value.shape:
         return EngineError(f"{path}: checkpoint shape mismatch for {key}/{name}")
     return EngineError(
         f"{path}: checkpoint precision mismatch for {key}/{name}: "
-        f"{tensor.precision} tensor under an {precision} manifest"
+        f"f{8 * data.itemsize} tensor under an {precision} manifest"
     )

@@ -4,8 +4,8 @@ Subcommands: parse, expand, rewrite, analyze, train, eval, gradcheck,
 surgery, sweep. Every run resolves its options (flags over an optional
 ``key = value`` config file), derives named random substreams from one
 --seed, writes a manifest.json under --out, and exits 0 on success, 1 on
-usage errors, 2 on validation errors (bad DSL or config), 3 on numeric
-failures (divergence, gradient check over tolerance).
+usage errors, 2 on validation errors (bad DSL, config or checkpoint), 3 on
+numeric failures (divergence, gradient check over tolerance).
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .builder import (
 from .data import AugmentConfig, synth_dataset
 from .dsl import DslSyntaxError, NetworkConfig, parse_network, preset, render_network
 from .engine import (
+    EngineError,
     NumericError,
-    ShapeError,
     backward,
     finite_diff_grad,
     forward,
@@ -570,12 +570,14 @@ def dispatch(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DslSyntaxError, AlgebraError, ShapeError, ValueError, KeyError, FileNotFoundError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (TrainingDiverged, NumericError, GradcheckFailure) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (DslSyntaxError, AlgebraError, EngineError, ValueError, KeyError, FileNotFoundError) as exc:
+        # EngineError covers ShapeError and a malformed checkpoint; NumericError,
+        # its subclass, is caught above.
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import Tensor
+from .engine import EngineError, read_tensor, tensor_parts
 
 __all__ = [
     "Dataset",
@@ -101,6 +101,8 @@ def synth_dataset(n: int, classes: int, size: int, seed: int) -> Dataset:
         raise ValueError("need at least 2 classes")
     if size < 8:
         raise ValueError("image size must be >= 8")
+    if n < 0:
+        raise ValueError(f"dataset size n must be at least 0, got {n}")
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % classes
     u = np.arange(size) / size
@@ -253,7 +255,7 @@ def save_dataset(dataset: Dataset, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for i, (image, label) in enumerate(zip(dataset.images, dataset.labels)):
-        Tensor(image).save(directory / f"{int(label)}_{i:05d}.tns")
+        (directory / f"{int(label)}_{i:05d}.tns").write_bytes(b"".join(tensor_parts(image)))
 
 
 def load_dataset(directory, classes: int | None = None) -> Dataset:
@@ -263,7 +265,8 @@ def load_dataset(directory, classes: int | None = None) -> Dataset:
 
     Two files with the same index, an image that is not (c, h, w), images
     of different shapes and a label not below ``classes`` raise ValueError
-    naming the files."""
+    naming the files; a file that is not exactly one tensor raises
+    EngineError naming it."""
     directory = Path(directory)
     entries: list[tuple[int, int, Path]] = []
     for path in directory.iterdir():
@@ -280,7 +283,13 @@ def load_dataset(directory, classes: int | None = None) -> Dataset:
     for _, label, path in entries:
         if classes is not None and label >= classes:
             raise ValueError(f"{path}: label {label} is not below classes={classes}")
-        image = Tensor.load(path).data
+        buf = path.read_bytes()
+        try:
+            image, end = read_tensor(buf)
+        except EngineError as e:
+            raise EngineError(f"{path}: {e}") from None
+        if end != len(buf):
+            raise EngineError(f"{path}: {len(buf) - end} trailing bytes after the tensor")
         if image.ndim != 3:
             raise ValueError(f"{path}: image shape {image.shape} is not (c, h, w)")
         if images and image.shape != images[0].shape:

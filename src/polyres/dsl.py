@@ -49,6 +49,8 @@ class StageConfig:
     def __post_init__(self):
         if not self.modules:
             raise DslSyntaxError(f"stage {self.name!r} has no modules", 0, 0)
+        if isinstance(self.width, bool) or not isinstance(self.width, int):
+            raise ValueError(f"stage {self.name!r} width must be an integer, got {self.width!r}")
         if self.width <= 0:
             raise ValueError(f"stage {self.name!r} width must be positive")
 

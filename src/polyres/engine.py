@@ -1,4 +1,4 @@
-"""Dense tensor type, primitive kernels, and reverse-mode differentiation.
+"""Tensor file format, primitive kernels, and reverse-mode differentiation.
 
 The engine executes small static computation graphs: a list of nodes in
 topological order, each applying one primitive to earlier node outputs.
@@ -30,6 +30,8 @@ __all__ = [
     "DTYPES",
     "Tensor",
     "tensor_header",
+    "tensor_parts",
+    "read_tensor",
     "ParamStore",
     "ParamSpec",
     "init_tensors",
@@ -82,12 +84,8 @@ class NumericError(EngineError):
 
 
 # ---------------------------------------------------------------------------
-# Tensor
+# Tensor file format
 # ---------------------------------------------------------------------------
-
-
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
 def tensor_header(shape: tuple[int, ...], dtype) -> bytes:
@@ -97,83 +95,51 @@ def tensor_header(shape: tuple[int, ...], dtype) -> bytes:
     return struct.pack(f"<q{len(shape)}qq", len(shape), *shape, 8 * np.dtype(dtype).itemsize)
 
 
+def tensor_parts(a: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The binary tensor format of f32 or f64 array ``a`` in two parts: its
+    header and its row-major data as a contiguous little-endian array. The
+    encoding is the header's bytes followed by the data's."""
+    if a.dtype.kind != "f" or a.itemsize not in (4, 8):
+        raise EngineError(f"only f32 and f64 tensors can be written, got {a.dtype}")
+    return tensor_header(a.shape, a.dtype), np.ascontiguousarray(a, f"<f{a.itemsize}")
+
+
+def read_tensor(buf, offset: int = 0) -> tuple[np.ndarray, int]:
+    """The tensor encoded at ``offset`` of ``buf`` (bytes or a memoryview),
+    as a read-only array view into ``buf``, and the offset just past it.
+    Bytes after it are left to the caller; bytes too few for the header or
+    for the data the header declares, or a header that is not one raise
+    EngineError."""
+    have = len(buf) - offset
+    if have < 8:
+        raise EngineError(f"truncated tensor header: buffer has {have} bytes")
+    (rank,) = struct.unpack_from("<q", buf, offset)
+    start = offset + 8 * (rank + 2)
+    if rank < 0 or len(buf) < start:
+        raise EngineError(f"truncated tensor header: rank {rank}, buffer has {have} bytes")
+    extents = struct.unpack_from(f"<{rank}q", buf, offset + 8)
+    (bits,) = struct.unpack_from("<q", buf, start - 8)
+    if bits not in (32, 64):
+        raise EngineError(f"bad precision tag {bits}")
+    if any(e < 0 for e in extents):
+        raise EngineError(f"bad tensor extents {extents}")
+    count = math.prod(extents)
+    end = start + count * (bits // 8)
+    if len(buf) < end:
+        raise EngineError(
+            f"truncated tensor: shape {extents} at f{bits} needs {end - offset} bytes, "
+            f"buffer has {have}"
+        )
+    data = np.frombuffer(buf, f"<f{bits // 8}", count, start).reshape(extents)
+    data.flags.writeable = False
+    return data, end
+
+
 @dataclass(frozen=True)
 class Tensor:
-    """A dense n-dimensional array with selectable element precision."""
+    """The output of :func:`forward`: the graph output array."""
 
     data: np.ndarray
-
-    def __post_init__(self):
-        if self.data.dtype not in (DTYPES["f32"], DTYPES["f64"]):
-            object.__setattr__(
-                self, "data", np.ascontiguousarray(self.data, dtype=DTYPES["f64"])
-            )
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def precision(self) -> Precision:
-        return "f32" if self.data.dtype == DTYPES["f32"] else "f64"
-
-    def to_bytes(self) -> bytes:
-        """Little-endian binary: rank, extents (int64 each), precision tag
-        (int64, 32 or 64), then row-major data."""
-        a = np.ascontiguousarray(self.data)
-        return tensor_header(a.shape, a.dtype) + a.astype(f"<f{a.itemsize}", copy=False).tobytes()
-
-    @classmethod
-    def from_bytes(cls, buf) -> "Tensor":
-        """Parse the tensor at the start of ``buf`` (bytes or a memoryview).
-        Bytes after it are left to the caller; a buffer shorter than the
-        header or than the data the header declares raises EngineError."""
-        if len(buf) < 8:
-            raise EngineError(f"truncated tensor header: buffer has {len(buf)} bytes")
-        (rank,) = struct.unpack_from("<q", buf, 0)
-        offset = 8 * (rank + 2)
-        if rank < 0 or len(buf) < offset:
-            raise EngineError(
-                f"truncated tensor header: rank {rank}, buffer has {len(buf)} bytes"
-            )
-        extents = struct.unpack_from(f"<{rank}q", buf, 8)
-        (bits,) = struct.unpack_from("<q", buf, 8 + 8 * rank)
-        if bits not in (32, 64):
-            raise EngineError(f"bad precision tag {bits}")
-        if any(e < 0 for e in extents):
-            raise EngineError(f"bad tensor extents {extents}")
-        count = math.prod(extents)
-        end = offset + count * (bits // 8)
-        if len(buf) < end:
-            raise EngineError(
-                f"truncated tensor: shape {extents} at f{bits} needs {end} bytes, "
-                f"buffer has {len(buf)}"
-            )
-        data = np.frombuffer(buf, dtype=f"<f{bits // 8}", count=count, offset=offset)
-        dtype = DTYPES["f32"] if bits == 32 else DTYPES["f64"]
-        return cls(data.reshape(extents).astype(dtype, copy=True))
-
-    def byte_length(self) -> int:
-        return 8 * (self.data.ndim + 2) + self.data.nbytes
-
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path) -> "Tensor":
-        """Read a file holding exactly one tensor."""
-        with open(path, "rb") as fh:
-            buf = fh.read()
-        try:
-            tensor = cls.from_bytes(buf)
-        except EngineError as e:
-            raise EngineError(f"{path}: {e}") from None
-        if tensor.byte_length() != len(buf):
-            raise EngineError(
-                f"{path}: {len(buf) - tensor.byte_length()} trailing bytes after the tensor"
-            )
-        return tensor
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +802,6 @@ class ModuleSite:
 
     stage: str
     index_in_stage: int
-    global_index: int
     kind: ModuleKind
     gate_node: int
     n_paths: int
@@ -961,7 +926,7 @@ def forward(
     """
     if mode not in ("train", "eval"):
         raise EngineError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = _as_array(x)
+    x = np.asarray(x)
     if x.shape[1:] != graph.input_shape:
         raise ShapeError(
             f"input shape {x.shape[1:]} != graph input {graph.input_shape}"
@@ -1012,7 +977,7 @@ def backward(
     if tape.mode != "train":
         raise EngineError("backward requires a train-mode tape")
     graph = tape.graph
-    upstream = _as_array(upstream)
+    upstream = np.asarray(upstream)
     node_grads: dict[int, np.ndarray] = {graph.output: upstream}
     grads = tape.params.zeros_like(trainable_only=True)
     input_grad: np.ndarray | None = None
@@ -1051,7 +1016,7 @@ def softmax_cross_entropy(
     logits, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its gradient wrt logits."""
-    logits = _as_array(logits)
+    logits = np.asarray(logits)
     b = logits.shape[0]
     z = logits - logits.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))

@@ -27,10 +27,11 @@ from polyres.engine import (
     GatedSum,
     InputOp,
     ReLU,
-    Tensor,
     backward,
     forward,
+    read_tensor,
     softmax_cross_entropy,
+    tensor_parts,
 )
 
 DENSE = DenseBlock(4, 8)
@@ -498,9 +499,9 @@ def split_checkpoint(buf: bytes) -> tuple[dict, list[bytes]]:
     (blob_len,) = struct.unpack_from("<q", buf, 8)
     offset, chunks = 16 + blob_len, []
     while offset < len(buf):
-        n = Tensor.from_bytes(buf[offset:]).byte_length()
-        chunks.append(buf[offset : offset + n])
-        offset += n
+        _, end = read_tensor(buf, offset)
+        chunks.append(buf[offset:end])
+        offset = end
     return json.loads(buf[16 : 16 + blob_len]), chunks
 
 
@@ -549,8 +550,8 @@ class TestCheckpoints:
         save_checkpoint(model, path)
         buf = path.read_bytes()
         (blob_len,) = struct.unpack_from("<q", buf, 8)
-        tensors = [Tensor(v.astype(np.float64)) for _, _, v in model.params.flat_items()]
-        path.write_bytes(buf[: 16 + blob_len] + b"".join(t.to_bytes() for t in tensors))
+        parts = [tensor_parts(v.astype(np.float64)) for _, _, v in model.params.flat_items()]
+        path.write_bytes(buf[: 16 + blob_len] + b"".join(b"".join(p) for p in parts))
         with pytest.raises(EngineError) as err:
             load_checkpoint(path)
         key, name, _ = next(model.params.flat_items())
@@ -589,7 +590,12 @@ class TestCheckpoints:
             "iteration": 77,
             "params": [[key, name] for key, name, _ in model.params.flat_items()],
         }
-        chunks = [Tensor(value).to_bytes() for _, _, value in model.params.flat_items()]
+        # Format 1 spelled out here, independent of the engine's writer.
+        chunks = [
+            struct.pack(f"<q{v.ndim}qq", v.ndim, *v.shape, 8 * v.itemsize)
+            + v.astype(f"<f{v.itemsize}").tobytes()
+            for _, _, v in model.params.flat_items()
+        ]
         reference = join_checkpoint(manifest, chunks)
         assert path.read_bytes() == reference
         ref_path = tmp_path / "reference.ckpt"
@@ -674,6 +680,10 @@ class TestCheckpoints:
             self._rewritten(tmp_path, lambda manifest, _: manifest.update(seed="11"))
         )
         assert "manifest field 'seed' has the wrong type: '11'" in message
+        message = self._load_error(
+            self._rewritten(tmp_path, lambda manifest, _: manifest.update(iteration=True))
+        )
+        assert "manifest field 'iteration' has the wrong type: True" in message
 
     @pytest.mark.parametrize(
         "field,value,why",
@@ -682,6 +692,9 @@ class TestCheckpoints:
             ("classes", 0, "must be at least 1, got 0"),
             ("input_size", 0, "must be at least 1, got 0"),
             ("widths", [0], "stage 'A' width must be positive"),
+            ("widths", [2.5], "stage 'A' width must be an integer, got 2.5"),
+            ("widths", [True], "stage 'A' width must be an integer, got True"),
+            ("iteration", -4, "must be at least 0, got -4"),
         ],
     )
     def test_manifest_size_below_one_names_the_field(self, tmp_path, field, value, why):
@@ -692,8 +705,8 @@ class TestCheckpoints:
 
     def test_tensor_of_another_shape_is_rejected(self, tmp_path):
         def transpose_first(manifest, chunks):
-            w = Tensor.from_bytes(chunks[0]).data
-            chunks[0] = Tensor(np.ascontiguousarray(w.T)).to_bytes()
+            w, _ = read_tensor(chunks[0])
+            chunks[0] = b"".join(tensor_parts(w.T))
 
         message = self._load_error(self._rewritten(tmp_path, transpose_first))
         assert "checkpoint shape mismatch for stem.fc/w" in message

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from polyres import cli
 from polyres.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -12,6 +13,7 @@ from polyres.cli import (
     EXIT_VALIDATION,
     dispatch,
 )
+from polyres.engine import NumericError
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -203,6 +205,27 @@ class TestTrainEvalSurgery:
         )
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "argv", [["eval"], ["surgery", "--interleave", "1"]], ids=["eval", "surgery"]
+    )
+    def test_junk_checkpoint_is_validation_error_naming_the_path(self, tmp_path, capsys, argv):
+        junk = tmp_path / "junk.ckpt"
+        junk.write_bytes(b"not a checkpoint")
+        code = dispatch(argv + ["--checkpoint", str(junk), "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert f"validation error: {junk}: not a checkpoint file" in capsys.readouterr().err
+
+    def test_numeric_error_still_exits_numeric(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericError("non-finite output at node 3 (A.0)")
+
+        monkeypatch.setattr(cli, "train", fail)
+        code = dispatch(
+            ["train", "--network", "A: ir", "--iters", "5", "--data-n", "64", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_NUMERIC
+        assert "numeric failure: non-finite output at node 3" in capsys.readouterr().err
+
     def test_divergent_training_exits_numeric(self, tmp_path, capsys):
         code, _ = run(
             capsys, "train", "--network", "A: ir", "--iters", "30", "--lr", "1e30",
@@ -237,6 +260,7 @@ class TestTrainEvalSurgery:
         "flag,value,message",
         [
             ("--data-n", "0", "the train split of a 0-image dataset is empty"),
+            ("--data-n", "-5", "dataset size n must be at least 0, got -5"),
             ("--eval-every", "0", "eval_every must be at least 1, got 0"),
             ("--batch-size", "0", "batch_size must be at least 1, got 0"),
             ("--batch-size", "-3", "batch_size must be at least 1, got -3"),

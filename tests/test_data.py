@@ -7,6 +7,7 @@ import pytest
 
 from polyres.data import (
     AugmentConfig,
+    Dataset,
     _axis_grid,
     augment,
     bilinear_resize,
@@ -16,7 +17,7 @@ from polyres.data import (
     save_dataset,
     synth_dataset,
 )
-from polyres.engine import Tensor
+from polyres.engine import EngineError, tensor_parts
 
 
 class TestSynthDataset:
@@ -243,7 +244,34 @@ class TestAugment:
             AugmentConfig(flip_prob=1.5)
 
 
+def write_tensor(path, a):
+    path.write_bytes(b"".join(tensor_parts(a)))
+
+
 class TestImportExport:
+    def test_saved_f32_file_bytes_are_pinned(self, tmp_path):
+        image = (np.arange(12, dtype=np.float32) - 5.5).reshape(3, 2, 2) / 4
+        save_dataset(Dataset(image[None], np.array([1]), classes=2, seed=0), tmp_path)
+        # Rank 3, extents (3, 2, 2), tag 32, then the values -1.375 to 1.375 in f32.
+        expected = bytes.fromhex(
+            "0300000000000000" "0300000000000000" "0200000000000000" "0200000000000000"
+            "2000000000000000"
+            "0000b0bf000090bf000060bf000020bf0000c0be000000be"
+            "0000003e0000c03e0000203f0000603f0000903f0000b03f"
+        )
+        assert (tmp_path / "1_00000.tns").read_bytes() == expected
+
+    def test_truncated_or_trailing_file_is_rejected_with_its_path(self, tmp_path):
+        save_dataset(synth_dataset(4, 2, 8, seed=0), tmp_path)
+        path = tmp_path / "0_00002.tns"
+        buf = path.read_bytes()
+        for bad, word in ((buf[:-3], "truncated"), (buf + b"\0", "1 trailing bytes")):
+            path.write_bytes(bad)
+            with pytest.raises(EngineError) as err:
+                load_dataset(tmp_path)
+            assert str(path) in str(err.value)
+            assert word in str(err.value)
+
     def test_directory_round_trip(self, tmp_path):
         ds = synth_dataset(25, 4, 16, seed=2)
         save_dataset(ds, tmp_path / "d")
@@ -272,20 +300,20 @@ class TestImportExport:
 
     def test_mixed_image_shapes_name_the_file(self, tmp_path):
         save_dataset(synth_dataset(4, 2, 16, seed=0), tmp_path)
-        Tensor(np.zeros((3, 8, 8), np.float32)).save(tmp_path / "0_00002.tns")
+        write_tensor(tmp_path / "0_00002.tns", np.zeros((3, 8, 8), np.float32))
         with pytest.raises(ValueError, match=r"0_00002\.tns.*\(3, 8, 8\)"):
             load_dataset(tmp_path)
 
     def test_image_that_is_not_rank_three_names_the_file(self, tmp_path):
         for i in range(3):
-            Tensor(np.zeros((8, 8), np.float32)).save(tmp_path / f"{i % 2}_{i:05d}.tns")
+            write_tensor(tmp_path / f"{i % 2}_{i:05d}.tns", np.zeros((8, 8), np.float32))
         with pytest.raises(ValueError, match=r"0_00000\.tns.*not \(c, h, w\)"):
             load_dataset(tmp_path)
 
     def test_label_not_below_classes_names_the_file(self, tmp_path):
         ds = synth_dataset(6, 4, 8, seed=0)
         save_dataset(ds, tmp_path)
-        Tensor(ds.images[0]).save(tmp_path / "7_00006.tns")
+        write_tensor(tmp_path / "7_00006.tns", ds.images[0])
         assert load_dataset(tmp_path).classes == 8
         with pytest.raises(ValueError, match=r"7_00006\.tns: label 7 is not below classes=4"):
             load_dataset(tmp_path, classes=4)

@@ -1,5 +1,7 @@
-"""Tensor engine: primitives, reverse-mode gradients, serialization."""
+"""Tensor engine: primitives, reverse-mode gradients, the tensor file format."""
 
+import re
+import struct
 import weakref
 
 import numpy as np
@@ -28,13 +30,15 @@ from polyres.engine import (
     ShapeError,
     StridedConvDownsample,
     Tape,
-    Tensor,
     backward,
     finite_diff_grad,
     forward,
     init_tensors,
+    read_tensor,
     softmax,
     softmax_cross_entropy,
+    tensor_header,
+    tensor_parts,
 )
 
 RNG = np.random.default_rng(12345)
@@ -293,7 +297,7 @@ class TestConvReference:
         out, _ = forward(graph, params, x, "train")
         w, b = params.get("c", "w"), params.get("c", "b")
         want = conv_reference(x, w, b, stride, kernel // 2)
-        assert out.shape == want.shape
+        assert out.data.shape == want.shape
         assert np.abs(out.data - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
     @pytest.mark.parametrize("op", [Conv2D(3, 3, 5), StridedConvDownsample(3, 5)])
@@ -307,11 +311,11 @@ class TestConvReference:
         x = rng.standard_normal((n, 3, h, wd))
         graph = single_op_graph(op, x.shape[1:], key="c")
         out, tape = forward(graph, params, x, "train")
-        g = rng.standard_normal(out.shape)
+        g = rng.standard_normal(out.data.shape)
         _, dx = backward(tape, g, return_input_grad=True)
 
         k, s, pad = 3, op.stride, 1
-        hout, wout = out.shape[2:]
+        hout, wout = out.data.shape[2:]
         w = params.get("c", "w")
         dcols = w.reshape(5, -1).T @ g.reshape(n, 5, -1)
         grid = np.zeros((n, 3, h + 2 * pad, wd + 2 * pad))
@@ -654,7 +658,7 @@ class TestExecution:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, 3))
         out, tape = forward(graph, params, x, "train")
-        g = rng.standard_normal(out.shape)
+        g = rng.standard_normal(out.data.shape)
         grads = backward(tape, g)
         for name, c1, c2 in (
             ("w", x.T @ g, (2.0 * x).T @ g),
@@ -869,7 +873,7 @@ class TestLiveness:
         assert outputs[2]() is values[1]
         assert np.array_equal(out.data, values[-1])
 
-        g = rng.standard_normal(out.shape)
+        g = rng.standard_normal(out.data.shape)
         grads, dx = backward(tape, g, return_input_grad=True)
         want, want_dx = backward(Tape("train", graph, kept, saved), g, return_input_grad=True)
         assert grads.equal(want) and np.array_equal(dx, want_dx)
@@ -1051,50 +1055,69 @@ class TestArena:
         assert not one(np.float64).equal(one(np.float64, (1, 3)))
 
 
-class TestTensorSerialization:
-    @pytest.mark.parametrize("precision", ["f32", "f64"])
-    def test_round_trip(self, precision):
-        dtype = np.float32 if precision == "f32" else np.float64
+class TestTensorFormat:
+    @staticmethod
+    def encode(a):
+        return b"".join(tensor_parts(a))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_round_trip(self, dtype):
         data = np.random.default_rng(0).standard_normal((2, 3, 4)).astype(dtype)
-        t = Tensor(data)
-        back = Tensor.from_bytes(t.to_bytes())
-        assert back.precision == precision
-        assert np.array_equal(back.data, data)
+        buf = self.encode(data)
+        back, end = read_tensor(buf)
+        assert back.dtype == dtype
+        assert np.array_equal(back, data)
+        assert end == len(buf)
 
     def test_header_layout_is_little_endian(self):
-        t = Tensor(np.zeros((2, 5), dtype=np.float64))
-        buf = t.to_bytes()
+        buf = self.encode(np.zeros((2, 5), dtype=np.float64))
         assert int.from_bytes(buf[0:8], "little") == 2  # rank
         assert int.from_bytes(buf[8:16], "little") == 2
         assert int.from_bytes(buf[16:24], "little") == 5
         assert int.from_bytes(buf[24:32], "little") == 64  # precision tag
+        assert len(buf) == 32 + 10 * 8
 
-    def test_file_round_trip(self, tmp_path):
-        t = Tensor(np.arange(6.0).reshape(2, 3))
-        path = tmp_path / "x.tns"
-        t.save(path)
-        assert np.array_equal(Tensor.load(path).data, t.data)
+    def test_writer_takes_any_layout_and_rejects_other_dtypes(self):
+        a = np.arange(12.0).reshape(3, 4)
+        header, data = tensor_parts(a.T)
+        assert header == tensor_header((4, 3), np.float64)
+        assert data.flags.c_contiguous and np.array_equal(data, a.T)
+        with pytest.raises(EngineError, match="f32 and f64"):
+            tensor_parts(np.zeros(3, np.int64))
+
+    def test_reader_returns_a_read_only_view_at_an_offset(self):
+        a, b = np.arange(3.0), np.arange(4.0, dtype=np.float32).reshape(2, 2)
+        first = self.encode(a)
+        buf = first + self.encode(b)
+        back, end = read_tensor(buf, len(first))
+        assert np.array_equal(back, b) and end == len(buf)
+        assert not back.flags.writeable
 
     def test_truncated_buffer_raises_engine_error(self):
-        buf = Tensor(np.arange(6.0).reshape(2, 3)).to_bytes()
+        buf = self.encode(np.arange(6.0).reshape(2, 3))
         for cut in range(len(buf)):
             with pytest.raises(EngineError):
-                Tensor.from_bytes(buf[:cut])
+                read_tensor(buf[:cut])
+            with pytest.raises(EngineError):
+                read_tensor(b"pad" + buf[:cut], 3)
 
-    def test_from_bytes_leaves_trailing_bytes_to_the_caller(self):
-        t = Tensor(np.arange(3.0))
-        back = Tensor.from_bytes(t.to_bytes() + b"\0" * 8)
-        assert np.array_equal(back.data, t.data)
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            (struct.pack("<q", -1), "rank -1"),
+            (struct.pack("<qqq", 1, 2, 16), "bad precision tag 16"),
+            (struct.pack("<qqq", 1, -2, 32), "bad tensor extents (-2,)"),
+        ],
+    )
+    def test_bad_header_raises_engine_error(self, header, message):
+        with pytest.raises(EngineError, match=re.escape(message)):
+            read_tensor(header + bytes(64))
 
-    def test_load_rejects_truncated_and_trailing_files(self, tmp_path):
-        buf = Tensor(np.arange(6.0)).to_bytes()
-        path = tmp_path / "x.tns"
-        for bad, word in ((buf[:-3], "truncated"), (buf + b"\0", "trailing")):
-            path.write_bytes(bad)
-            with pytest.raises(EngineError) as err:
-                Tensor.load(path)
-            assert str(path) in str(err.value)
-            assert word in str(err.value)
+    def test_reader_leaves_trailing_bytes_to_the_caller(self):
+        buf = self.encode(np.arange(3.0))
+        back, end = read_tensor(buf + b"\0" * 8)
+        assert np.array_equal(back, np.arange(3.0))
+        assert end == len(buf)
 
     def test_softmax_is_normalized(self):
         logits = np.random.default_rng(0).standard_normal((4, 6)) * 30
