@@ -31,7 +31,6 @@ from .engine import (
     GlobalAvgPool,
     GraphNode,
     InputOp,
-    ModuleSite,
     Op,
     ParamOp,
     ParamSpec,
@@ -53,6 +52,7 @@ __all__ = [
     "parse_arch",
     "Model",
     "ModelMeta",
+    "ModuleSite",
     "lower",
     "upgrade",
     "deepen_interleave",
@@ -156,6 +156,20 @@ def parse_arch(text: str) -> BlockArch:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ModuleSite:
+    """Metadata for one residual module inside a lowered graph."""
+
+    stage: str
+    index_in_stage: int
+    kind: ModuleKind
+    gate_node: int
+    n_paths: int
+    block_keys: tuple[str, ...]
+    block_apps: int
+    segment: str
+
+
 class _GraphBuilder:
     def __init__(self, input_shape: tuple[int, ...]):
         self.nodes: list[GraphNode] = []
@@ -192,7 +206,7 @@ class _GraphBuilder:
         return idx
 
     def graph(self) -> ComputationGraph:
-        return ComputationGraph(self.nodes, self.input_shape, self.modules)
+        return ComputationGraph(self.nodes, self.input_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +235,7 @@ class Model:
     graph: ComputationGraph
     params: ParamStore
     meta: ModelMeta
-
-    @property
-    def modules(self) -> list[ModuleSite]:
-        return self.graph.modules
+    modules: list[ModuleSite]
 
     def forward(self, x, mode: str = "eval", gates=None):
         return forward(self.graph, self.params, x, mode, gates)
@@ -234,7 +245,7 @@ class Model:
         return out.data
 
     def clone(self) -> "Model":
-        return Model(self.graph, self.params.clone(), replace(self.meta))
+        return Model(self.graph, self.params.clone(), replace(self.meta), self.modules)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +387,7 @@ def _allocate(config, arch, beta, seed, precision, memoize, input_channels):
     )
     dtype = DTYPES[precision]
     params = ParamStore.allocate((key, name, s.shape, dtype) for (key, name), s in gb.specs.items())
-    return Model(gb.graph(), params, meta), gb.specs
+    return Model(gb.graph(), params, meta, gb.modules), gb.specs
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +574,8 @@ def load_checkpoint(path) -> Model:
     and each tensor is filled in place straight from the file. A malformed
     file raises EngineError naming the path and the manifest field or the
     tensor at fault; so does an index that does not list every tensor of
-    that model exactly once, and a tensor whose shape or precision differs
-    from the model's."""
+    that model exactly once, a tensor whose shape or precision differs
+    from the model's, and a tensor that holds a NaN or an infinity."""
     with open(path, "rb") as fh:
         buf = fh.read()
     manifest, offset = _read_manifest(path, buf)
@@ -580,6 +591,9 @@ def load_checkpoint(path) -> Model:
         offset = end
     if offset != len(buf):
         raise EngineError(f"{path}: {len(buf) - offset} trailing bytes after the last tensor")
+    bad = model.params.first_non_finite()
+    if bad is not None:
+        raise EngineError(f"{path}: tensor {bad[0]}/{bad[1]} holds a non-finite value")
     return model
 
 

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -147,21 +148,20 @@ def _list_of(kind):
     return parse
 
 
-def _out_dir(args, command: str) -> Path:
-    out = Path(args.out) if args.out else Path("runs") / command
+def _run_dir(args) -> Path:
+    """The command's output directory, --out or runs/<command>, made and
+    holding the run's manifest.json."""
+    out = Path(args.out) if args.out else Path("runs") / args.command
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(out: Path, command: str, args) -> None:
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
-        "command": command,
+        "command": args.command,
         "options": resolved,
         "seed": resolved.get("seed"),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str))
+    return out
 
 
 def _substream_seeds(seed: int, n: int = 4) -> list[int]:
@@ -169,26 +169,29 @@ def _substream_seeds(seed: int, n: int = 4) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
+def _sizes(args) -> dict:
+    """The size options, as keyword arguments of ``parse_network`` and ``preset``."""
+    return dict(input_size=args.input_size, classes=args.classes, base_width=args.base_width)
+
+
 def _resolve_network(args) -> NetworkConfig:
     if getattr(args, "preset", None):
-        return preset(
-            args.preset, input_size=args.input_size, classes=args.classes,
-            base_width=args.base_width,
-        )
+        return preset(args.preset, **_sizes(args))
     if getattr(args, "network", None):
-        return parse_network(
-            args.network, input_size=args.input_size, classes=args.classes,
-            base_width=args.base_width,
-        )
+        return parse_network(args.network, **_sizes(args))
     raise UsageError("give either --network TEXT or --preset NAME")
+
+
+def _add_size_options(p: _Parser, base_width: int):
+    p.add_argument("--input-size", type=int, default=32)
+    p.add_argument("--classes", type=int, default=4)
+    p.add_argument("--base-width", type=int, default=base_width)
 
 
 def _add_network_options(p: _Parser, default_network: str | None = None):
     p.add_argument("--network", default=default_network, help="architecture text")
     p.add_argument("--preset", default=None, help="named preset configuration")
-    p.add_argument("--input-size", type=int, default=32)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--base-width", type=int, default=16)
+    _add_size_options(p, base_width=16)
     p.add_argument("--arch", default="dense:16,32", help="block template, tag:a,b")
     p.add_argument("--beta", type=float, default=0.3, help="residual scaling factor")
 
@@ -215,12 +218,8 @@ def cmd_parse(args) -> int:
         text = Path(args.file).read_text()
     if text is None:
         raise UsageError("give architecture text or --file")
-    config = parse_network(
-        text, input_size=args.input_size, classes=args.classes,
-        base_width=args.base_width,
-    )
-    out = _out_dir(args, "parse")
-    _write_manifest(out, "parse", args)
+    config = parse_network(text, **_sizes(args))
+    out = _run_dir(args)
     print(render_network(config))
     print(f"{'stage':<8}{'index':<7}{'kind':<10}{'width':<7}resolution")
     for stage in config.stages:
@@ -239,15 +238,13 @@ def _expression_for(kind_token: str, beta: float, cascaded: bool) -> str:
 
 
 def cmd_expand(args) -> int:
-    out = _out_dir(args, "expand")
-    _write_manifest(out, "expand", args)
+    _run_dir(args)
     print(_expression_for(args.kind, args.beta, cascaded=False))
     return EXIT_OK
 
 
 def cmd_rewrite(args) -> int:
-    out = _out_dir(args, "rewrite")
-    _write_manifest(out, "rewrite", args)
+    _run_dir(args)
     print(_expression_for(args.kind, args.beta, cascaded=True))
     return EXIT_OK
 
@@ -260,8 +257,7 @@ def cmd_analyze(args) -> int:
         input_channels=args.channels,
     )
     report = cost.count_macs(model)
-    out = _out_dir(args, "analyze")
-    _write_manifest(out, "analyze", args)
+    out = _run_dir(args)
     (out / "cost.csv").write_text(report.to_csv())
     (out / "cost.json").write_text(report.to_json())
     print(f"config:      {report.config}")
@@ -291,8 +287,7 @@ def cmd_train(args) -> int:
         config, arch, beta=args.beta, seed=init_seed, precision=args.precision,
     )
     hp = OptimizerHP.desk(args.iters, base_lr=args.lr) if not args.paper_schedule else OptimizerHP()
-    out = _out_dir(args, "train")
-    _write_manifest(out, "train", args)
+    out = _run_dir(args)
     augment_cfg = AugmentConfig(out_size=config.input_size) if args.augment else None
     model, history = train(
         model, dataset, hp,
@@ -320,8 +315,7 @@ def cmd_eval(args) -> int:
     dataset = synth_dataset(
         args.data_n, model.meta.config.classes, model.meta.config.input_size, data_seed
     )
-    out = _out_dir(args, "eval")
-    _write_manifest(out, "eval", args)
+    out = _run_dir(args)
     top1, top5 = single_crop_eval(model, dataset)
     single = {"config": model.meta.config_text, "top1": top1, "top5": top5}
     (out / "single_crop.json").write_text(json.dumps(single, indent=2))
@@ -384,8 +378,7 @@ def gradient_discrepancy(analytic, numeric) -> float:
 
 def cmd_gradcheck(args) -> int:
     kinds = _ALL_KINDS if args.kind == "all" else (args.kind,)
-    out = _out_dir(args, "gradcheck")
-    _write_manifest(out, "gradcheck", args)
+    out = _run_dir(args)
     results = {}
     failed = False
     for token in kinds:
@@ -402,8 +395,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_surgery(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    out = _out_dir(args, "surgery")
-    _write_manifest(out, "surgery", args)
+    out = _run_dir(args)
     if args.interleave:
         result = deepen_interleave(
             model, args.interleave, zero_last=args.zero_last, seed=args.seed
@@ -414,7 +406,6 @@ def cmd_surgery(args) -> int:
             input_size=model.meta.config.input_size,
             classes=model.meta.config.classes,
         )
-        from dataclasses import replace
         target = replace(
             target,
             stages=tuple(
@@ -433,14 +424,10 @@ def cmd_surgery(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = preset(
-        args.base, input_size=args.input_size, classes=args.classes,
-        base_width=args.base_width,
-    )
+    base = preset(args.base, **_sizes(args))
     arch = parse_arch(args.arch)
     grid = cost.grid_configs(base)
-    out = _out_dir(args, "sweep")
-    _write_manifest(out, "sweep", args)
+    out = _run_dir(args)
     data_seed, init_seed, train_seed, _ = _substream_seeds(args.seed)
     dataset = None
     if args.iters > 0:
@@ -480,9 +467,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("parse", help="parse architecture text, print module table")
     p.add_argument("text", nargs="?", default=None)
     p.add_argument("--file", default=None)
-    p.add_argument("--input-size", type=int, default=32)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--base-width", type=int, default=16)
+    _add_size_options(p, base_width=16)
     _add_common(p)
     p.set_defaults(func=cmd_parse)
 
@@ -546,9 +531,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="stage x module-kind grid, cost table (+ accuracy)")
     p.add_argument("--base", default="ir-3-6-3")
-    p.add_argument("--input-size", type=int, default=32)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--base-width", type=int, default=8)
+    _add_size_options(p, base_width=8)
     p.add_argument("--arch", default="dense:8,16")
     p.add_argument("--beta", type=float, default=0.3)
     p.add_argument("--iters", type=int, default=0, help="0 = cost-only table")

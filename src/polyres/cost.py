@@ -14,9 +14,10 @@ import csv
 import io
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
+from .algebra import ModuleKind
 from .builder import BlockArch, Model, lower
 from .dsl import NetworkConfig, render_network
 
@@ -42,17 +43,6 @@ class CostRow:
     macs: int
     block_apps: int
 
-    def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "stage": self.stage,
-            "module_index": self.module_index,
-            "kind": self.kind,
-            "params": self.params,
-            "macs": self.macs,
-            "block_apps": self.block_apps,
-        }
-
 
 @dataclass
 class CostReport:
@@ -77,7 +67,7 @@ class CostReport:
         return [r for r in self.rows if r.module_index >= 0]
 
     def to_csv(self) -> str:
-        return rows_to_csv([r.as_dict() for r in self.rows])
+        return rows_to_csv([asdict(r) for r in self.rows])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -87,7 +77,7 @@ class CostReport:
                 "macs": self.macs,
                 "block_apps": self.block_apps,
                 "stages": self.stage_totals(),
-                "rows": [r.as_dict() for r in self.rows],
+                "rows": [asdict(r) for r in self.rows],
             },
             indent=2,
         )
@@ -187,10 +177,6 @@ def grid_configs(base: NetworkConfig) -> list[tuple[str, NetworkConfig]]:
     """The stage x module-kind ablation grid over a baseline config: one
     variant per (stage, kind) replacing that stage's modules wholesale,
     plus the baseline itself. Three stages give 18 variants."""
-    from dataclasses import replace
-
-    from .algebra import ModuleKind
-
     out: list[tuple[str, NetworkConfig]] = [("baseline", base)]
     for i, stage in enumerate(base.stages):
         for token in _GRID_KINDS:

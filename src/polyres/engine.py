@@ -20,8 +20,6 @@ from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple, S
 
 import numpy as np
 
-from .algebra import ModuleKind
-
 __all__ = [
     "EngineError",
     "ShapeError",
@@ -36,7 +34,6 @@ __all__ = [
     "ParamSpec",
     "init_tensors",
     "GraphNode",
-    "ModuleSite",
     "ComputationGraph",
     "Tape",
     "forward",
@@ -796,20 +793,6 @@ class GraphNode(NamedTuple):
         return f"node {self.idx} ({self.label or self.op.name})"
 
 
-@dataclass(frozen=True)
-class ModuleSite:
-    """Metadata for one residual module inside a lowered graph."""
-
-    stage: str
-    index_in_stage: int
-    kind: ModuleKind
-    gate_node: int
-    n_paths: int
-    block_keys: tuple[str, ...]
-    block_apps: int
-    segment: str
-
-
 def _cache_field(default):
     return field(default=default, init=False, repr=False, compare=False)
 
@@ -822,7 +805,6 @@ class ComputationGraph:
 
     nodes: list[GraphNode]
     input_shape: tuple[int, ...]  # per-sample shape, batch excluded
-    modules: list[ModuleSite] = field(default_factory=list)
     _shapes: tuple[tuple[int, ...], ...] | None = _cache_field(None)
     # Per node: the values it is the last reader of (never the output).
     _frees: tuple[tuple[int, ...], ...] = _cache_field(())

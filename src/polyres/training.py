@@ -282,23 +282,22 @@ class TrainingDiverged(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-class _BatchSampler:
-    """Epoch-shuffled index stream driven by one RNG."""
+def _batches(dataset: Dataset, idx, batch_size: int, dtype, augment_cfg, rng_data, rng_aug):
+    """The training batches, ``(images, labels)`` at ``dtype``, without end.
 
-    def __init__(self, indices: np.ndarray, batch_size: int, rng: np.random.Generator):
-        self.indices = indices
-        self.batch_size = batch_size
-        self.rng = rng
-        self._queue: list[int] = []
-
-    def next_batch(self) -> np.ndarray:
-        while len(self._queue) < self.batch_size:
-            order = self.indices.copy()
-            self.rng.shuffle(order)
-            self._queue.extend(order.tolist())
-        batch = self._queue[: self.batch_size]
-        del self._queue[: self.batch_size]
-        return np.array(batch)
+    The train indices ``idx`` are reshuffled by ``rng_data`` at each epoch,
+    and a batch carries the previous epoch's remainder; each image is
+    augmented from ``rng_aug`` in batch order. The caller resolves ``idx``,
+    so that an empty split fails before the generator first runs."""
+    queue = idx[:0]
+    while True:
+        while len(queue) < batch_size:
+            queue = np.concatenate([queue, rng_data.permutation(idx)])
+        batch, queue = queue[:batch_size], queue[batch_size:]
+        images = dataset.images[batch]
+        if augment_cfg is not None:
+            images = np.stack([augment(im, augment_cfg, rng_aug) for im in images])
+        yield images.astype(dtype), dataset.labels[batch]
 
 
 def _evaluate(model: Model, images, labels, gates) -> tuple[float, float, float]:
@@ -355,7 +354,7 @@ def train(
 ) -> tuple[Model, TrainHistory]:
     """Run the optimization loop on the dataset's train split.
 
-    Each iteration: (optionally) augment the batch, sample path gates if
+    Each iteration: the next batch of :func:`_batches`, path gates if
     stochastic paths are active, forward in train mode, cross-entropy loss,
     backward, RMSProp step at the scheduled rate. Held-out metrics are
     recorded every ``eval_every`` iterations. All randomness (batch order,
@@ -374,7 +373,9 @@ def train(
     rng_data, rng_gates, rng_aug = (np.random.default_rng(s) for s in ss.spawn(3))
     dtype = DTYPES[model.meta.precision]
 
-    sampler = _BatchSampler(dataset.indices("train"), batch_size, rng_data)
+    batches = _batches(
+        dataset, dataset.indices("train"), batch_size, dtype, augment_cfg, rng_data, rng_aug
+    )
     val_images, val_labels = dataset.subset(dataset.indices("val"))
     val_images = val_images.astype(dtype)
 
@@ -390,19 +391,12 @@ def train(
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
     lr = lr_at(0, hp)
-    for it in range(hp.total_iters):
+    for it, (images, labels) in zip(range(hp.total_iters), batches):
         new_lr = lr_at(it, hp)
         if new_lr != lr and checkpoint_dir is not None:
             save_checkpoint(model, checkpoint_dir / f"iter{it:08d}.ckpt")
         lr = new_lr
         gates_active = start is not None and it >= start
-
-        idx = sampler.next_batch()
-        images = dataset.images[idx]
-        labels = dataset.labels[idx]
-        if augment_cfg is not None:
-            images = np.stack([augment(im, augment_cfg, rng_aug) for im in images])
-        images = images.astype(dtype)
 
         gates_map = None
         if gates_active:

@@ -568,6 +568,18 @@ class TestCheckpoints:
         assert str(path) in str(err.value)
         assert "4 trailing bytes" in str(err.value)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["w", "running_var"])
+    def test_a_non_finite_tensor_is_rejected_and_named(self, tmp_path, name, value):
+        model = tiny("A: poly-2 -> 2-way", seed=11, beta=0.3)
+        key = [k for k, n, _ in model.params.flat_items() if n == name][-1]
+        model.params.get(key, name).flat[-1] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(EngineError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: tensor {key}/{name} holds a non-finite value"
+
     @pytest.mark.parametrize("precision", ["f32", "f64"])
     @pytest.mark.parametrize("arch", [DENSE, CONV], ids=["dense", "conv"])
     def test_saved_bytes_are_format_1(self, tmp_path, arch, precision):

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from polyres import cli
@@ -215,6 +217,18 @@ class TestTrainEvalSurgery:
         assert code == EXIT_VALIDATION
         assert f"validation error: {junk}: not a checkpoint file" in capsys.readouterr().err
 
+    def test_a_non_finite_checkpoint_is_a_validation_error_naming_the_path(
+        self, trained, tmp_path, capsys
+    ):
+        bad = tmp_path / "nan.ckpt"
+        # The last four bytes are the f32 head bias's last element.
+        bad.write_bytes((trained / "final.ckpt").read_bytes()[:-4] + struct.pack("<f", np.nan))
+        code = dispatch(["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "eval")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"validation error: {bad}: tensor head.fc/b holds a non-finite value" in err
+        assert not (tmp_path / "eval").exists()
+
     def test_numeric_error_still_exits_numeric(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise NumericError("non-finite output at node 3 (A.0)")
@@ -318,6 +332,42 @@ class TestTrainEvalSurgery:
         code, out = run(capsys, "parse", "--file", str(source), "--out", str(tmp_path))
         assert code == EXIT_OK
         assert out.splitlines()[0] == "A: (ir) x 2; B: poly-2"
+
+
+# Quick arguments for every subcommand; {ckpt} is a trained checkpoint.
+COMMAND_ARGS = {
+    "parse": ["A: ir"],
+    "expand": ["--kind", "poly-2"],
+    "rewrite": ["--kind", "poly-2"],
+    "analyze": ["--network", "A: ir"],
+    "train": ["--network", "A: ir", "--iters", "2", "--eval-every", "1", "--data-n", "64"],
+    "eval": ["--checkpoint", "{ckpt}", "--data-n", "64", "--scales", "1.0", "--crops", "2"],
+    "gradcheck": ["--kind", "ir"],
+    "surgery": ["--checkpoint", "{ckpt}", "--interleave", "1,0,0"],
+    "sweep": ["--base-width", "4"],
+}
+
+
+class TestRunDirectory:
+    def test_every_command_is_listed(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        assert sub.choices.keys() == COMMAND_ARGS.keys()
+
+    @pytest.mark.parametrize("given", [True, False], ids=["out", "default"])
+    @pytest.mark.parametrize("command", list(COMMAND_ARGS))
+    def test_every_command_writes_its_manifest(
+        self, trained, tmp_path, monkeypatch, capsys, command, given
+    ):
+        monkeypatch.chdir(tmp_path)
+        ckpt = str(trained / "final.ckpt")
+        argv = [command] + [a.format(ckpt=ckpt) for a in COMMAND_ARGS[command]]
+        out = tmp_path / "given" if given else tmp_path / "runs" / command
+        if given:
+            argv += ["--out", str(out)]
+        assert dispatch(argv) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["options"]["out"] == (str(out) if given else None)
 
 
 class TestConfigFile:

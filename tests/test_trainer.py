@@ -18,7 +18,7 @@ from polyres.builder import (
     upgrade,
 )
 from polyres.cost import count_params
-from polyres.data import AugmentConfig, load_dataset, save_dataset, synth_dataset
+from polyres.data import AugmentConfig, augment, load_dataset, save_dataset, synth_dataset
 from polyres.dsl import parse_network, preset
 from polyres.engine import (
     DTYPES,
@@ -28,6 +28,7 @@ from polyres.engine import (
     forward,
     softmax_cross_entropy,
 )
+from polyres.evaluation import topk_error
 from polyres.training import (
     EvalRecord,
     OptimizerHP,
@@ -401,6 +402,51 @@ class TestTrainLoop:
         m3, h3 = train(self.small_model(6), dataset, hp, eval_every=30, seed=5)
         assert h1.records != h3.records
         assert not m1.params.equal(m3.params)
+
+    def test_streams_match_a_reference_loop_from_the_public_primitives(self, dataset):
+        """Batch order, augmentation and gates: the train split is reshuffled
+        at each epoch and a batch carries the last epoch's remainder, each
+        image is augmented in batch order, and gates are drawn once per step."""
+        hp, batch_size, eval_every, seed = OptimizerHP.desk(12), 48, 4, 11
+        spc = StochasticPathConfig(max_prob=0.5, rescale="train")
+        aug = AugmentConfig(out_size=16)
+        idx = dataset.indices("train")
+        assert len(idx) % batch_size and hp.total_iters * batch_size > 2 * len(idx)
+        model, history = train(
+            self.small_model(12), dataset, hp, spc=spc, eval_every=eval_every, seed=seed,
+            batch_size=batch_size, augment_cfg=aug,
+        )
+
+        ref = self.small_model(12)
+        rng_data, rng_gates, rng_aug = (
+            np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
+        )
+        epochs = -(-hp.total_iters * batch_size // len(idx))
+        order = np.concatenate([rng_data.permutation(idx) for _ in range(epochs)])
+        probs = gate_probabilities(len(ref.modules), spc.max_prob)
+        state = ref.params.zeros_like(trainable_only=True)
+        val_images, val_labels = dataset.subset(dataset.indices("val"))
+        records, losses = [], []
+        for it in range(hp.total_iters):
+            batch = order[it * batch_size : (it + 1) * batch_size]
+            images = np.stack([augment(im, aug, rng_aug) for im in dataset.images[batch]])
+            bits = sample_gates(ref, probs, rng_gates)
+            gates = gate_node_map(ref, bits, probs, spc.rescale)
+            out, tape = forward(ref.graph, ref.params, images.astype(np.float32), "train", gates)
+            loss, dlogits = softmax_cross_entropy(out.data, dataset.labels[batch])
+            rmsprop_step(ref.params, backward(tape, dlogits), state, hp, lr_at(it, hp))
+            losses.append(loss)
+            if (it + 1) % eval_every == 0:
+                logits = ref.logits(val_images.astype(np.float32))
+                val_loss, _ = softmax_cross_entropy(logits, val_labels)
+                records.append(EvalRecord(
+                    it + 1, float(np.mean(losses)), val_loss, topk_error(logits, val_labels, 1),
+                    topk_error(logits, val_labels, 4), lr_at(it, hp), True,
+                ))
+                losses.clear()
+
+        assert history.records == records
+        assert model.params.equal(ref.params)
 
     def count_gate_draws(self, monkeypatch) -> list[int]:
         """Patch gate sampling to log the iteration of each draw."""
