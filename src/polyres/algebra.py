@@ -162,6 +162,9 @@ class ModuleKind:
             raise AlgebraError(f"module order must be >= 1, got {self.order}")
         if self.family == "ir" and self.order != 1:
             raise AlgebraError("ir modules have order 1")
+        if self.family in ("mpoly", "way") and self.order > len(_BLOCK_LETTERS):
+            # Each of their blocks takes a letter of its own.
+            raise AlgebraError(f"module order {self.order} exceeds the block alphabet")
 
     @classmethod
     def ir(cls) -> "ModuleKind":
@@ -209,12 +212,6 @@ class ModuleKind:
 IR = ModuleKind.ir()
 
 
-def _module_letters(k: int) -> list[str]:
-    if k > len(_BLOCK_LETTERS):
-        raise AlgebraError(f"module order {k} exceeds the block alphabet")
-    return list(_BLOCK_LETTERS[:k])
-
-
 def module_monomials(kind: ModuleKind) -> list[Monomial]:
     """The non-identity monomials of a module, lowest order first.
 
@@ -225,7 +222,7 @@ def module_monomials(kind: ModuleKind) -> list[Monomial]:
     if kind.family in ("ir", "poly"):
         f = BlockId.lettered("F")
         return [tuple([f] * n) for n in range(1, k + 1)]
-    letters = [BlockId.lettered(c) for c in _module_letters(k)]
+    letters = [BlockId.lettered(c) for c in _BLOCK_LETTERS[:k]]
     if kind.family == "mpoly":
         # F, GF, HGF, ...: monomial n is letters[n-1..0] in written order.
         return [tuple(reversed(letters[:n])) for n in range(1, k + 1)]

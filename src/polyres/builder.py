@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -205,8 +206,64 @@ class _GraphBuilder:
         )
         return idx
 
+    def stamp(self, template: "_ModuleTemplate", x: int, stage: str, index: int) -> int:
+        """Append ``template``'s module as module ``index`` of ``stage``,
+        reading ``x``: the nodes it would emit there, each with its own op."""
+        segment = f"{stage}.{index}"
+        site = template.site
+        keys = {tail: segment + tail for tail in site.block_keys}
+        for tail, name, spec in template.specs:
+            self.specs.setdefault((keys[tail], name), spec)
+        nodes, base, new = self.nodes, len(self.nodes), tuple.__new__  # what GraphNode._make calls
+        for cls, attrs, inputs, key_tail, label_tail in template.nodes:
+            op = object.__new__(cls)
+            for name, value in attrs:  # immutable values; setattr keeps the compact layout
+                setattr(op, name, value)
+            nodes.append(new(GraphNode, (
+                len(nodes), op, tuple([x if i < 0 else base + i for i in inputs]),
+                keys.get(key_tail), segment + label_tail, segment,
+            )))
+        self.modules.append(ModuleSite(
+            stage, index, site.kind, base + site.gate_node, site.n_paths,
+            tuple(keys.values()), site.block_apps, segment,
+        ))
+        return len(nodes) - 1
+
     def graph(self) -> ComputationGraph:
         return ComputationGraph(self.nodes, self.input_shape)
+
+
+@dataclass(frozen=True)
+class _ModuleTemplate:
+    """A module that :meth:`_GraphBuilder.stamp` can repeat, with its
+    segment cut off every key and label and its node indices made relative
+    to its first node (-1 for the module's input): per node ``(op class, op
+    attributes, inputs, key tail, label tail)``, the ``(key tail, name,
+    spec)`` of each tensor in binding order, and its site, holding the
+    relative gate node and the key tails."""
+
+    nodes: tuple[tuple[type, tuple, tuple[int, ...], str | None, str], ...]
+    specs: tuple[tuple[str, str, ParamSpec], ...]
+    site: ModuleSite
+
+    @classmethod
+    def of(cls, gb: _GraphBuilder, start: int, n_specs: int) -> "_ModuleTemplate":
+        """The template of the module that ``gb`` emitted last, from node
+        ``start`` and spec ``n_specs`` on."""
+        site = gb.modules[-1]
+        cut = len(site.segment)
+        nodes = []
+        for node in gb.nodes[start:]:
+            key_tail = None if node.param_key is None else node.param_key[cut:]
+            inputs = tuple(i - start if i >= start else -1 for i in node.inputs)
+            attrs = tuple(vars(node.op).items())
+            nodes.append((type(node.op), attrs, inputs, key_tail, node.label[cut:]))
+        specs = islice(gb.specs.items(), n_specs, None)
+        site = replace(
+            site, gate_node=site.gate_node - start,
+            block_keys=tuple(key[cut:] for key in site.block_keys),
+        )
+        return cls(tuple(nodes), tuple((k[cut:], n, s) for (k, n), s in specs), site)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +418,18 @@ def _allocate(config, arch, beta, seed, precision, memoize, input_channels):
         x = gb.add(ChannelNorm(w0), [x], "stem.norm", "stem")
         x = gb.add(ReLU(), [x], segment="stem")
 
+    # Modules of one kind and width differ only in their segment: the first
+    # is emitted and the rest are stamped from it.
+    templates: dict[tuple[ModuleKind, int], _ModuleTemplate] = {}
     for i, stage in enumerate(config.stages):
         for j, kind in enumerate(stage.modules):
-            x = _emit_module(gb, arch, x, stage.width, stage.name, j, kind, beta, memoize)
+            template = templates.get((kind, stage.width))
+            if template is None:
+                start, n_specs = len(gb.nodes), len(gb.specs)
+                x = _emit_module(gb, arch, x, stage.width, stage.name, j, kind, beta, memoize)
+                templates[kind, stage.width] = _ModuleTemplate.of(gb, start, n_specs)
+            else:
+                x = gb.stamp(template, x, stage.name, j)
         if i + 1 < len(config.stages):
             nxt = config.stages[i + 1]
             key = f"trans.{stage.name}-{nxt.name}"
@@ -571,23 +637,28 @@ def load_checkpoint(path) -> Model:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     The manifest's model is built with its tensors allocated but not drawn,
-    and each tensor is filled in place straight from the file. A malformed
-    file raises EngineError naming the path and the manifest field or the
-    tensor at fault; so does an index that does not list every tensor of
-    that model exactly once, a tensor whose shape or precision differs
-    from the model's, and a tensor that holds a NaN or an infinity."""
+    and each tensor is filled in place from one byte view of the file once
+    its header matches. A malformed file raises EngineError naming the path
+    and the manifest field or the tensor at fault; so does an index that
+    does not list every tensor of that model exactly once, a tensor whose
+    shape or precision differs from the model's, and a tensor that holds a
+    NaN or an infinity."""
     with open(path, "rb") as fh:
         buf = fh.read()
     manifest, offset = _read_manifest(path, buf)
     model = _manifest_model(path, manifest)
+    raw = np.frombuffer(buf, np.uint8)
+    file_dtype = np.dtype(f"<f{DTYPES[model.meta.precision].itemsize}")
+    headers: dict[tuple[int, ...], bytes] = {}  # per shape: the store holds one dtype
     for key, name, value in _indexed_tensors(path, manifest["params"], model.params):
-        header = tensor_header(value.shape, value.dtype)
+        header = headers.get(value.shape)
+        if header is None:
+            header = headers[value.shape] = tensor_header(value.shape, value.dtype)
         start = offset + len(header)
         end = start + value.nbytes
         if not buf.startswith(header, offset) or len(buf) < end:
             raise _tensor_mismatch(path, key, name, value, buf, offset, model.meta.precision)
-        data = np.frombuffer(buf, f"<f{value.itemsize}", value.size, start)
-        value[...] = data.reshape(value.shape)
+        value.reshape(-1)[...] = raw[start:end].view(file_dtype)
         offset = end
     if offset != len(buf):
         raise EngineError(f"{path}: {len(buf) - offset} trailing bytes after the last tensor")

@@ -265,8 +265,8 @@ def load_dataset(directory, classes: int | None = None) -> Dataset:
 
     Two files with the same index, an image that is not (c, h, w), images
     of different shapes and a label not below ``classes`` raise ValueError
-    naming the files; a file that is not exactly one tensor raises
-    EngineError naming it."""
+    naming the files; a file that is not exactly one tensor, or whose image
+    holds a NaN or an infinity, raises EngineError naming it."""
     directory = Path(directory)
     entries: list[tuple[int, int, Path]] = []
     for path in directory.iterdir():
@@ -298,9 +298,13 @@ def load_dataset(directory, classes: int | None = None) -> Dataset:
                 f"{images[0].shape} in {entries[0][2]}"
             )
         images.append(image)
+    images = np.stack(images)
+    finite = np.isfinite(images).all(axis=(1, 2, 3))  # one scan; the file only on failure
+    if not finite.all():
+        raise EngineError(f"{entries[finite.argmin()][2]}: image holds a non-finite value")
     labels = np.array([label for _, label, _ in entries], dtype=np.int64)
     return Dataset(
-        images=np.stack(images),
+        images=images,
         labels=labels,
         classes=classes if classes is not None else int(labels.max()) + 1,
         seed=0,

@@ -232,8 +232,8 @@ class _Parser:
         self.next()
         try:
             return [ModuleKind.from_token(tok.text)]
-        except AlgebraError:
-            raise self.error("unknown module token", tok) from None
+        except AlgebraError as e:  # an unknown token, or an order out of range
+            raise DslSyntaxError(str(e), tok.line, tok.col) from None
 
 
 def parse_network(

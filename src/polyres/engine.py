@@ -169,8 +169,8 @@ class ParamStore:
 
     def __init__(self):
         self._groups: dict[str, Mapping[str, np.ndarray]] = {}
-        self._slots: tuple[_Slot, ...] = ()  # every tensor, in flat_items order
-        self._layout: tuple[_Slot, ...] = ()  # the trainable ones, in arena order
+        self._layout: tuple[_Slot, ...] = ()  # the trainable tensors, in arena order
+        self._table: tuple[tuple[str, tuple[_Slot, ...]], ...] = ()  # per group, its slots
         self._buffer = self._arena = np.empty(0)
         self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -181,31 +181,44 @@ class ParamStore:
         """A store of uninitialised tensors, one per ``(key, name, shape,
         dtype)`` entry: groups in the order their key first appears, tensors
         in entry order within a group. Every entry must have the same dtype.
-        The one place a layout is made."""
-        groups = {}
+        The one place a layout is made: one pass groups the entries, one
+        places them."""
+        groups: dict[str, dict[str, tuple[tuple[int, ...], int]]] = {}
+        dtypes = set()
+        n_arena = 0
         for key, name, shape, dtype in entries:
-            group = groups.setdefault(key, {})
-            if name in group:
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = {}
+            elif name in group:
                 raise EngineError(f"duplicate parameter {key}/{name}")
-            group[name] = (key, name, shape, np.dtype(dtype))
-        flat = [entry for group in groups.values() for entry in group.values()]
-        dtypes = {entry[3] for entry in flat}
+            size = math.prod(shape)
+            group[name] = (shape, size)
+            dtypes.add(dtype)
+            if name not in _STATE_NAMES:
+                n_arena += size
+        dtypes = {np.dtype(d) for d in dtypes}
         if len(dtypes) > 1:
             names = ", ".join(sorted(map(str, dtypes)))
             raise EngineError(f"a parameter store holds one dtype, got {names}")
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
         # The next free offset of the arena and of the running statistics,
         # which follow it.
-        ends = [0, sum(math.prod(e[2]) for e in flat if e[1] not in _STATE_NAMES)]
-        slots = []
-        for key, name, shape, dtype in flat:
-            part = name in _STATE_NAMES
-            start = ends[part]
-            ends[part] += math.prod(shape)
-            slots.append((key, name, shape, dtype, slice(start, ends[part])))
+        ends = [0, n_arena]
+        layout, table = [], []
+        for key, group in groups.items():
+            slots = []
+            for name, (shape, size) in group.items():
+                part = name in _STATE_NAMES
+                span = slice(ends[part], ends[part] + size)
+                ends[part] = span.stop
+                slots.append((key, name, shape, dtype, span))
+                if not part:
+                    layout.append(slots[-1])
+            table.append((key, tuple(slots)))
         store = cls()
-        store._slots = tuple(slots)
-        store._layout = tuple(s for s in slots if s[1] not in _STATE_NAMES)
-        return store._twin(np.empty(ends[1], dtypes.pop() if dtypes else np.float64))
+        store._layout, store._table = tuple(layout), tuple(table)
+        return store._twin(np.empty(ends[1], dtype))
 
     def get(self, key: str, name: str) -> np.ndarray:
         try:
@@ -245,15 +258,16 @@ class ParamStore:
 
     def _twin(self, buffer: np.ndarray) -> "ParamStore":
         """This store's entry table bound to ``buffer``, one view per entry
-        that the buffer holds."""
+        that the buffer holds, made in one pass over the table."""
         out = ParamStore()
-        out._slots, out._layout, out._buffer = self._slots, self._layout, buffer
+        out._layout, out._table, out._buffer = self._layout, self._table, buffer
         out._arena = buffer[: self._layout[-1][4].stop if self._layout else 0]
-        groups = {}
-        for key, name, shape, _, span in self._slots:
-            if span.stop <= buffer.size:
-                groups.setdefault(key, {})[name] = buffer[span].reshape(shape)
-        out._groups = {key: MappingProxyType(group) for key, group in groups.items()}
+        size = buffer.size
+        groups = (
+            (key, {n: buffer[s].reshape(shape) for _, n, shape, _, s in slots if s.stop <= size})
+            for key, slots in self._table
+        )
+        out._groups = {key: MappingProxyType(group) for key, group in groups if group}
         return out
 
     def clone(self) -> "ParamStore":

@@ -21,7 +21,7 @@ import numpy as np
 
 from .builder import Model
 from .data import Dataset, bilinear_resize, hflip
-from .engine import DTYPES, softmax
+from .engine import DTYPES, NumericError, forward, softmax
 
 __all__ = [
     "PoolingConfig",
@@ -80,10 +80,22 @@ def topk_error(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
     return float(1.0 - hit.mean())
 
 
+def _check_logits(model: Model, x: np.ndarray, logits: np.ndarray) -> None:
+    """Raise NumericError if ``logits``, the model's logits of ``x``, hold a
+    NaN or an infinity, naming the first node that made one, found by a
+    ``check_finite`` replay."""
+    if not np.isfinite(logits).all():
+        forward(model.graph, model.params, x, "eval", check_finite=True)
+        raise NumericError("non-finite logits")  # the replay found none
+
+
 def single_crop_eval(model: Model, dataset: Dataset) -> tuple[float, float]:
-    """Plain full-image top-1/top-5 error on the val split."""
+    """Plain full-image top-1/top-5 error on the val split. A non-finite
+    logit raises NumericError naming its node."""
     images, labels = dataset.subset(dataset.indices("val"))
-    logits = model.logits(images.astype(DTYPES[model.meta.precision], copy=False))
+    x = images.astype(DTYPES[model.meta.precision], copy=False)
+    logits = model.logits(x)
+    _check_logits(model, x, logits)
     k5 = min(5, logits.shape[1])
     return topk_error(logits, labels, 1), topk_error(logits, labels, k5)
 
@@ -164,7 +176,10 @@ def _pooled_scores(
         for size, t, l, mirrored in keys:
             window = scaled[size][:, t : t + crop, l : l + crop]
             crops.append(hflip(window) if mirrored else window)
-        probs = softmax(model.logits(np.stack(crops).astype(dtype, copy=False)))
+        x = np.stack(crops).astype(dtype, copy=False)
+        logits = model.logits(x)
+        probs = softmax(logits)  # a floating-point error the caller raises comes first
+        _check_logits(model, x, logits)
         pooled[i] = np.mean([topk_pool(probs[r], cfg.top_fraction) for r in rows], axis=0)
 
     # Worker w scores images w, w + n, ...; the caller is worker 0. Helpers
@@ -231,7 +246,8 @@ def multicrop_eval(
     scores all its distinct crops in one forward.
 
     Images are scored concurrently, one worker per CPU the process may run
-    on; the pooled scores are bitwise equal to those of a single worker.
+    on; the pooled scores are bitwise equal to those of a single worker. A
+    non-finite logit raises NumericError naming its node.
     """
     started = time.perf_counter()
     images, labels = dataset.subset(dataset.indices("val"))

@@ -1,12 +1,15 @@
 """Lowering, parameter sharing, model surgery, checkpoints."""
 
+import gc
 import hashlib
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from polyres import builder
 from polyres.algebra import module_monomials
 from polyres.builder import (
     ConvBlock,
@@ -207,6 +210,113 @@ class TestLowering:
             parse_arch("tree:1,2")
         with pytest.raises(ValueError):
             parse_arch("dense:1")
+
+
+def reference_emit_module(gb, arch, x, width, stage, idx_in_stage, kind, beta, memoize):
+    """Frozen copy of the original per-module emission, in which every module
+    is built from scratch: same nodes, sites and spec order."""
+    segment = f"{stage}.{idx_in_stage}"
+    monomials = module_monomials(kind)
+    letters = []
+    for mono in monomials:
+        for b in mono:
+            if b.share_key not in letters:
+                letters.append(b.share_key)
+    keys = {c: f"{segment}.{c}" for c in letters}
+
+    block_apps = 0
+    memo = {(): x}
+    path_nodes = []
+    for mono in monomials:
+        seq = tuple(b.share_key for b in reversed(mono))  # application order
+        if memoize:
+            for n in range(1, len(seq) + 1):
+                prefix = seq[:n]
+                if prefix not in memo:
+                    memo[prefix] = arch.emit(
+                        gb, memo[seq[: n - 1]], width, keys[seq[n - 1]], segment
+                    )
+                    block_apps += 1
+            path_nodes.append(memo[seq])
+        else:
+            node = x
+            for c in seq:
+                node = arch.emit(gb, node, width, keys[c], segment)
+                block_apps += 1
+            path_nodes.append(node)
+
+    gate_node = gb.add(GatedSum(beta), path_nodes, segment=segment, label=f"{segment}/paths")
+    out = gb.add(ReLU(), [x, gate_node], segment=segment)
+    gb.modules.append(
+        builder.ModuleSite(
+            stage=stage,
+            index_in_stage=idx_in_stage,
+            kind=kind,
+            gate_node=gate_node,
+            n_paths=len(monomials),
+            block_keys=tuple(keys[c] for c in letters),
+            block_apps=block_apps,
+            segment=segment,
+        )
+    )
+    return out
+
+
+def emission(model, specs):
+    """Every node (index, op class and attributes, inputs, key, label,
+    segment), every module site and every spec in binding order."""
+    nodes = [
+        (n.idx, type(n.op), vars(n.op), n.inputs, n.param_key, n.label, n.segment)
+        for n in model.graph.nodes
+    ]
+    return nodes, model.modules, list(specs.items())
+
+
+class TestStamping:
+    """Lowering emits the first module of each kind and width and stamps the
+    rest from it; the graph is the one that emitting every module builds."""
+
+    @staticmethod
+    def config(name):
+        if name in PRESET_NAMES:
+            return preset(name, classes=3, input_size=8, base_width=4)
+        # Stages of one width, as a checkpoint's widths may make them, share
+        # templates across stages.
+        config = parse_network(name, classes=3, input_size=8, base_width=4)
+        return replace(config, stages=tuple(replace(s, width=4) for s in config.stages))
+
+    @pytest.mark.parametrize("memoize", [True, False], ids=["memo", "naive"])
+    @pytest.mark.parametrize("arch", [DENSE, CONV], ids=["dense", "conv"])
+    @pytest.mark.parametrize("name", PRESET_NAMES + ("A: (poly-2) x 2; B: poly-2 -> mpoly-3",))
+    def test_stamped_graph_equals_the_emitted_one(self, name, arch, memoize, monkeypatch):
+        args = (self.config(name), arch, 0.3, 5, "f32", memoize, 1)
+        stamped = builder._allocate(*args)
+        with monkeypatch.context() as m:
+            # No template is ever kept, so every module is emitted, by the copy.
+            m.setattr(builder._ModuleTemplate, "of", classmethod(lambda cls, *a: None))
+            m.setattr(builder, "_emit_module", reference_emit_module)
+            emitted = builder._allocate(*args)
+        assert emission(*stamped) == emission(*emitted)
+        ops = [id(n.op) for n in stamped[0].graph.nodes]
+        assert len(set(ops)) == len(ops), "two nodes share an op"
+
+    def test_repeated_modules_are_stamped(self, monkeypatch):
+        stamps = []
+        stamp = builder._GraphBuilder.stamp
+        monkeypatch.setattr(
+            builder._GraphBuilder, "stamp",
+            lambda gb, t, x, stage, j: stamps.append((stage, j)) or stamp(gb, t, x, stage, j),
+        )
+        lower(preset("very-deep-polynet", classes=3, input_size=8, base_width=4), CONV)
+        # Five distinct (kind, width) pairs among forty modules.
+        assert len(stamps) == 35 and ("A", 0) not in stamps and ("B", 0) not in stamps
+
+    def test_no_template_outlives_lowering_or_loading(self, tmp_path):
+        model = tiny("A: (poly-2) x 3; B: (2-way) x 2", arch=CONV)
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        load_checkpoint(tmp_path / "m.ckpt")
+        gc.collect()
+        assert not any(isinstance(o, builder._ModuleTemplate) for o in gc.get_objects())
 
 
 def _he(rng, shape, fan_in, dtype):
@@ -508,6 +618,41 @@ def split_checkpoint(buf: bytes) -> tuple[dict, list[bytes]]:
 def join_checkpoint(manifest, chunks, blob: bytes | None = None) -> bytes:
     blob = json.dumps(manifest).encode("utf-8") if blob is None else blob
     return b"PRESCKPT" + struct.pack("<q", len(blob)) + blob + b"".join(chunks)
+
+
+class TestCheckpointMutants:
+    """Seeded one-byte mutants and truncations of a valid checkpoint: every
+    load fails with an EngineError that names the path, or loads a model
+    whose tensors are all finite."""
+
+    def test_each_mutant_fails_naming_the_path_or_loads_finite(self, tmp_path):
+        model = tiny("A: poly-2 -> 2-way; B: mpoly-2", arch=CONV, precision="f32")
+        save_checkpoint(model, tmp_path / "model.ckpt")
+        buf = (tmp_path / "model.ckpt").read_bytes()
+        (blob_len,) = struct.unpack_from("<q", buf, 8)
+        tensors_start = 16 + blob_len
+        path = tmp_path / "mutant.ckpt"
+        rng = np.random.default_rng(0)
+        failed = loaded = 0
+        for _ in range(600):
+            mutant = bytearray(buf)
+            kind = rng.integers(3)
+            if kind == 0:  # one manifest byte, printable
+                mutant[rng.integers(16, tensors_start)] = rng.integers(32, 127)
+            elif kind == 1:
+                del mutant[rng.integers(len(buf)):]
+            else:  # one byte of the tensor region
+                mutant[rng.integers(tensors_start, len(buf))] = rng.integers(256)
+            path.write_bytes(mutant)
+            try:
+                back = load_checkpoint(path)
+            except EngineError as e:
+                assert str(e).startswith(f"{path}: "), str(e)
+                failed += 1
+            else:
+                assert back.params.first_non_finite() is None
+                loaded += 1
+        assert failed > 300 and loaded > 50
 
 
 class TestCheckpoints:

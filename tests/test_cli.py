@@ -15,6 +15,7 @@ from polyres.cli import (
     EXIT_VALIDATION,
     dispatch,
 )
+from polyres.builder import load_checkpoint, save_checkpoint
 from polyres.engine import NumericError
 
 
@@ -228,6 +229,18 @@ class TestTrainEvalSurgery:
         err = capsys.readouterr().err
         assert f"validation error: {bad}: tensor head.fc/b holds a non-finite value" in err
         assert not (tmp_path / "eval").exists()
+
+    def test_overflowing_logits_exit_numeric_naming_the_node(self, trained, tmp_path, capsys):
+        model = load_checkpoint(trained / "final.ckpt")
+        model.params.get("head.fc", "w")[...] = 3e38  # finite, but the logits overflow
+        save_checkpoint(model, tmp_path / "big.ckpt")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = dispatch(
+                ["eval", "--checkpoint", str(tmp_path / "big.ckpt"), "--out", str(tmp_path / "e")]
+            )
+        assert code == EXIT_NUMERIC
+        head = model.graph.nodes[-1]
+        assert f"numeric failure: non-finite output at {head.where}" in capsys.readouterr().err
 
     def test_numeric_error_still_exits_numeric(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -318,6 +318,18 @@ class TestImportExport:
         with pytest.raises(ValueError, match=r"7_00006\.tns: label 7 is not below classes=4"):
             load_dataset(tmp_path, classes=4)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_pixel_names_the_file(self, tmp_path, value):
+        ds = synth_dataset(6, 2, 8, seed=0)
+        save_dataset(ds, tmp_path)
+        image = ds.images[3].copy()
+        image[1, 4, 5] = value
+        path = tmp_path / f"{ds.labels[3]}_00003.tns"
+        write_tensor(path, image)
+        with pytest.raises(EngineError, match="image holds a non-finite value") as err:
+            load_dataset(tmp_path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_missing_directory_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(FileNotFoundError):

@@ -1,7 +1,9 @@
 """Architecture DSL: grammar, presets, render fixpoint."""
 
+import numpy as np
 import pytest
 
+from polyres.builder import DenseBlock, lower
 from polyres.dsl import (
     PRESET_NAMES,
     DslSyntaxError,
@@ -127,6 +129,14 @@ class TestParse:
         assert (err.value.line, err.value.col) == (line, col)
         assert "'A'" in str(err.value)
 
+    @pytest.mark.parametrize("token", ["21-way", "mpoly-21"])
+    def test_an_order_beyond_the_block_alphabet_is_a_syntax_error(self, token):
+        # These families take one block letter per order; 20 letters exist.
+        with pytest.raises(DslSyntaxError, match=r"order 21 exceeds .*\(line 1, column 10\)"):
+            parse_network(f"A: ir -> {token}")
+        config = parse_network(f"A: ir -> {token.replace('21', '20')}", input_size=8)
+        lower(config, DenseBlock(2, 2), input_channels=1)
+
     def test_error_reports_line_and_column(self):
         with pytest.raises(DslSyntaxError) as err:
             parse_network("A: ir;\nB: zorp")
@@ -190,3 +200,31 @@ class TestPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(KeyError):
             preset("ir-9-9-9")
+
+
+class TestMutants:
+    """Seeded one-character mutants of a text that uses every construct: the
+    parser rejects each with a DslSyntaxError at a position, or returns a
+    config that lowers."""
+
+    TEXT = "A: (ir -> poly-2) x 3; B: (3-way -> mpoly-3) x 2;  # then C\nC: 2-way -> poly-3"
+    ALPHABET = "ABCxX0123456789;:()->#, \n_abirpolyway\u2192\u00d7"
+
+    def test_each_mutant_is_a_syntax_error_or_lowers(self):
+        rng = np.random.default_rng(0)
+        rejected = accepted = 0
+        for _ in range(1000):
+            at = int(rng.integers(len(self.TEXT) + 1))
+            char = self.ALPHABET[rng.integers(len(self.ALPHABET))]
+            edit = rng.integers(3)  # replace, insert, delete
+            head, tail = self.TEXT[:at], self.TEXT[at + (edit != 1):]
+            text = head + ("" if edit == 2 else char) + tail
+            try:
+                config = parse_network(text, input_size=8, classes=3, base_width=2)
+            except DslSyntaxError as e:
+                assert e.line >= 1 and e.col >= 1, text
+                rejected += 1
+                continue
+            lower(config, DenseBlock(2, 2), input_channels=1)
+            accepted += 1
+        assert rejected > 500 and accepted > 100

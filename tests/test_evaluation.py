@@ -3,6 +3,7 @@
 import contextvars
 import json
 import math
+import re
 import sys
 import threading
 
@@ -13,7 +14,7 @@ from polyres import evaluation
 from polyres.builder import ConvBlock, Model, lower
 from polyres.data import Dataset, bilinear_resize, hflip, synth_dataset
 from polyres.dsl import parse_network
-from polyres.engine import softmax
+from polyres.engine import NumericError, softmax
 from polyres.evaluation import (
     PoolingConfig,
     _pooled_scores,
@@ -108,6 +109,34 @@ def setup():
     config = parse_network("A: ir", input_size=16, classes=4, base_width=4)
     model = lower(config, ConvBlock(4, 2), beta=0.3, seed=0, precision="f32")
     return model, dataset
+
+
+class TestNonFiniteLogits:
+    """Finite parameters whose logits overflow: both evaluations stop with
+    NumericError naming the node, found by a ``check_finite`` replay."""
+
+    @pytest.fixture
+    def overflowing(self, setup):
+        model, dataset = setup
+        model = model.clone()
+        model.params.get("head.fc", "w")[...] = 3e38  # f32 max is about 3.4e38
+        assert model.params.first_non_finite() is None
+        return model, dataset
+
+    @pytest.mark.parametrize("run", [
+        lambda model, dataset: single_crop_eval(model, dataset),
+        lambda model, dataset: multicrop_eval(model, dataset, PoolingConfig()),
+    ], ids=["single_crop", "multicrop"])
+    def test_evaluation_names_the_node(self, overflowing, run):
+        model, dataset = overflowing
+        head = model.graph.nodes[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=f"non-finite output at {re.escape(head.where)}"):
+                run(model, dataset)
+
+    def test_the_callers_error_state_still_comes_first(self, overflowing):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            single_crop_eval(*overflowing)
 
 
 class TestMulticrop:
@@ -315,9 +344,10 @@ class TestConcurrentScoring:
 
     def test_helpers_without_the_callers_context_would_only_warn(self, monkeypatch):
         # numpy's errstate lives in a context variable: a helper run in a
-        # fresh context warns where the caller asked for a raise.
+        # fresh context warns where the caller asked for a raise. Its
+        # non-finite logits then stop the evaluation.
         monkeypatch.setattr(evaluation, "copy_context", contextvars.Context)
-        with pytest.warns(RuntimeWarning, match="invalid value"):
+        with pytest.warns(RuntimeWarning, match="invalid value"), pytest.raises(NumericError):
             self.run_with_poisoned_helpers(monkeypatch)
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
