@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -206,64 +205,33 @@ class _GraphBuilder:
         )
         return idx
 
-    def stamp(self, template: "_ModuleTemplate", x: int, stage: str, index: int) -> int:
-        """Append ``template``'s module as module ``index`` of ``stage``,
-        reading ``x``: the nodes it would emit there, each with its own op."""
+    def stamp(self, template: "_GraphBuilder", x: int, stage: str, index: int) -> int:
+        """Append the module that ``template`` holds (see :func:`_module_template`)
+        as module ``index`` of ``stage``, reading ``x``: template node 0 maps to
+        ``x`` and node ``i`` to ``i`` past the last node, the segment is put in
+        front of every key and label, and every node gets its own op."""
         segment = f"{stage}.{index}"
-        site = template.site
-        keys = {tail: segment + tail for tail in site.block_keys}
-        for tail, name, spec in template.specs:
-            self.specs.setdefault((keys[tail], name), spec)
-        nodes, base, new = self.nodes, len(self.nodes), tuple.__new__  # what GraphNode._make calls
-        for cls, attrs, inputs, key_tail, label_tail in template.nodes:
-            op = object.__new__(cls)
-            for name, value in attrs:  # immutable values; setattr keeps the compact layout
-                setattr(op, name, value)
+        (site,) = template.modules
+        for (key, name), spec in template.specs.items():
+            self.specs.setdefault((segment + key, name), spec)
+        nodes, new = self.nodes, tuple.__new__  # what GraphNode._make calls
+        base = len(nodes) - 1
+        for _, proto, inputs, key, label, _ in template.nodes[1:]:
+            op = object.__new__(type(proto))
+            for name, value in vars(proto).items():  # immutable values; setattr keeps
+                setattr(op, name, value)  # the compact layout, copy.copy costs more
             nodes.append(new(GraphNode, (
-                len(nodes), op, tuple([x if i < 0 else base + i for i in inputs]),
-                keys.get(key_tail), segment + label_tail, segment,
+                len(nodes), op, tuple([base + i if i else x for i in inputs]),
+                None if key is None else segment + key, segment + label, segment,
             )))
         self.modules.append(ModuleSite(
             stage, index, site.kind, base + site.gate_node, site.n_paths,
-            tuple(keys.values()), site.block_apps, segment,
+            tuple(segment + key for key in site.block_keys), site.block_apps, segment,
         ))
         return len(nodes) - 1
 
     def graph(self) -> ComputationGraph:
         return ComputationGraph(self.nodes, self.input_shape)
-
-
-@dataclass(frozen=True)
-class _ModuleTemplate:
-    """A module that :meth:`_GraphBuilder.stamp` can repeat, with its
-    segment cut off every key and label and its node indices made relative
-    to its first node (-1 for the module's input): per node ``(op class, op
-    attributes, inputs, key tail, label tail)``, the ``(key tail, name,
-    spec)`` of each tensor in binding order, and its site, holding the
-    relative gate node and the key tails."""
-
-    nodes: tuple[tuple[type, tuple, tuple[int, ...], str | None, str], ...]
-    specs: tuple[tuple[str, str, ParamSpec], ...]
-    site: ModuleSite
-
-    @classmethod
-    def of(cls, gb: _GraphBuilder, start: int, n_specs: int) -> "_ModuleTemplate":
-        """The template of the module that ``gb`` emitted last, from node
-        ``start`` and spec ``n_specs`` on."""
-        site = gb.modules[-1]
-        cut = len(site.segment)
-        nodes = []
-        for node in gb.nodes[start:]:
-            key_tail = None if node.param_key is None else node.param_key[cut:]
-            inputs = tuple(i - start if i >= start else -1 for i in node.inputs)
-            attrs = tuple(vars(node.op).items())
-            nodes.append((type(node.op), attrs, inputs, key_tail, node.label[cut:]))
-        specs = islice(gb.specs.items(), n_specs, None)
-        site = replace(
-            site, gate_node=site.gate_node - start,
-            block_keys=tuple(key[cut:] for key in site.block_keys),
-        )
-        return cls(tuple(nodes), tuple((k[cut:], n, s) for (k, n), s in specs), site)
 
 
 # ---------------------------------------------------------------------------
@@ -310,62 +278,37 @@ class Model:
 # ---------------------------------------------------------------------------
 
 
-def _emit_module(
-    gb: _GraphBuilder,
-    arch: BlockArch,
-    x: int,
-    width: int,
-    stage: str,
-    idx_in_stage: int,
-    kind: ModuleKind,
-    beta: float,
-    memoize: bool,
-) -> int:
-    segment = f"{stage}.{idx_in_stage}"
+def _module_template(
+    arch: BlockArch, kind: ModuleKind, width: int, beta: float, memoize: bool
+) -> _GraphBuilder:
+    """One module of ``kind`` at ``width``, built on its own for
+    :meth:`_GraphBuilder.stamp`: node 0 is the module's input, the segment is
+    empty (keys read ``.F``, labels ``/dense``), and the one site holds the
+    gate node and the key tails.
+
+    Each first-applied prefix of a path is evaluated once; without
+    ``memoize`` a prefix is keyed by its path too, so no path shares one.
+    """
+    gb = _GraphBuilder(())
     monomials = module_monomials(kind)
-    letters: list[str] = []
-    for mono in monomials:
-        for b in mono:
-            if b.share_key not in letters:
-                letters.append(b.share_key)
-    keys = {c: f"{segment}.{c}" for c in letters}
-
-    block_apps = 0
-    memo: dict[tuple[str, ...], int] = {(): x}
-    path_nodes: list[int] = []
-    for mono in monomials:
-        seq = tuple(b.share_key for b in reversed(mono))  # application order
-        if memoize:
-            for n in range(1, len(seq) + 1):
-                prefix = seq[:n]
-                if prefix not in memo:
-                    memo[prefix] = arch.emit(
-                        gb, memo[seq[: n - 1]], width, keys[seq[n - 1]], segment
-                    )
-                    block_apps += 1
-            path_nodes.append(memo[seq])
-        else:
-            node = x
-            for c in seq:
-                node = arch.emit(gb, node, width, keys[c], segment)
-                block_apps += 1
-            path_nodes.append(node)
-
-    gate_node = gb.add(GatedSum(beta), path_nodes, segment=segment, label=f"{segment}/paths")
-    out = gb.add(ReLU(), [x, gate_node], segment=segment)
-    gb.modules.append(
-        ModuleSite(
-            stage=stage,
-            index_in_stage=idx_in_stage,
-            kind=kind,
-            gate_node=gate_node,
-            n_paths=len(monomials),
-            block_keys=tuple(keys[c] for c in letters),
-            block_apps=block_apps,
-            segment=segment,
-        )
-    )
-    return out
+    letters = dict.fromkeys(b.share_key for mono in monomials for b in mono)
+    memo: dict[tuple, int] = {}
+    path_nodes = []
+    for p, mono in enumerate(monomials):
+        node, seq = 0, ()
+        for b in reversed(mono):  # application order
+            seq += (b.share_key,)
+            prefix = seq if memoize else (p, seq)
+            if prefix not in memo:
+                memo[prefix] = arch.emit(gb, node, width, f".{b.share_key}", "")
+            node = memo[prefix]
+        path_nodes.append(node)
+    gate_node = gb.add(GatedSum(beta), path_nodes, label="/paths")
+    gb.add(ReLU(), [0, gate_node])
+    gb.modules.append(ModuleSite(
+        "", 0, kind, gate_node, len(monomials), tuple(f".{c}" for c in letters), len(memo), ""
+    ))
+    return gb
 
 
 def lower(
@@ -418,18 +361,15 @@ def _allocate(config, arch, beta, seed, precision, memoize, input_channels):
         x = gb.add(ChannelNorm(w0), [x], "stem.norm", "stem")
         x = gb.add(ReLU(), [x], segment="stem")
 
-    # Modules of one kind and width differ only in their segment: the first
-    # is emitted and the rest are stamped from it.
-    templates: dict[tuple[ModuleKind, int], _ModuleTemplate] = {}
+    # Modules of one kind and width differ only in their segment: each is
+    # stamped from one template per lowering.
+    templates: dict[tuple[ModuleKind, int], _GraphBuilder] = {}
     for i, stage in enumerate(config.stages):
         for j, kind in enumerate(stage.modules):
-            template = templates.get((kind, stage.width))
-            if template is None:
-                start, n_specs = len(gb.nodes), len(gb.specs)
-                x = _emit_module(gb, arch, x, stage.width, stage.name, j, kind, beta, memoize)
-                templates[kind, stage.width] = _ModuleTemplate.of(gb, start, n_specs)
-            else:
-                x = gb.stamp(template, x, stage.name, j)
+            pair = kind, stage.width
+            if pair not in templates:
+                templates[pair] = _module_template(arch, kind, stage.width, beta, memoize)
+            x = gb.stamp(templates[pair], x, stage.name, j)
         if i + 1 < len(config.stages):
             nxt = config.stages[i + 1]
             key = f"trans.{stage.name}-{nxt.name}"

@@ -310,6 +310,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    pooling = PoolingConfig(
+        scales=args.scales, crops_per_scale=args.crops, top_fraction=args.fraction
+    )
     model = load_checkpoint(args.checkpoint)
     data_seed, *_ = _substream_seeds(args.seed)
     dataset = synth_dataset(
@@ -319,11 +322,6 @@ def cmd_eval(args) -> int:
     top1, top5 = single_crop_eval(model, dataset)
     single = {"config": model.meta.config_text, "top1": top1, "top5": top5}
     (out / "single_crop.json").write_text(json.dumps(single, indent=2))
-    pooling = PoolingConfig(
-        scales=args.scales,
-        crops_per_scale=args.crops,
-        top_fraction=args.fraction,
-    )
     report = multicrop_eval(model, dataset, pooling, checkpoint=str(args.checkpoint))
     (out / "multicrop.json").write_text(report.to_json())
     print(f"single-crop: top1 {top1:.4f} top5 {top5:.4f}")

@@ -52,6 +52,9 @@ class PoolingConfig:
             raise ValueError("need at least one crop per scale")
         if not self.scales:
             raise ValueError("need at least one scale")
+        for s in self.scales:
+            if not (math.isfinite(s) and s > 0.0):
+                raise ValueError(f"scales must be finite and above 0, got {s}")
 
 
 def topk_pool(scores: np.ndarray, fraction: float) -> np.ndarray:

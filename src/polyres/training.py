@@ -12,6 +12,7 @@ linearly from 0 at the bottom of the network to ``max_prob`` at the top.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 from itertools import zip_longest
@@ -61,12 +62,14 @@ class OptimizerHP:
     def __post_init__(self):
         if not 0.0 < self.decay < 1.0:
             raise ValueError("decay must be in (0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.base_lr <= 0.0:
-            raise ValueError("base_lr must be positive")
-        if self.lr_step <= 0 or self.total_iters < 0:
-            raise ValueError("schedule lengths must be positive")
+        for name in ("epsilon", "base_lr", "lr_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.lr_step <= 0:
+            raise ValueError(f"lr_step must be positive, got {self.lr_step}")
+        if self.total_iters < 0:
+            raise ValueError(f"total_iters must be at least 0, got {self.total_iters}")
 
     @classmethod
     def paper_schedule(cls) -> "OptimizerHP":

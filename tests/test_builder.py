@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from polyres import builder
-from polyres.algebra import module_monomials
+from polyres.algebra import ModuleKind, block_applications, expand_module, module_monomials
 from polyres.builder import (
     ConvBlock,
     DenseBlock,
@@ -76,12 +76,18 @@ class TestLowering:
         assert len(dense_nodes) == 4  # two layers per application
 
     def test_memoization_counts(self):
-        for kind, k in (("poly-3", 3), ("mpoly-3", 3), ("3-way", 3)):
-            memoized = tiny(f"A: {kind}")
-            naive = tiny(f"A: {kind}", memoize=False)
-            assert memoized.modules[0].block_apps == k
-            expected_naive = k * (k + 1) // 2 if kind != "3-way" else k
-            assert naive.modules[0].block_apps == expected_naive
+        tokens = ["ir"] + [f"{f}-{k}" for f in ("poly", "mpoly") for k in range(1, 5)]
+        for token in tokens + [f"{k}-way" for k in range(1, 5)]:
+            kind = ModuleKind.from_token(token)
+            k = kind.order
+            memoized = tiny(f"A: {token}")
+            naive = tiny(f"A: {token}", memoize=False)
+            assert memoized.modules[0].block_apps == k, token
+            expected_naive = k if kind.family == "way" else k * (k + 1) // 2
+            assert naive.modules[0].block_apps == expected_naive, token
+            expr = expand_module(kind)
+            assert naive.modules[0].block_apps == block_applications(expr), token
+            assert memoized.modules[0].block_apps == block_applications(expr, memoize=True), token
 
     def test_naive_and_cascaded_graphs_share_parameters(self):
         a = tiny("A: mpoly-2", seed=3)
@@ -273,8 +279,8 @@ def emission(model, specs):
 
 
 class TestStamping:
-    """Lowering emits the first module of each kind and width and stamps the
-    rest from it; the graph is the one that emitting every module builds."""
+    """Lowering stamps every module from one template per kind and width;
+    the graph is the one that emitting every module from scratch builds."""
 
     @staticmethod
     def config(name):
@@ -289,34 +295,43 @@ class TestStamping:
     @pytest.mark.parametrize("arch", [DENSE, CONV], ids=["dense", "conv"])
     @pytest.mark.parametrize("name", PRESET_NAMES + ("A: (poly-2) x 2; B: poly-2 -> mpoly-3",))
     def test_stamped_graph_equals_the_emitted_one(self, name, arch, memoize, monkeypatch):
-        args = (self.config(name), arch, 0.3, 5, "f32", memoize, 1)
+        config = self.config(name)
+        args = (config, arch, 0.3, 5, "f32", memoize, 1)
         stamped = builder._allocate(*args)
+        widths = {s.name: s.width for s in config.stages}
+
+        def emit(gb, template, x, stage, j):
+            kind = template.modules[0].kind
+            return reference_emit_module(gb, arch, x, widths[stage], stage, j, kind, 0.3, memoize)
+
         with monkeypatch.context() as m:
-            # No template is ever kept, so every module is emitted, by the copy.
-            m.setattr(builder._ModuleTemplate, "of", classmethod(lambda cls, *a: None))
-            m.setattr(builder, "_emit_module", reference_emit_module)
+            # Every module is emitted from scratch, by the copy, where it is stamped.
+            m.setattr(builder._GraphBuilder, "stamp", emit)
             emitted = builder._allocate(*args)
         assert emission(*stamped) == emission(*emitted)
         ops = [id(n.op) for n in stamped[0].graph.nodes]
         assert len(set(ops)) == len(ops), "two nodes share an op"
 
     def test_repeated_modules_are_stamped(self, monkeypatch):
-        stamps = []
-        stamp = builder._GraphBuilder.stamp
+        templates, stamps = [], []
+        make, stamp = builder._module_template, builder._GraphBuilder.stamp
+        monkeypatch.setattr(
+            builder, "_module_template", lambda *a: templates.append(a[1:3]) or make(*a)
+        )
         monkeypatch.setattr(
             builder._GraphBuilder, "stamp",
             lambda gb, t, x, stage, j: stamps.append((stage, j)) or stamp(gb, t, x, stage, j),
         )
         lower(preset("very-deep-polynet", classes=3, input_size=8, base_width=4), CONV)
         # Five distinct (kind, width) pairs among forty modules.
-        assert len(stamps) == 35 and ("A", 0) not in stamps and ("B", 0) not in stamps
+        assert len(templates) == len(set(templates)) == 5 and len(stamps) == 40
 
     def test_no_template_outlives_lowering_or_loading(self, tmp_path):
         model = tiny("A: (poly-2) x 3; B: (2-way) x 2", arch=CONV)
         save_checkpoint(model, tmp_path / "m.ckpt")
         load_checkpoint(tmp_path / "m.ckpt")
         gc.collect()
-        assert not any(isinstance(o, builder._ModuleTemplate) for o in gc.get_objects())
+        assert not any(isinstance(o, builder._GraphBuilder) for o in gc.get_objects())
 
 
 def _he(rng, shape, fan_in, dtype):

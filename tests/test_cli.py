@@ -260,6 +260,26 @@ class TestTrainEvalSurgery:
         )
         assert code == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
+    def test_a_bad_learning_rate_is_a_validation_error_naming_base_lr(self, tmp_path, capsys, lr):
+        code = dispatch(
+            ["train", "--network", "A: ir", "--iters", "5", "--data-n", "64", f"--lr={lr}",
+             "--out", str(tmp_path / "t")]
+        )
+        assert code == EXIT_VALIDATION
+        assert "validation error: base_lr must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("scales", ["inf", "nan", "1.0,-2", "0"])
+    def test_a_bad_scale_is_a_validation_error_naming_scales(self, trained, tmp_path, capsys, scales):
+        code = dispatch(
+            ["eval", "--checkpoint", str(trained / "final.ckpt"), f"--scales={scales}",
+             "--out", str(tmp_path / "e")]
+        )
+        assert code == EXIT_VALIDATION
+        assert "validation error: scales must be finite and above 0" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
     def test_train_with_augmentation_and_stochastic_paths(self, tmp_path, capsys):
         code, _ = run(
             capsys, "train", "--network", "A: ir", "--iters", "20", "--eval-every", "10",

@@ -190,6 +190,9 @@ class TestMulticrop:
             PoolingConfig(crops_per_scale=0)
         with pytest.raises(ValueError):
             PoolingConfig(scales=())
+        for scale in (np.inf, -np.inf, np.nan, -2.0, 0.0):
+            with pytest.raises(ValueError, match="^scales must be finite and above 0"):
+                PoolingConfig(scales=(1.0, scale))
 
 
 def reference_pooled_scores(model, images, scales, cfg):

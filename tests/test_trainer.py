@@ -174,12 +174,13 @@ class TestBlockedRmsprop:
         assert peak < 16 * 1024, f"peak {peak} bytes"
 
     def test_hyperparameter_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerHP(decay=1.0)
-        with pytest.raises(ValueError):
-            OptimizerHP(epsilon=0.0)
-        with pytest.raises(ValueError):
-            OptimizerHP(base_lr=-1.0)
+        bad = [("decay", 1.0), ("epsilon", 0.0), ("base_lr", -1.0),
+               ("epsilon", np.nan), ("epsilon", np.inf), ("base_lr", np.nan), ("base_lr", np.inf),
+               ("lr_factor", np.nan), ("lr_factor", np.inf), ("lr_factor", 0.0),
+               ("lr_factor", -0.1), ("lr_step", 0), ("total_iters", -1)]
+        for field, value in bad:
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                OptimizerHP(**{field: value})
 
 
 class TestSchedule:
