@@ -2,10 +2,10 @@
 
 Counts are exact and derived from the lowered graph: parameters count each
 share key's trainable tensors once (so shared blocks are not double
-counted), MACs use per-primitive formulas on propagated shapes for a single
-sample, and block applications come from the lowering metadata. Norm layers
-contribute their affine parameters but zero MACs; elementwise ops are
-likewise costed as zero MACs.
+counted), MACs use per-primitive formulas on the graph's cached shapes for
+one sample at the model's own input, and block applications come from the
+lowering metadata. Norm layers contribute their affine parameters but zero
+MACs; elementwise ops are likewise costed as zero MACs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -83,69 +82,35 @@ class CostReport:
         )
 
 
-def _segment_params(model: Model) -> dict[str, int]:
-    """Trainable scalar count per graph segment, each share key once."""
-    key_segment: dict[str, str] = {}
-    for node in model.graph.nodes:
-        if node.param_key is not None and node.param_key not in key_segment:
-            key_segment[node.param_key] = node.segment
-    out: dict[str, int] = {}
+def _report(model: Model, with_macs: bool) -> CostReport:
+    """One walk over the nodes: each share key's trainable scalars go to the
+    segment of the first node bound to that key and, ``with_macs``, each
+    node's MACs to its own segment. Module rows come first, in
+    ``model.modules`` order, then every other segment with a parameter or a
+    MAC, in node order."""
+    unclaimed: dict[str, int] = {}
     for key, _, value in model.params.flat_items(trainable_only=True):
-        seg = key_segment[key]
-        out[seg] = out.get(seg, 0) + value.size
-    return out
-
-
-def _segment_macs(model: Model, input_shape: Sequence[int] | None) -> dict[str, int]:
-    graph = model.graph
-    if input_shape is not None and len(input_shape) == len(graph.input_shape) + 1:
-        input_shape = input_shape[1:]  # drop an explicit batch extent
-    shapes = graph.infer_shapes(input_shape)
-    out: dict[str, int] = {}
-    for node in graph.nodes:
-        macs = node.op.macs([shapes[i] for i in node.inputs], shapes[node.idx])
-        if macs:
-            out[node.segment] = out.get(node.segment, 0) + macs
-    return out
-
-
-def _build_report(model: Model, seg_macs: dict[str, int]) -> CostReport:
-    seg_params = _segment_params(model)
-    config_text = model.meta.config_text
-    rows: list[CostRow] = []
-    module_segments = set()
-    for site in model.modules:
-        module_segments.add(site.segment)
-        rows.append(
-            CostRow(
-                config=config_text,
-                stage=site.stage,
-                module_index=site.index_in_stage,
-                kind=site.kind.token,
-                params=seg_params.get(site.segment, 0),
-                macs=seg_macs.get(site.segment, 0),
-                block_apps=site.block_apps,
-            )
+        unclaimed[key] = unclaimed.get(key, 0) + value.size
+    shapes = model.graph.infer_shapes() if with_macs else ()
+    segments: dict[str, list[int]] = {}  # segment -> [params, macs]
+    for node in model.graph.nodes:
+        params = unclaimed.pop(node.param_key, 0)
+        macs = node.op.macs([shapes[i] for i in node.inputs], shapes[node.idx]) if with_macs else 0
+        if params or macs:
+            totals = segments.setdefault(node.segment, [0, 0])
+            totals[0] += params
+            totals[1] += macs
+    config = model.meta.config_text
+    rows = [
+        CostRow(
+            config, site.stage, site.index_in_stage, site.kind.token,
+            *segments.pop(site.segment, (0, 0)), site.block_apps,
         )
-    ordered = dict.fromkeys(
-        list(seg_params) + [s for s in seg_macs if s not in seg_params]
-    )
-    for seg in ordered:
-        if seg in module_segments:
-            continue
-        rows.append(
-            CostRow(
-                config=config_text,
-                stage=seg,
-                module_index=-1,
-                kind="-",
-                params=seg_params.get(seg, 0),
-                macs=seg_macs.get(seg, 0),
-                block_apps=0,
-            )
-        )
+        for site in model.modules
+    ]
+    rows += [CostRow(config, seg, -1, "-", p, m, 0) for seg, (p, m) in segments.items()]
     return CostReport(
-        config=config_text,
+        config=config,
         params=sum(r.params for r in rows),
         macs=sum(r.macs for r in rows),
         block_apps=sum(r.block_apps for r in rows),
@@ -154,16 +119,14 @@ def _build_report(model: Model, seg_macs: dict[str, int]) -> CostReport:
 
 
 def count_params(model: Model) -> CostReport:
-    """Parameter and block-application counts (MACs reported as zero; use
-    :func:`count_macs` when an input size matters)."""
-    return _build_report(model, {})
+    """Parameter and block-application counts (MACs reported as zero)."""
+    return _report(model, with_macs=False)
 
 
-def count_macs(model: Model, input_shape: Sequence[int] | None = None) -> CostReport:
-    """Full cost report for one forward sample at the given input shape
-    (default: the model's own input). MACs are independent of batch size
-    and, for convolutional stages, exactly proportional to spatial area."""
-    return _build_report(model, _segment_macs(model, input_shape))
+def count_macs(model: Model) -> CostReport:
+    """Full cost report for one forward sample at the model's own input.
+    MACs at another input size are those of the config lowered at it."""
+    return _report(model, with_macs=True)
 
 
 # ---------------------------------------------------------------------------
@@ -191,38 +154,24 @@ def efficiency_table(
     configs: Sequence[NetworkConfig | tuple[str, NetworkConfig]],
     arch: BlockArch,
     beta: float = 1.0,
-    metrics: Mapping[str, float] | None = None,
     input_channels: int = 3,
 ) -> list[dict]:
-    """One row per config: name, params, macs, block_apps, joined accuracy.
-
-    ``metrics`` maps a row name (or canonical config text) to an accuracy
-    value; missing or extra keys are reported as warnings, never fatal.
-    """
+    """One row per config: name, params, macs, block_apps, and an
+    ``accuracy`` of None for a caller that trains the configs to fill."""
     rows: list[dict] = []
-    seen_names: set[str] = set()
     for entry in configs:
         name, config = entry if isinstance(entry, tuple) else (render_network(entry), entry)
         model = lower(config, arch, beta=beta, seed=0, input_channels=input_channels)
         report = count_macs(model)
-        accuracy = None
-        if metrics is not None:
-            accuracy = metrics.get(name, metrics.get(report.config))
-            if accuracy is None:
-                warnings.warn(f"no accuracy entry for config {name!r}", stacklevel=2)
-        seen_names.update({name, report.config})
         rows.append(
             {
                 "config": name,
                 "params": report.params,
                 "macs": report.macs,
                 "block_apps": report.block_apps,
-                "accuracy": accuracy,
+                "accuracy": None,
             }
         )
-    if metrics is not None:
-        for stray in set(metrics) - seen_names:
-            warnings.warn(f"accuracy entry {stray!r} matches no config", stacklevel=2)
     return rows
 
 

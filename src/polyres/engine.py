@@ -830,23 +830,18 @@ class ComputationGraph:
     def output(self) -> int:
         return self.nodes[-1].idx
 
-    def infer_shapes(
-        self, input_shape: Sequence[int] | None = None
-    ) -> tuple[tuple[int, ...], ...]:
+    def infer_shapes(self) -> tuple[tuple[int, ...], ...]:
         """Check the graph and return each node's output shape for one
-        sample of ``input_shape`` (default: the graph's own input).
+        sample of its input.
 
         The only shape pass; :func:`forward` and the cost counters use it.
         A node reading itself or a later node raises EngineError, an op
         whose shape rule rejects its inputs ShapeError; both name the node.
-        The result at the graph's own input shape is cached, together with
-        the last-use and gradient-read tables that :func:`forward` and
-        :func:`backward` follow; a failure is not, so it is raised again at
-        every call.
+        The result is cached, together with the last-use and gradient-read
+        tables that :func:`forward` and :func:`backward` follow; a failure
+        is not, so it is raised again at every call.
         """
-        input_shape = self.input_shape if input_shape is None else tuple(input_shape)
-        own = input_shape == self.input_shape
-        if own and self._shapes is not None:
+        if self._shapes is not None:
             return self._shapes
         shapes: list[tuple[int, ...]] = []
         n = len(self.nodes)
@@ -862,22 +857,21 @@ class ComputationGraph:
                 grad_read[idx] = grad_read[idx] or trainable_above[i]
             trainable_above[idx] = grad_read[idx] or node.param_key is not None
             if isinstance(node.op, InputOp):
-                shapes.append((1, *input_shape))
+                shapes.append((1, *self.input_shape))
                 continue
             try:
                 shapes.append(node.op.infer_shape([shapes[i] for i in node.inputs]))
             except ShapeError as e:
                 raise ShapeError(f"{node.where}: {e}") from None
-        if own:
-            frees: list[list[int]] = [[] for _ in self.nodes]
-            for i, last in enumerate(last_use):
-                if i != self.output:
-                    frees[last].append(i)
-            self._frees = tuple(map(tuple, frees))
-            self._grad_read = tuple(grad_read)
-            # Set last: concurrent first forwards read the tables once this is set.
-            self._shapes = tuple(shapes)
-        return tuple(shapes)
+        frees: list[list[int]] = [[] for _ in self.nodes]
+        for i, last in enumerate(last_use):
+            if i != self.output:
+                frees[last].append(i)
+        self._frees = tuple(map(tuple, frees))
+        self._grad_read = tuple(grad_read)
+        # Set last: concurrent first forwards read the tables once this is set.
+        self._shapes = tuple(shapes)
+        return self._shapes
 
 
 # ---------------------------------------------------------------------------

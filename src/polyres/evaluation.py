@@ -47,9 +47,9 @@ class PoolingConfig:
 
     def __post_init__(self):
         if not 0.0 < self.top_fraction <= 1.0:
-            raise ValueError("top_fraction must be in (0, 1]")
+            raise ValueError(f"top_fraction must be in (0, 1], got {self.top_fraction}")
         if self.crops_per_scale < 1:
-            raise ValueError("need at least one crop per scale")
+            raise ValueError(f"crops_per_scale must be at least 1, got {self.crops_per_scale}")
         if not self.scales:
             raise ValueError("need at least one scale")
         for s in self.scales:

@@ -303,11 +303,29 @@ def _batches(dataset: Dataset, idx, batch_size: int, dtype, augment_cfg, rng_dat
         yield images.astype(dtype), dataset.labels[batch]
 
 
-def _evaluate(model: Model, images, labels, gates) -> tuple[float, float, float]:
-    out, _ = model.forward(images, mode="eval", gates=gates)
-    loss, _ = softmax_cross_entropy(out.data, labels)
-    k5 = min(5, out.data.shape[1])
-    return loss, topk_error(out.data, labels, 1), topk_error(out.data, labels, k5)
+def _first_non_finite(model: Model, images, mode: str, gates) -> str | None:
+    """Replay a forward with ``check_finite``; the message naming the first
+    node whose output is not finite, or None if every output is."""
+    try:
+        forward(model.graph, model.params, images, mode, gates, check_finite=True)
+    except NumericError as exc:
+        return str(exc)
+    return None
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _evaluate(model: Model, images, labels, gates, it, lr) -> tuple[float, float, float]:
+    """Held-out loss, top-1 and top-5 error, under the numpy settings of
+    :func:`_step`. A non-finite logit or loss raises TrainingDiverged; the
+    replayed forward names the node. The parameter scan of a step cannot
+    catch this case: a bad running mean is read only in eval mode."""
+    logits = model.forward(images, mode="eval", gates=gates)[0].data
+    loss, _ = softmax_cross_entropy(logits, labels)
+    if not (np.isfinite(loss) and np.isfinite(logits).all()):
+        detail = _first_non_finite(model, images, "eval", gates) or "loss is not finite"
+        raise TrainingDiverged(it, lr, f"held-out evaluation: {detail}")
+    k5 = min(5, logits.shape[1])
+    return loss, topk_error(logits, labels, 1), topk_error(logits, labels, k5)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -325,11 +343,7 @@ def _step(model: Model, images, labels, gates, state, hp, lr, it) -> float:
     out, tape = forward(model.graph, model.params, images, "train", gates)
     loss, dlogits = softmax_cross_entropy(out.data, labels)
     if not np.isfinite(loss):
-        try:
-            forward(model.graph, model.params, images, "train", gates, check_finite=True)
-            detail = "loss is not finite"
-        except NumericError as exc:
-            detail = str(exc)
+        detail = _first_non_finite(model, images, "train", gates) or "loss is not finite"
         raise TrainingDiverged(it, lr, detail)
     grads = backward(tape, dlogits)
     rmsprop_step(model.params, grads, state, hp, lr)
@@ -413,7 +427,7 @@ def train(
             # Paths are scaled at eval only once training drops them.
             scaled = gates_active and spc.rescale == "eval"
             eval_gates = eval_gate_map(model, probs) if scaled else None
-            val_loss, top1, top5 = _evaluate(model, val_images, val_labels, eval_gates)
+            val_loss, top1, top5 = _evaluate(model, val_images, val_labels, eval_gates, it, lr)
             history.records.append(
                 EvalRecord(
                     iteration=it + 1,

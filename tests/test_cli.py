@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import struct
 
 import numpy as np
@@ -15,7 +16,7 @@ from polyres.cli import (
     EXIT_VALIDATION,
     dispatch,
 )
-from polyres.builder import load_checkpoint, save_checkpoint
+from polyres.builder import load_checkpoint, lower, save_checkpoint
 from polyres.engine import NumericError
 
 
@@ -279,6 +280,46 @@ class TestTrainEvalSurgery:
         assert code == EXIT_VALIDATION
         assert "validation error: scales must be finite and above 0" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--crops", "0", "crops_per_scale must be at least 1, got 0"),
+            ("--fraction", "0", "top_fraction must be in (0, 1], got 0.0"),
+        ],
+    )
+    def test_a_bad_pooling_protocol_is_a_validation_error_naming_the_field(
+        self, trained, tmp_path, capsys, flag, value, message
+    ):
+        code = dispatch(
+            ["eval", "--checkpoint", str(trained / "final.ckpt"), flag, value,
+             "--out", str(tmp_path / "e")]
+        )
+        assert code == EXIT_VALIDATION
+        assert f"validation error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_a_non_finite_held_out_logit_exits_numeric_naming_the_node(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Train-mode norm ignores the running mean, so only evaluation reads it.
+        def poisoned_lower(*args, **kwargs):
+            model = lower(*args, **kwargs)
+            model.params.get("stem.norm", "running_mean")[...] = -3e38
+            return model
+
+        monkeypatch.setattr(cli, "lower", poisoned_lower)
+        code = dispatch(
+            ["train", "--network", "A: ir", "--iters", "2", "--eval-every", "1",
+             "--data-n", "64", "--precision", "f32", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_NUMERIC
+        assert re.search(
+            r"numeric failure: training diverged at iteration 0 \(lr=\S+\): held-out "
+            r"evaluation: non-finite output at node \d+ \(\S+\)",
+            capsys.readouterr().err,
+        )
+        assert not (tmp_path / "history.jsonl").exists()
 
     def test_train_with_augmentation_and_stochastic_paths(self, tmp_path, capsys):
         code, _ = run(

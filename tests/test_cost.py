@@ -1,9 +1,11 @@
 """Analytic cost counting: parameters, MACs, block applications."""
 
-import warnings
+import pytest
 
 from polyres.builder import ConvBlock, DenseBlock, lower, upgrade
 from polyres.cost import (
+    CostReport,
+    CostRow,
     count_macs,
     count_params,
     efficiency_table,
@@ -11,7 +13,7 @@ from polyres.cost import (
     rows_to_csv,
     rows_to_json,
 )
-from polyres.dsl import parse_network, preset
+from polyres.dsl import PRESET_NAMES, parse_network, preset
 from polyres.engine import Conv2D, Dense
 
 
@@ -98,16 +100,13 @@ class TestCountMacs:
         assert conv2 == 4 * conv1
 
     def test_macs_proportional_to_spatial_area(self):
-        model = lower(parse_network("A: ir", input_size=8, base_width=4), ConvBlock(4, 2))
-        base = count_macs(model, (3, 8, 8))
-        double = count_macs(model, (3, 16, 16))
-        conv_base = sum(r.macs for r in base.rows if r.stage != "head")
-        conv_double = sum(r.macs for r in double.rows if r.stage != "head")
-        assert conv_double == 4 * conv_base
+        # MACs at another input size are those of the config lowered at it.
+        def conv_macs(size):
+            config = parse_network("A: ir", input_size=size, base_width=4)
+            report = count_macs(lower(config, ConvBlock(4, 2)))
+            return sum(r.macs for r in report.rows if r.stage != "head")
 
-    def test_macs_ignore_batch_extent(self):
-        model = lower(parse_network("A: ir", input_size=8, base_width=4), ConvBlock(4, 2))
-        assert count_macs(model, (3, 8, 8)).macs == count_macs(model, (64, 3, 8, 8)).macs
+        assert conv_macs(16) == 4 * conv_macs(8)
 
     def test_norm_layers_cost_zero_macs(self):
         report = count_macs(tiny("A: ir"))
@@ -129,16 +128,6 @@ class TestEfficiencyTable:
         )
         assert all(r["accuracy"] is None for r in rows)
         assert all(r["params"] > 0 and r["macs"] > 0 for r in rows)
-
-    def test_metrics_join_and_mismatch_warning(self):
-        grid = grid_configs(preset("ir-3-6-3"))[:2]
-        metrics = {"baseline": 0.9, "no-such-config": 0.1}
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rows = efficiency_table(grid, DenseBlock(16, 32), metrics=metrics, input_channels=1)
-        assert rows[0]["accuracy"] == 0.9
-        assert rows[1]["accuracy"] is None
-        assert len(caught) == 2  # the missing config and the stray key
 
     def test_identical_configs_get_identical_rows(self):
         config = preset("ir-3-6-3")
@@ -164,3 +153,92 @@ class TestEfficiencyTable:
         report = count_macs(tiny("A: ir"))
         header = report.to_csv().splitlines()[0]
         assert header == "config,stage,module_index,kind,params,macs,block_apps"
+
+
+def reference_segment_params(model):
+    """Frozen copy of the original two-walk report: the parameter walk."""
+    key_segment: dict[str, str] = {}
+    for node in model.graph.nodes:
+        if node.param_key is not None and node.param_key not in key_segment:
+            key_segment[node.param_key] = node.segment
+    out: dict[str, int] = {}
+    for key, _, value in model.params.flat_items(trainable_only=True):
+        seg = key_segment[key]
+        out[seg] = out.get(seg, 0) + value.size
+    return out
+
+
+def reference_segment_macs(model):
+    """Frozen copy of the original two-walk report: the MAC walk."""
+    graph = model.graph
+    shapes = graph.infer_shapes()
+    out: dict[str, int] = {}
+    for node in graph.nodes:
+        macs = node.op.macs([shapes[i] for i in node.inputs], shapes[node.idx])
+        if macs:
+            out[node.segment] = out.get(node.segment, 0) + macs
+    return out
+
+
+def reference_build_report(model, seg_macs):
+    """Frozen copy of the original two-walk report: the merge of both
+    segment orders."""
+    seg_params = reference_segment_params(model)
+    config_text = model.meta.config_text
+    rows = []
+    module_segments = set()
+    for site in model.modules:
+        module_segments.add(site.segment)
+        rows.append(
+            CostRow(
+                config=config_text,
+                stage=site.stage,
+                module_index=site.index_in_stage,
+                kind=site.kind.token,
+                params=seg_params.get(site.segment, 0),
+                macs=seg_macs.get(site.segment, 0),
+                block_apps=site.block_apps,
+            )
+        )
+    ordered = dict.fromkeys(
+        list(seg_params) + [s for s in seg_macs if s not in seg_params]
+    )
+    for seg in ordered:
+        if seg in module_segments:
+            continue
+        rows.append(
+            CostRow(
+                config=config_text,
+                stage=seg,
+                module_index=-1,
+                kind="-",
+                params=seg_params.get(seg, 0),
+                macs=seg_macs.get(seg, 0),
+                block_apps=0,
+            )
+        )
+    return CostReport(
+        config=config_text,
+        params=sum(r.params for r in rows),
+        macs=sum(r.macs for r in rows),
+        block_apps=sum(r.block_apps for r in rows),
+        rows=rows,
+    )
+
+
+@pytest.mark.parametrize("memoize", [True, False], ids=["memo", "naive"])
+@pytest.mark.parametrize("arch", [DenseBlock(16, 32), ConvBlock(16, 4)], ids=["dense", "conv"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_one_pass_report_equals_the_two_walk_reference(name, arch, memoize):
+    model = lower(preset(name), arch, memoize=memoize)
+    for report, reference in (
+        (count_macs(model), reference_build_report(model, reference_segment_macs(model))),
+        (count_params(model), reference_build_report(model, {})),
+    ):
+        assert report.rows == reference.rows
+        assert (report.params, report.macs, report.block_apps) == (
+            reference.params, reference.macs, reference.block_apps
+        )
+        assert report.to_csv() == reference.to_csv()
+        assert report.to_json() == reference.to_json()
+        assert report.stage_totals() == reference.stage_totals()

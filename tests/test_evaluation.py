@@ -184,10 +184,12 @@ class TestMulticrop:
         }
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PoolingConfig(top_fraction=0.0)
-        with pytest.raises(ValueError):
-            PoolingConfig(crops_per_scale=0)
+        for fraction in (0.0, 1.5, np.nan):
+            with pytest.raises(ValueError, match=rf"^top_fraction must be in \(0, 1\], got {fraction}$"):
+                PoolingConfig(top_fraction=fraction)
+        for crops in (0, -2):
+            with pytest.raises(ValueError, match=f"^crops_per_scale must be at least 1, got {crops}$"):
+                PoolingConfig(crops_per_scale=crops)
         with pytest.raises(ValueError):
             PoolingConfig(scales=())
         for scale in (np.inf, -np.inf, np.nan, -2.0, 0.0):

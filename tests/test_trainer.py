@@ -551,6 +551,24 @@ class TestTrainLoop:
         assert node.param_key == key and label == node.label
         assert f"iteration {err.value.iteration} " in str(err.value)
 
+    def test_a_non_finite_held_out_logit_aborts_and_names_the_node(self, dataset):
+        # Train-mode norm ignores the running mean, so every step and the
+        # parameter scan pass; the held-out evaluation reads it, and its
+        # logits overflow. The run must stop, not record a NaN val_loss.
+        config = parse_network("A: ir", input_size=16, classes=4, base_width=8)
+        model = lower(config, DenseBlock(8, 16), beta=0.3, seed=0, precision="f32")
+        model.params.get("stem.norm", "running_mean")[...] = -3e38
+        with pytest.raises(TrainingDiverged) as err:
+            train(model, dataset, OptimizerHP.desk(4), eval_every=1, seed=0)
+        assert err.value.iteration == 0
+        match = re.fullmatch(
+            r"held-out evaluation: non-finite output at node (\d+) \(\S+\)", err.value.detail
+        )
+        assert match, err.value.detail
+        node = model.graph.nodes[int(match.group(1))]
+        assert err.value.detail.endswith(node.where)
+        assert node.idx > next(n.idx for n in model.graph.nodes if n.param_key == "stem.norm")
+
     @pytest.mark.parametrize(
         "arch,name", [(DenseBlock(8, 16), "w2"), (ConvBlock(8, 2), "w3")], ids=["dense", "conv"]
     )
