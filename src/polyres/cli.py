@@ -2,10 +2,11 @@
 
 Subcommands: parse, expand, rewrite, analyze, train, eval, gradcheck,
 surgery, sweep. Every run resolves its options (flags over an optional
-``key = value`` config file), derives named random substreams from one
---seed, writes a manifest.json under --out, and exits 0 on success, 1 on
-usage errors, 2 on validation errors (bad DSL, config or checkpoint), 3 on
-numeric failures (divergence, gradient check over tolerance).
+``key = value`` config file), writes a manifest.json under --out, and exits
+0 on success, 1 on usage errors, 2 on validation errors (bad DSL, config or
+checkpoint), 3 on numeric failures (divergence, gradient check over
+tolerance). A command takes --seed or --precision only where it changes the
+output; its random streams derive from that one --seed.
 """
 
 from __future__ import annotations
@@ -40,12 +41,7 @@ from .engine import (
     softmax_cross_entropy,
 )
 from .evaluation import PoolingConfig, multicrop_eval, single_crop_eval
-from .training import (
-    OptimizerHP,
-    StochasticPathConfig,
-    TrainingDiverged,
-    train,
-)
+from .training import OptimizerHP, StochasticPathConfig, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,7 +57,7 @@ class UsageError(Exception):
     pass
 
 
-class GradcheckFailure(Exception):
+class GradcheckFailure(NumericError):
     pass
 
 
@@ -95,26 +91,29 @@ def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
     return values
 
 
-def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
+def _apply_config_file(parser: _Parser, argv: list[str]) -> None:
     """Turn a ``key = value`` file into defaults on the subcommand's parser.
 
-    Explicit flags still win; a file value satisfies a required option. A
-    key the subcommand does not take, or a value its option rejects, is a
-    ValueError naming ``path:line`` and the key.
+    Argparse finds the path, so ``--config FILE``, ``--config=FILE`` and a
+    prefix are all read. Explicit flags still win; a file value satisfies a
+    required option. A key the subcommand does not take, or a value its
+    option rejects, is a ValueError naming ``path:line`` and the key.
     """
-    if "--config" not in argv:
-        return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return
+    if not path:
         raise UsageError("--config needs a file path")
-    raw = _read_config_file(argv[at + 1])
+    raw = _read_config_file(path)
     sub_action = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
     command = next((a for a in argv if not a.startswith("-")), None)
     subparser = sub_action.choices.get(command)
     if subparser is None:
-        return argv  # let normal parsing report the usage error
+        return  # let normal parsing report the usage error
     actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
     defaults = {}
     for key, (where, text) in raw.items():
@@ -135,7 +134,6 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> list[str]:
         defaults[key] = _BOOLEANS[value] if allowed is _BOOLEANS else value
         action.required = False
     subparser.set_defaults(**defaults)
-    return argv
 
 
 def _list_of(kind):
@@ -164,9 +162,9 @@ def _run_dir(args) -> Path:
     return out
 
 
-def _substream_seeds(seed: int, n: int = 4) -> list[int]:
-    # Named substreams (data, init, gates/train, aux) derived from one seed.
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
+def _substream_seeds(seed: int) -> list[int]:
+    # The data, init and train substreams derived from one seed.
+    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(3)]
 
 
 def _sizes(args) -> dict:
@@ -193,14 +191,16 @@ def _add_network_options(p: _Parser, default_network: str | None = None):
     p.add_argument("--preset", default=None, help="named preset configuration")
     _add_size_options(p, base_width=16)
     p.add_argument("--arch", default="dense:16,32", help="block template, tag:a,b")
-    p.add_argument("--beta", type=float, default=0.3, help="residual scaling factor")
 
 
-def _add_common(p: _Parser):
+def _add_common(p: _Parser, seed: bool = False, precision: bool = False):
+    # --seed and --precision only for the commands whose output they change.
     p.add_argument("--config", default=None, help="key = value options file")
-    p.add_argument("--seed", type=int, default=0)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output directory (default runs/<cmd>)")
-    p.add_argument("--precision", choices=("f32", "f64"), default="f32")
+    if precision:
+        p.add_argument("--precision", choices=("f32", "f64"), default="f32")
 
 
 def _add_data_options(p: _Parser):
@@ -252,11 +252,7 @@ def cmd_rewrite(args) -> int:
 def cmd_analyze(args) -> int:
     config = _resolve_network(args)
     arch = parse_arch(args.arch)
-    model = lower(
-        config, arch, beta=args.beta, seed=args.seed, precision=args.precision,
-        input_channels=args.channels,
-    )
-    report = cost.count_macs(model)
+    report = cost.count_macs(lower(config, arch, input_channels=args.channels))
     out = _run_dir(args)
     (out / "cost.csv").write_text(report.to_csv())
     (out / "cost.json").write_text(report.to_json())
@@ -281,7 +277,7 @@ def _stochastic_config(args) -> StochasticPathConfig | None:
 def cmd_train(args) -> int:
     config = _resolve_network(args)
     arch = parse_arch(args.arch)
-    data_seed, init_seed, train_seed, _ = _substream_seeds(args.seed)
+    data_seed, init_seed, train_seed = _substream_seeds(args.seed)
     dataset = synth_dataset(args.data_n, config.classes, config.input_size, data_seed)
     model = lower(
         config, arch, beta=args.beta, seed=init_seed, precision=args.precision,
@@ -426,7 +422,7 @@ def cmd_sweep(args) -> int:
     arch = parse_arch(args.arch)
     grid = cost.grid_configs(base)
     out = _run_dir(args)
-    data_seed, init_seed, train_seed, _ = _substream_seeds(args.seed)
+    data_seed, init_seed, train_seed = _substream_seeds(args.seed)
     dataset = None
     if args.iters > 0:
         dataset = synth_dataset(args.data_n, base.classes, base.input_size, data_seed)
@@ -436,14 +432,12 @@ def cmd_sweep(args) -> int:
         if dataset is not None:
             model = lower(config, arch, beta=args.beta, seed=init_seed, precision=args.precision)
             hp = OptimizerHP.desk(args.iters, base_lr=args.lr)
-            started = time.perf_counter()
             model, history = train(
                 model, dataset, hp, eval_every=max(1, args.iters // 2),
                 seed=train_seed, batch_size=args.batch_size,
             )
-            elapsed = time.perf_counter() - started
             row["accuracy"] = 1.0 - history.records[-1].top1
-            row["ms_per_iter"] = 1000.0 * elapsed / args.iters
+            row["ms_per_iter"] = 1000.0 * history.wall_time_s / args.iters
             print(f"{name:<14} acc {row['accuracy']:.3f}  {row['ms_per_iter']:.1f} ms/iter")
         else:
             print(f"{name:<14} params {row['params']:>9} macs {row['macs']:>12}")
@@ -487,6 +481,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a model on the synthetic dataset")
     _add_network_options(p, default_network="IR 1-2-1")
+    p.add_argument("--beta", type=float, default=0.3, help="residual scaling factor")
     _add_data_options(p)
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--lr", type=float, default=0.045)
@@ -499,7 +494,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-prob", type=float, default=0.25)
     p.add_argument("--adaptive", choices=("off", "auto"), default="off")
     p.add_argument("--rescale", choices=("none", "train", "eval"), default="none")
-    _add_common(p)
+    _add_common(p, seed=True, precision=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="single-crop and multi-crop evaluation")
@@ -508,14 +503,14 @@ def build_parser() -> _Parser:
     p.add_argument("--scales", type=_list_of(float), default="1.0,1.15,1.3")
     p.add_argument("--crops", type=int, default=8)
     p.add_argument("--fraction", type=float, default=0.3)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="backward vs central differences")
     p.add_argument("--kind", default="all", help="module token or 'all'")
     p.add_argument("--arch", default="dense:4,8")
     p.add_argument("--beta", type=float, default=0.3)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("surgery", help="upgrade or deepen a checkpoint")
@@ -524,7 +519,7 @@ def build_parser() -> _Parser:
     p.add_argument("--interleave", type=_list_of(int), default=None,
                    help="per-stage new-unit counts, comma separated")
     p.add_argument("--zero-last", action="store_true")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_surgery)
 
     p = sub.add_parser("sweep", help="stage x module-kind grid, cost table (+ accuracy)")
@@ -536,7 +531,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=0.045)
     p.add_argument("--batch-size", type=int, default=32)
     _add_data_options(p)
-    _add_common(p)
+    _add_common(p, seed=True, precision=True)
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -545,13 +540,14 @@ def build_parser() -> _Parser:
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, list(argv))
+        _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TrainingDiverged, NumericError, GradcheckFailure) as exc:
+    except NumericError as exc:
+        # Also TrainingDiverged and GradcheckFailure, its subclasses.
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (DslSyntaxError, AlgebraError, EngineError, ValueError, KeyError, FileNotFoundError) as exc:

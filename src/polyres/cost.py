@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .algebra import ModuleKind
 from .builder import BlockArch, Model, lower
-from .dsl import NetworkConfig, render_network
+from .dsl import NetworkConfig
 
 __all__ = [
     "CostRow",
@@ -151,16 +151,15 @@ def grid_configs(base: NetworkConfig) -> list[tuple[str, NetworkConfig]]:
 
 
 def efficiency_table(
-    configs: Sequence[NetworkConfig | tuple[str, NetworkConfig]],
+    configs: Sequence[tuple[str, NetworkConfig]],
     arch: BlockArch,
     beta: float = 1.0,
     input_channels: int = 3,
 ) -> list[dict]:
-    """One row per config: name, params, macs, block_apps, and an
-    ``accuracy`` of None for a caller that trains the configs to fill."""
+    """One row per ``(name, config)``: name, params, macs, block_apps, and
+    an ``accuracy`` of None for a caller that trains the configs to fill."""
     rows: list[dict] = []
-    for entry in configs:
-        name, config = entry if isinstance(entry, tuple) else (render_network(entry), entry)
+    for name, config in configs:
         model = lower(config, arch, beta=beta, seed=0, input_channels=input_channels)
         report = count_macs(model)
         rows.append(

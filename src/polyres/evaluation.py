@@ -255,7 +255,7 @@ def multicrop_eval(
     started = time.perf_counter()
     images, labels = dataset.subset(dataset.indices("val"))
     usable, pooled = _pooled_scores(model, images, cfg)
-    k5 = min(5, dataset.classes)
+    k5 = min(5, pooled.shape[1])
     return EvalReport(
         config=model.meta.config_text,
         checkpoint=checkpoint,

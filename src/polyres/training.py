@@ -270,7 +270,7 @@ class TrainHistory:
         return cls(seed=seed, records=records)
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(NumericError):
     def __init__(self, iteration: int, lr: float, detail: str):
         super().__init__(
             f"training diverged at iteration {iteration} (lr={lr:g}): {detail}"

@@ -63,11 +63,14 @@ class TestParseCommand:
         assert dispatch(["parse", "A: ir", "--zorp"]) == EXIT_USAGE
 
     def test_manifest_written(self, tmp_path, capsys):
-        run(capsys, "parse", "A: ir", "--out", str(tmp_path), "--seed", "5")
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        run(capsys, "parse", "A: ir", "--out", str(tmp_path / "parse"))
+        manifest = json.loads((tmp_path / "parse" / "manifest.json").read_text())
         assert manifest["command"] == "parse"
-        assert manifest["seed"] == 5
         assert manifest["options"]["text"] == "A: ir"
+        run(capsys, "sweep", "--base-width", "4", "--out", str(tmp_path / "sweep"), "--seed", "5")
+        manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
+        assert manifest["command"] == "sweep"
+        assert manifest["seed"] == 5
 
 
 class TestAnalyzeAndSweep:
@@ -444,6 +447,50 @@ class TestRunDirectory:
         assert manifest["options"]["out"] == (str(out) if given else None)
 
 
+# The options a command takes only where they change its output; each pair
+# here is one a command does not take.
+UNREAD_OPTIONS = [
+    (command, flag, value)
+    for command, flags in {
+        "parse": ("seed", "precision"),
+        "expand": ("seed", "precision"),
+        "rewrite": ("seed", "precision"),
+        "analyze": ("seed", "precision", "beta"),
+        "eval": ("precision",),
+        "gradcheck": ("precision",),
+        "surgery": ("precision",),
+    }.items()
+    for flag, value in (("seed", "1"), ("precision", "f64"), ("beta", "0.5"))
+    if flag in flags
+]
+
+
+class TestUnreadOptions:
+    def argv(self, command, tmp_path) -> list[str]:
+        args = [a.format(ckpt="x.ckpt") for a in COMMAND_ARGS[command]]
+        return [command, *args, "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("command,flag,value", UNREAD_OPTIONS)
+    def test_flag_is_a_usage_error(self, tmp_path, capsys, command, flag, value):
+        argv = self.argv(command, tmp_path) + [f"--{flag}", value]
+        assert dispatch(argv) == EXIT_USAGE
+        assert f"unrecognized arguments: --{flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag,value", UNREAD_OPTIONS)
+    def test_config_key_is_a_validation_error(self, tmp_path, capsys, command, flag, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag} = {value}\n")
+        assert dispatch(self.argv(command, tmp_path) + ["--config", str(cfg)]) == EXIT_VALIDATION
+        assert f"{cfg}:1: {command} has no option '{flag}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_substream_seeds_are_pinned():
+    # The data, init and train streams of every command that takes --seed.
+    assert cli._substream_seeds(3) == [819382448, 1645421708, 3451799802]
+
+
 class TestConfigFile:
     def test_key_value_file_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -485,8 +532,33 @@ class TestConfigFile:
         assert f"{tmp_path / 'run.cfg'}:3: beta: could not convert" in err
 
     def test_value_outside_choices_names_the_file_line_and_key(self, tmp_path, capsys):
-        err = self.config_error(tmp_path, capsys, "precision = f16")
-        assert f"{tmp_path / 'run.cfg'}:3: precision: 'f16' is not one of f32, f64" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# options\nnetwork = A: ir\nprecision = f16\n")
+        code = dispatch(["train", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{cfg}:3: precision: 'f16' is not one of f32, f64" in err
+
+    @pytest.mark.parametrize(
+        "spelling",
+        [lambda path: ["--config", path], lambda path: [f"--config={path}"],
+         lambda path: ["--conf", path]],
+        ids=["separate", "equals", "prefix"],
+    )
+    def test_every_spelling_of_config_reads_the_file(self, tmp_path, capsys, spelling):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = mpoly-2\n")
+        code, out = run(capsys, "rewrite", *spelling(str(cfg)), "--out", str(tmp_path))
+        assert code == EXIT_OK
+        assert out.strip() == "I + (I+G)F"
+        cfg.write_text("kind = mpoly-2\nbetta = 0.5\n")
+        code = dispatch(["rewrite", *spelling(str(cfg)), "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert f"{cfg}:2: rewrite has no option 'betta'" in capsys.readouterr().err
+
+    def test_config_without_a_path_is_a_usage_error(self, tmp_path, capsys):
+        for argv in (["--config"], ["--config="]):
+            assert dispatch(["rewrite", "--kind", "ir", *argv]) == EXIT_USAGE
 
     def test_bad_boolean_names_the_file_line_and_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,6 +149,18 @@ class TestMulticrop:
         top1, top5 = single_crop_eval(model, dataset)
         assert report.top1 == top1
         assert report.top5 == top5
+
+    @pytest.mark.parametrize("model_classes,data_classes", [(10, 4), (4, 10)])
+    def test_top5_takes_k_from_the_logits_width(self, model_classes, data_classes):
+        # The dataset's class count need not be the model's: top-5 counts
+        # the model's classes, as single-crop evaluation does.
+        dataset = replace(synth_dataset(200, 4, 16, seed=3), classes=data_classes)
+        config = parse_network("A: ir", input_size=16, classes=model_classes, base_width=4)
+        model = lower(config, ConvBlock(4, 2), beta=0.3, seed=0, precision="f32")
+        report = multicrop_eval(
+            model, dataset, PoolingConfig(scales=(1.0,), crops_per_scale=1, top_fraction=1.0)
+        )
+        assert (report.top1, report.top5) == single_crop_eval(model, dataset)
 
     def test_desk_default_runs_end_to_end(self, setup):
         model, dataset = setup

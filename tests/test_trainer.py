@@ -23,6 +23,7 @@ from polyres.dsl import parse_network, preset
 from polyres.engine import (
     DTYPES,
     InputOp,
+    NumericError,
     ParamStore,
     backward,
     forward,
@@ -531,6 +532,7 @@ class TestTrainLoop:
         hp = OptimizerHP(base_lr=1e30, lr_step=1000, total_iters=50, epsilon=1e-12)
         with pytest.raises(TrainingDiverged) as err:
             train(model, dataset, hp, seed=0)
+        assert isinstance(err.value, NumericError)  # the CLI's exit 3 family
         assert err.value.iteration >= 0
         assert err.value.lr > 0
         assert re.fullmatch(r"non-finite output at node \d+ \(\S+/\w+\)", err.value.detail)
