@@ -53,6 +53,7 @@ from .training import (
     lr_at,
     rmsprop_step,
     sample_gates,
+    substreams,
     train,
 )
 

@@ -6,7 +6,9 @@ surgery, sweep. Every run resolves its options (flags over an optional
 0 on success, 1 on usage errors, 2 on validation errors (bad DSL, config or
 checkpoint), 3 on numeric failures (divergence, gradient check over
 tolerance). A command takes --seed or --precision only where it changes the
-output; its random streams derive from that one --seed.
+output, and an option it would ignore is a usage error. Every random draw
+comes from ``substreams(--seed)``: ``train()`` takes --seed itself, datasets
+and gradcheck inputs draw from the data stream, and lowerings from init.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .builder import (
     save_checkpoint,
     upgrade,
 )
-from .data import AugmentConfig, synth_dataset
+from .data import AugmentConfig, Dataset, synth_dataset
 from .dsl import DslSyntaxError, NetworkConfig, parse_network, preset, render_network
 from .engine import (
     EngineError,
@@ -41,7 +43,7 @@ from .engine import (
     softmax_cross_entropy,
 )
 from .evaluation import PoolingConfig, multicrop_eval, single_crop_eval
-from .training import OptimizerHP, StochasticPathConfig, train
+from .training import OptimizerHP, StochasticPathConfig, substreams, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,10 +76,18 @@ class _Parser(argparse.ArgumentParser):
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 file's text; a ValueError naming the path if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
     """Map each option name to ``(where, value)``, where is ``path:line``."""
     values: dict[str, tuple[str, str]] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -94,26 +104,32 @@ def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
 def _apply_config_file(parser: _Parser, argv: list[str]) -> None:
     """Turn a ``key = value`` file into defaults on the subcommand's parser.
 
-    Argparse finds the path, so ``--config FILE``, ``--config=FILE`` and a
-    prefix are all read. Explicit flags still win; a file value satisfies a
-    required option. A key the subcommand does not take, or a value its
-    option rejects, is a ValueError naming ``path:line`` and the key.
+    The subcommand's own parser finds the path, so ``--config FILE``,
+    ``--config=FILE`` and a prefix are all read, and a prefix it finds
+    ambiguous is a usage error before the file is read. Required options are
+    waived for that pass, as the file may supply them. Explicit flags still
+    win; a file value satisfies a required option. A key the subcommand does
+    not take, or a value its option rejects, is a ValueError naming
+    ``path:line`` and the key.
     """
-    pre = _Parser(add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    sub_action = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    waived = [a for p in sub_action.choices.values() for a in p._actions if a.required]
+    for action in waived:
+        action.required = False
+    try:
+        known = parser.parse_known_args(argv)[0]
+    finally:
+        for action in waived:
+            action.required = True
+    path, command = known.config, known.command
     if path is None:
         return
     if not path:
         raise UsageError("--config needs a file path")
     raw = _read_config_file(path)
-    sub_action = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    command = next((a for a in argv if not a.startswith("-")), None)
-    subparser = sub_action.choices.get(command)
-    if subparser is None:
-        return  # let normal parsing report the usage error
+    subparser = sub_action.choices[command]
     actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
     defaults = {}
     for key, (where, text) in raw.items():
@@ -162,9 +178,16 @@ def _run_dir(args) -> Path:
     return out
 
 
-def _substream_seeds(seed: int) -> list[int]:
-    # The data, init and train substreams derived from one seed.
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(3)]
+def _word(stream: np.random.SeedSequence) -> int:
+    """A stream's first 32-bit word: the int seed ``synth_dataset`` and ``lower`` take."""
+    return int(stream.generate_state(1)[0])
+
+
+def _dataset(args, config: NetworkConfig) -> Dataset:
+    """The synthetic dataset of train, eval and sweep: --data-n images at the
+    network's classes and input size, seeded from the data stream of --seed."""
+    seed = _word(substreams(args.seed).data)
+    return synth_dataset(args.data_n, config.classes, config.input_size, seed)
 
 
 def _sizes(args) -> dict:
@@ -214,8 +237,10 @@ def _add_data_options(p: _Parser):
 
 def cmd_parse(args) -> int:
     text = args.text
-    if args.file:
-        text = Path(args.file).read_text()
+    if args.file is not None:
+        if text is not None:
+            raise UsageError("--file ignores the architecture text; give one or the other")
+        text = _read_text(args.file)
     if text is None:
         raise UsageError("give architecture text or --file")
     config = parse_network(text, **_sizes(args))
@@ -274,22 +299,32 @@ def _stochastic_config(args) -> StochasticPathConfig | None:
     )
 
 
+def _schedule(args) -> OptimizerHP:
+    """The paper's schedule, which takes neither --iters nor --lr, or the desk
+    schedule of --iters (default 2000) at --lr (default 0.045)."""
+    if args.paper_schedule:
+        given = [flag for flag, v in (("--iters", args.iters), ("--lr", args.lr)) if v is not None]
+        if given:
+            raise UsageError(f"--paper-schedule ignores {' and '.join(given)}; give one or the other")
+        return OptimizerHP.paper_schedule()
+    iters = 2000 if args.iters is None else args.iters
+    return OptimizerHP.desk(iters, base_lr=0.045 if args.lr is None else args.lr)
+
+
 def cmd_train(args) -> int:
     config = _resolve_network(args)
     arch = parse_arch(args.arch)
-    data_seed, init_seed, train_seed = _substream_seeds(args.seed)
-    dataset = synth_dataset(args.data_n, config.classes, config.input_size, data_seed)
-    model = lower(
-        config, arch, beta=args.beta, seed=init_seed, precision=args.precision,
-    )
-    hp = OptimizerHP.desk(args.iters, base_lr=args.lr) if not args.paper_schedule else OptimizerHP()
+    hp = _schedule(args)
+    dataset = _dataset(args, config)
+    init_seed = _word(substreams(args.seed).init)
+    model = lower(config, arch, beta=args.beta, seed=init_seed, precision=args.precision)
     out = _run_dir(args)
     augment_cfg = AugmentConfig(out_size=config.input_size) if args.augment else None
     model, history = train(
         model, dataset, hp,
         spc=_stochastic_config(args),
         eval_every=args.eval_every,
-        seed=train_seed,
+        seed=args.seed,
         batch_size=args.batch_size,
         augment_cfg=augment_cfg,
         checkpoint_dir=out,
@@ -310,10 +345,7 @@ def cmd_eval(args) -> int:
         scales=args.scales, crops_per_scale=args.crops, top_fraction=args.fraction
     )
     model = load_checkpoint(args.checkpoint)
-    data_seed, *_ = _substream_seeds(args.seed)
-    dataset = synth_dataset(
-        args.data_n, model.meta.config.classes, model.meta.config.input_size, data_seed
-    )
+    dataset = _dataset(args, model.meta.config)
     out = _run_dir(args)
     top1, top5 = single_crop_eval(model, dataset)
     single = {"config": model.meta.config_text, "top1": top1, "top5": top5}
@@ -330,11 +362,12 @@ def _gradcheck_kind(kind_token: str, arch_text: str, beta: float, seed: int) -> 
     config = parse_network(
         f"A: {kind_token}", input_size=8, classes=3, base_width=4
     )
+    streams = substreams(seed)
     model = lower(
-        config, parse_arch(arch_text), beta=beta, seed=seed, precision="f64",
+        config, parse_arch(arch_text), beta=beta, seed=_word(streams.init), precision="f64",
         input_channels=1,
     )
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(streams.data)
     # Jitter every parameter: zero-initialized biases can leave relu inputs
     # exactly at the kink, where central differences straddle the corner.
     for _, _, value in model.params.flat_items(trainable_only=True):
@@ -388,11 +421,14 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_surgery(args) -> int:
+    if args.target is not None and args.interleave is not None:
+        raise UsageError("--interleave ignores --target; give one or the other")
     model = load_checkpoint(args.checkpoint)
     out = _run_dir(args)
+    init_seed = _word(substreams(args.seed).init)
     if args.interleave:
         result = deepen_interleave(
-            model, args.interleave, zero_last=args.zero_last, seed=args.seed
+            model, args.interleave, zero_last=args.zero_last, seed=init_seed
         )
     elif args.target:
         target = parse_network(
@@ -407,7 +443,7 @@ def cmd_surgery(args) -> int:
                 for t, s in zip(target.stages, model.meta.config.stages)
             ),
         )
-        result = upgrade(model, target, zero_last=args.zero_last, seed=args.seed)
+        result = upgrade(model, target, zero_last=args.zero_last, seed=init_seed)
     else:
         raise UsageError("give --target NETWORK or --interleave counts")
     path = out / "surgery.ckpt"
@@ -422,10 +458,8 @@ def cmd_sweep(args) -> int:
     arch = parse_arch(args.arch)
     grid = cost.grid_configs(base)
     out = _run_dir(args)
-    data_seed, init_seed, train_seed = _substream_seeds(args.seed)
-    dataset = None
-    if args.iters > 0:
-        dataset = synth_dataset(args.data_n, base.classes, base.input_size, data_seed)
+    init_seed = _word(substreams(args.seed).init)
+    dataset = _dataset(args, base) if args.iters > 0 else None
     rows = cost.efficiency_table(grid, arch, beta=args.beta)
     for (name, config), row in zip(grid, rows):
         row["ms_per_iter"] = None
@@ -434,7 +468,7 @@ def cmd_sweep(args) -> int:
             hp = OptimizerHP.desk(args.iters, base_lr=args.lr)
             model, history = train(
                 model, dataset, hp, eval_every=max(1, args.iters // 2),
-                seed=train_seed, batch_size=args.batch_size,
+                seed=args.seed, batch_size=args.batch_size,
             )
             row["accuracy"] = 1.0 - history.records[-1].top1
             row["ms_per_iter"] = 1000.0 * history.wall_time_s / args.iters
@@ -483,10 +517,11 @@ def build_parser() -> _Parser:
     _add_network_options(p, default_network="IR 1-2-1")
     p.add_argument("--beta", type=float, default=0.3, help="residual scaling factor")
     _add_data_options(p)
-    p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--lr", type=float, default=0.045)
+    p.add_argument("--iters", type=int, default=None, help="default 2000")
+    p.add_argument("--lr", type=float, default=None, help="default 0.045")
     p.add_argument("--paper-schedule", action="store_true",
-                   help="use the full-scale schedule (0.45, 160K steps, 560K iters)")
+                   help="use the full-scale schedule (0.45, 160K steps, 560K iters); "
+                   "takes neither --iters nor --lr")
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--eval-every", type=int, default=200)
     p.add_argument("--augment", action="store_true")
@@ -550,9 +585,10 @@ def dispatch(argv: list[str]) -> int:
         # Also TrainingDiverged and GradcheckFailure, its subclasses.
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DslSyntaxError, AlgebraError, EngineError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (DslSyntaxError, AlgebraError, EngineError, ValueError, KeyError, OSError) as exc:
         # EngineError covers ShapeError and a malformed checkpoint; NumericError,
-        # its subclass, is caught above.
+        # its subclass, is caught above. OSError (a missing file, a directory
+        # given as a file) names the path.
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

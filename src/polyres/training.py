@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field, asdict
 from itertools import zip_longest
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "gate_probabilities",
     "sample_gates",
     "gate_node_map",
+    "substreams",
     "train",
 ]
 
@@ -285,17 +286,35 @@ class TrainingDiverged(NumericError):
 # ---------------------------------------------------------------------------
 
 
-def _batches(dataset: Dataset, idx, batch_size: int, dtype, augment_cfg, rng_data, rng_aug):
+class Substreams(NamedTuple):
+    batches: np.random.SeedSequence
+    gates: np.random.SeedSequence
+    augment: np.random.SeedSequence
+    data: np.random.SeedSequence
+    init: np.random.SeedSequence
+
+
+def substreams(seed: int) -> Substreams:
+    """A run's named random streams: children 0-4 of ``SeedSequence(seed)``.
+
+    :func:`train` draws batch order, gates and augmentation from the first
+    three, which are the children ``SeedSequence(seed).spawn(3)`` gives, as
+    children are keyed by index. The command line seeds its synthetic
+    dataset from ``data`` and its lowerings from ``init``."""
+    return Substreams(*np.random.SeedSequence(seed).spawn(len(Substreams._fields)))
+
+
+def _batches(dataset: Dataset, idx, batch_size: int, dtype, augment_cfg, rng_batches, rng_aug):
     """The training batches, ``(images, labels)`` at ``dtype``, without end.
 
-    The train indices ``idx`` are reshuffled by ``rng_data`` at each epoch,
+    The train indices ``idx`` are reshuffled by ``rng_batches`` at each epoch,
     and a batch carries the previous epoch's remainder; each image is
     augmented from ``rng_aug`` in batch order. The caller resolves ``idx``,
     so that an empty split fails before the generator first runs."""
     queue = idx[:0]
     while True:
         while len(queue) < batch_size:
-            queue = np.concatenate([queue, rng_data.permutation(idx)])
+            queue = np.concatenate([queue, rng_batches.permutation(idx)])
         batch, queue = queue[:batch_size], queue[batch_size:]
         images = dataset.images[batch]
         if augment_cfg is not None:
@@ -374,8 +393,8 @@ def train(
     Each iteration: the next batch of :func:`_batches`, path gates if
     stochastic paths are active, forward in train mode, cross-entropy loss,
     backward, RMSProp step at the scheduled rate. Held-out metrics are
-    recorded every ``eval_every`` iterations. All randomness (batch order,
-    gates, augmentation) derives from ``seed`` through named substreams, so
+    recorded every ``eval_every`` iterations. All randomness comes from the
+    batches, gates and augment streams of :func:`substreams` (``seed``), so
     equal seeds give identical histories. Checkpoints are written at every
     learning-rate decay and at termination when ``checkpoint_dir`` is set.
     An empty train or val split, or an ``eval_every`` or ``batch_size``
@@ -386,12 +405,11 @@ def train(
             raise ValueError(f"{name} must be at least 1, got {value}")
     started = time.perf_counter()
     history = TrainHistory(seed=seed)
-    ss = np.random.SeedSequence(seed)
-    rng_data, rng_gates, rng_aug = (np.random.default_rng(s) for s in ss.spawn(3))
+    rng_batches, rng_gates, rng_aug = map(np.random.default_rng, substreams(seed)[:3])
     dtype = DTYPES[model.meta.precision]
 
     batches = _batches(
-        dataset, dataset.indices("train"), batch_size, dtype, augment_cfg, rng_data, rng_aug
+        dataset, dataset.indices("train"), batch_size, dtype, augment_cfg, rng_batches, rng_aug
     )
     val_images, val_labels = dataset.subset(dataset.indices("val"))
     val_images = val_images.astype(dtype)

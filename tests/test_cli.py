@@ -2,13 +2,17 @@
 
 import csv
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polyres import cli
+from polyres import cli, substreams
 from polyres.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -16,8 +20,19 @@ from polyres.cli import (
     EXIT_VALIDATION,
     dispatch,
 )
-from polyres.builder import load_checkpoint, lower, save_checkpoint
+from polyres.builder import (
+    deepen_interleave,
+    load_checkpoint,
+    lower,
+    parse_arch,
+    save_checkpoint,
+)
+from polyres.data import synth_dataset
+from polyres.dsl import parse_network
 from polyres.engine import NumericError
+from polyres.training import OptimizerHP, train
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -486,9 +501,110 @@ class TestUnreadOptions:
         assert not (tmp_path / "out").exists()
 
 
+def first_word(stream) -> int:
+    return int(stream.generate_state(1)[0])
+
+
 def test_substream_seeds_are_pinned():
-    # The data, init and train streams of every command that takes --seed.
-    assert cli._substream_seeds(3) == [819382448, 1645421708, 3451799802]
+    # The first word of the batches, gates, augment, data and init streams.
+    words = [first_word(stream) for stream in substreams(3)]
+    assert words == [819382448, 1645421708, 3451799802, 118549108, 2942680743]
+
+
+class TestOneSeedTable:
+    def test_a_train_run_is_rebuilt_from_the_library(self, tmp_path, capsys):
+        argv = ["train", "--network", "A: ir", "--iters", "4", "--eval-every", "2",
+                "--data-n", "64", "--seed", "3", "--out", str(tmp_path / "cli")]
+        assert dispatch(argv) == EXIT_OK
+        streams = substreams(3)
+        config = parse_network("A: ir", classes=4)
+        dataset = synth_dataset(64, config.classes, config.input_size, first_word(streams.data))
+        model = lower(config, parse_arch("dense:16,32"), beta=0.3, seed=first_word(streams.init))
+        _, history = train(
+            model, dataset, OptimizerHP.desk(4), eval_every=2, seed=3,
+            checkpoint_dir=tmp_path / "lib",
+        )
+        assert (tmp_path / "cli" / "history.jsonl").read_text() == history.to_jsonl()
+        cli_ckpt, lib_ckpt = (tmp_path / d / "final.ckpt" for d in ("cli", "lib"))
+        assert cli_ckpt.read_bytes() == lib_ckpt.read_bytes()
+
+    def test_train_eval_and_sweep_seed_the_same_dataset(
+        self, trained, tmp_path, capsys, monkeypatch
+    ):
+        class Drawn(Exception):
+            pass
+
+        seeds = []
+
+        def record(n, classes, size, seed):
+            seeds.append(seed)
+            raise Drawn
+
+        monkeypatch.setattr(cli, "synth_dataset", record)
+        for argv in (
+            ["train", "--network", "A: ir", "--iters", "2"],
+            ["eval", "--checkpoint", str(trained / "final.ckpt")],
+            ["sweep", "--base-width", "4", "--iters", "2"],
+        ):
+            with pytest.raises(Drawn):
+                dispatch(argv + ["--data-n", "64", "--seed", "7", "--out", str(tmp_path)])
+        assert seeds == [first_word(substreams(7).data)] * 3
+
+    def test_surgery_draws_new_blocks_from_the_init_stream(self, trained, tmp_path, capsys):
+        ckpt = trained / "final.ckpt"
+        argv = ["surgery", "--checkpoint", str(ckpt), "--interleave", "1,0,0", "--seed", "5"]
+        assert dispatch(argv + ["--out", str(tmp_path)]) == EXIT_OK
+        expected = deepen_interleave(
+            load_checkpoint(ckpt), (1, 0, 0), seed=first_word(substreams(5).init)
+        )
+        assert load_checkpoint(tmp_path / "surgery.ckpt").params.equal(expected.params)
+
+
+@pytest.mark.parametrize(
+    "argv,ignored",
+    [
+        (["train", "--network", "A: ir", "--paper-schedule", "--iters", "100"],
+         "--paper-schedule ignores --iters"),
+        (["train", "--network", "A: ir", "--paper-schedule", "--lr", "0.1"],
+         "--paper-schedule ignores --lr"),
+        (["surgery", "--checkpoint", "x.ckpt", "--interleave", "1", "--target", "A: 2-way"],
+         "--interleave ignores --target"),
+        (["parse", "A: ir", "--file", "x.dsl"], "--file ignores the architecture text"),
+    ],
+    ids=["paper-schedule-iters", "paper-schedule-lr", "interleave-target", "file-text"],
+)
+def test_an_option_the_command_would_ignore_is_a_usage_error(tmp_path, capsys, argv, ignored):
+    # --data-n 0 stops a run that ignored the pair before its first step.
+    extra = ["--data-n", "0"] if argv[0] == "train" else []
+    assert dispatch(argv + extra + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert f"usage error: {ignored}; give one or the other" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "--file", "{dir}"],
+        ["rewrite", "--kind", "ir", "--config", "{dir}"],
+        ["eval", "--checkpoint", "{dir}"],
+        ["surgery", "--checkpoint", "{dir}", "--interleave", "1"],
+        ["rewrite", "--kind", "ir", "--config", "{binary}"],
+        ["parse", "--file", "{binary}"],
+    ],
+    ids=["parse-file-dir", "config-dir", "eval-dir", "surgery-dir", "config-binary",
+         "parse-file-binary"],
+)
+def test_an_unreadable_path_is_a_validation_error_naming_it(tmp_path, argv):
+    given = tmp_path / ("binary.txt" if "{binary}" in argv else "dir")
+    given.mkdir() if given.name == "dir" else given.write_bytes(b"kind = ir\n\xff\n")
+    argv = [a.format(dir=given, binary=given) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyres.cli", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert str(given) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class TestConfigFile:
@@ -555,6 +671,18 @@ class TestConfigFile:
         code = dispatch(["rewrite", *spelling(str(cfg)), "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert f"{cfg}:2: rewrite has no option 'betta'" in capsys.readouterr().err
+
+    def test_an_ambiguous_prefix_is_a_usage_error_before_the_file_is_read(
+        self, tmp_path, capsys
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("betta = 0.5\n")
+        argv = ["train", "--network", "A: ir", "--c", str(cfg), "--out", str(tmp_path / "out")]
+        assert dispatch(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "ambiguous option: --c could match --classes, --config" in err
+        assert "betta" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_without_a_path_is_a_usage_error(self, tmp_path, capsys):
         for argv in (["--config"], ["--config="]):
