@@ -49,6 +49,7 @@ from .training import (
     OptimizerHP,
     StochasticPathConfig,
     TrainHistory,
+    Trainer,
     gate_probabilities,
     lr_at,
     rmsprop_step,

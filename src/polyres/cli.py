@@ -7,7 +7,7 @@ surgery, sweep. Every run resolves its options (flags over an optional
 checkpoint), 3 on numeric failures (divergence, gradient check over
 tolerance). A command takes --seed or --precision only where it changes the
 output, and an option it would ignore is a usage error. Every random draw
-comes from ``substreams(--seed)``: ``train()`` takes --seed itself, datasets
+comes from ``substreams(--seed)``: ``Trainer`` takes --seed itself, datasets
 and gradcheck inputs draw from the data stream, and lowerings from init.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -43,7 +44,7 @@ from .engine import (
     softmax_cross_entropy,
 )
 from .evaluation import PoolingConfig, multicrop_eval, single_crop_eval
-from .training import OptimizerHP, StochasticPathConfig, substreams, train
+from .training import OptimizerHP, StochasticPathConfig, Trainer, substreams, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -466,12 +467,14 @@ def cmd_sweep(args) -> int:
         if dataset is not None:
             model = lower(config, arch, beta=args.beta, seed=init_seed, precision=args.precision)
             hp = OptimizerHP.desk(args.iters, base_lr=args.lr)
-            model, history = train(
-                model, dataset, hp, eval_every=max(1, args.iters // 2),
-                seed=args.seed, batch_size=args.batch_size,
-            )
-            row["accuracy"] = 1.0 - history.records[-1].top1
-            row["ms_per_iter"] = 1000.0 * history.wall_time_s / args.iters
+            trainer = Trainer(model, dataset, hp, seed=args.seed, batch_size=args.batch_size)
+            step_s = []
+            for _ in range(args.iters):
+                started = time.perf_counter()
+                trainer.step()
+                step_s.append(time.perf_counter() - started)
+            row["accuracy"] = 1.0 - single_crop_eval(model, dataset)[0]
+            row["ms_per_iter"] = 1000.0 * statistics.median(step_s)
             print(f"{name:<14} acc {row['accuracy']:.3f}  {row['ms_per_iter']:.1f} ms/iter")
         else:
             print(f"{name:<14} params {row['params']:>9} macs {row['macs']:>12}")

@@ -83,13 +83,14 @@ def topk_error(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
     return float(1.0 - hit.mean())
 
 
-def _check_logits(model: Model, x: np.ndarray, logits: np.ndarray) -> None:
-    """Raise NumericError if ``logits``, the model's logits of ``x``, hold a
-    NaN or an infinity, naming the first node that made one, found by a
-    ``check_finite`` replay."""
-    if not np.isfinite(logits).all():
-        forward(model.graph, model.params, x, "eval", check_finite=True)
-        raise NumericError("non-finite logits")  # the replay found none
+def _first_non_finite(model: Model, x: np.ndarray, mode="eval", gates=None) -> str | None:
+    """Replay the forward of ``x`` with ``check_finite``; the message naming
+    the first node whose output is not finite, or None if every output is."""
+    try:
+        forward(model.graph, model.params, x, mode, gates, check_finite=True)
+    except NumericError as exc:
+        return str(exc)
+    return None
 
 
 def single_crop_eval(model: Model, dataset: Dataset) -> tuple[float, float]:
@@ -98,7 +99,8 @@ def single_crop_eval(model: Model, dataset: Dataset) -> tuple[float, float]:
     images, labels = dataset.subset(dataset.indices("val"))
     x = images.astype(DTYPES[model.meta.precision], copy=False)
     logits = model.logits(x)
-    _check_logits(model, x, logits)
+    if not np.isfinite(logits).all():
+        raise NumericError(_first_non_finite(model, x) or "non-finite logits")
     k5 = min(5, logits.shape[1])
     return topk_error(logits, labels, 1), topk_error(logits, labels, k5)
 
@@ -182,7 +184,8 @@ def _pooled_scores(
         x = np.stack(crops).astype(dtype, copy=False)
         logits = model.logits(x)
         probs = softmax(logits)  # a floating-point error the caller raises comes first
-        _check_logits(model, x, logits)
+        if not np.isfinite(logits).all():
+            raise NumericError(_first_non_finite(model, x) or "non-finite logits")
         pooled[i] = np.mean([topk_pool(probs[r], cfg.top_fraction) for r in rows], axis=0)
 
     # Worker w scores images w, w + n, ...; the caller is worker 0. Helpers

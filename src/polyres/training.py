@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field, asdict
 from itertools import zip_longest
 from pathlib import Path
@@ -31,7 +30,7 @@ from .engine import (
     forward,
     softmax_cross_entropy,
 )
-from .evaluation import topk_error
+from .evaluation import _first_non_finite, topk_error
 
 __all__ = [
     "OptimizerHP",
@@ -45,6 +44,7 @@ __all__ = [
     "sample_gates",
     "gate_node_map",
     "substreams",
+    "Trainer",
     "train",
 ]
 
@@ -217,7 +217,8 @@ def gate_node_map(
     """Translate per-module gate bits into the engine's node->multiplier map.
 
     With ``rescale='train'`` surviving paths are scaled by 1/(1-p_j) so the
-    gated output is unbiased in expectation.
+    gated output is unbiased in expectation. The ``rescale='eval'`` policy
+    passes each path's survival probability 1-p_j as its gate.
     """
     out: dict[int, tuple[float, ...]] = {}
     for i, (site, bits) in enumerate(zip(model.modules, gates)):
@@ -227,15 +228,6 @@ def gate_node_map(
             values = [v * scale for v in values]
         out[site.gate_node] = tuple(values)
     return out
-
-
-def eval_gate_map(model: Model, probs: Sequence[float]) -> dict[int, tuple[float, ...]]:
-    """Deterministic eval-time path scaling by survival probability, for the
-    rescale='eval' policy."""
-    return {
-        site.gate_node: ((1.0 - p),) * site.n_paths
-        for site, p in zip(model.modules, probs)
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +250,6 @@ class EvalRecord:
 class TrainHistory:
     seed: int
     records: list[EvalRecord] = field(default_factory=list)
-    wall_time_s: float = 0.0
 
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(asdict(r)) for r in self.records) + (
@@ -322,21 +313,11 @@ def _batches(dataset: Dataset, idx, batch_size: int, dtype, augment_cfg, rng_bat
         yield images.astype(dtype), dataset.labels[batch]
 
 
-def _first_non_finite(model: Model, images, mode: str, gates) -> str | None:
-    """Replay a forward with ``check_finite``; the message naming the first
-    node whose output is not finite, or None if every output is."""
-    try:
-        forward(model.graph, model.params, images, mode, gates, check_finite=True)
-    except NumericError as exc:
-        return str(exc)
-    return None
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _evaluate(model: Model, images, labels, gates, it, lr) -> tuple[float, float, float]:
     """Held-out loss, top-1 and top-5 error, under the numpy settings of
-    :func:`_step`. A non-finite logit or loss raises TrainingDiverged; the
-    replayed forward names the node. The parameter scan of a step cannot
+    :meth:`Trainer.step`. A non-finite logit or loss raises TrainingDiverged;
+    the replayed forward names the node. The parameter scan of a step cannot
     catch this case: a bad running mean is read only in eval mode."""
     logits = model.forward(images, mode="eval", gates=gates)[0].data
     loss, _ = softmax_cross_entropy(logits, labels)
@@ -347,34 +328,79 @@ def _evaluate(model: Model, images, labels, gates, it, lr) -> tuple[float, float
     return loss, topk_error(logits, labels, 1), topk_error(logits, labels, k5)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _step(model: Model, images, labels, gates, state, hp, lr, it) -> float:
-    """One forward, backward and RMSProp update; returns the loss. The
-    step's output, tape and gradients are locals, so they are freed on
-    return, before the next step's forward or an evaluation builds more.
+class Trainer:
+    """Training on the dataset's train split, one :meth:`step` at a time.
 
-    A non-finite loss is located by replaying the forward with
-    ``check_finite``. After the update every parameter and running
-    statistic must be finite: train-mode norm uses batch statistics, so the
-    loss can stay finite while a running variance overflows. Numpy's
-    floating-point warnings are off inside the step, as these checks name
-    the node that went bad and a warning turned error would not."""
-    out, tape = forward(model.graph, model.params, images, "train", gates)
-    loss, dlogits = softmax_cross_entropy(out.data, labels)
-    if not np.isfinite(loss):
-        detail = _first_non_finite(model, images, "train", gates) or "loss is not finite"
-        raise TrainingDiverged(it, lr, detail)
-    grads = backward(tape, dlogits)
-    rmsprop_step(model.params, grads, state, hp, lr)
-    bad = model.params.first_non_finite()
-    if bad is not None:
-        key, name = bad
-        node = next(
-            n for n in model.graph.nodes
-            if n.param_key == key and any(s.name == name for s in n.op.param_specs())
+    It owns the batches, gates and augment streams of :func:`substreams`
+    (``seed``), the :func:`_batches` generator and the RMSProp state. Paths
+    are dropped from iteration ``start`` on: None is not yet, and with
+    ``spc.start="auto"`` the caller sets it. An empty train split or a
+    ``batch_size`` below 1 raises ValueError here, before any step.
+    """
+
+    def __init__(
+        self,
+        model: Model,
+        dataset: Dataset,
+        hp: OptimizerHP,
+        spc: StochasticPathConfig | None = None,
+        seed: int = 0,
+        batch_size: int = 32,
+        augment_cfg: AugmentConfig | None = None,
+    ):
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+        rng_batches, self.rng_gates, rng_aug = map(np.random.default_rng, substreams(seed)[:3])
+        self.batches = _batches(
+            dataset, dataset.indices("train"), batch_size, DTYPES[model.meta.precision],
+            augment_cfg, rng_batches, rng_aug,
         )
-        raise TrainingDiverged(it, lr, f"non-finite {key}/{name} of {node.where}")
-    return loss
+        self.model, self.hp, self.spc = model, hp, spc
+        self.probs = gate_probabilities(len(model.modules), spc.max_prob) if spc else []
+        self.start = None if spc is None or spc.start == "auto" else spc.start
+        self.state = model.params.zeros_like(trainable_only=True)
+        self.it = 0  # steps taken
+        self.gates_active = False  # whether the last step dropped paths
+
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def step(self) -> float:
+        """One iteration; returns its loss: the next batch, path gates once
+        dropping is on, forward in train mode, loss, backward and RMSProp
+        update at ``lr_at(it)``. Output, tape and gradients are locals, freed
+        on return, before the next forward or an evaluation builds more.
+
+        A non-finite loss is located by replaying the forward with
+        ``check_finite``. After the update every parameter and running
+        statistic must be finite: train-mode norm uses batch statistics, so
+        the loss can stay finite while a running variance overflows. Numpy's
+        floating-point warnings are off, as these checks name the node that
+        went bad and a warning turned error would not."""
+        model, it = self.model, self.it
+        lr = lr_at(it, self.hp)
+        images, labels = next(self.batches)
+        self.gates_active = self.start is not None and it >= self.start
+        gates = None
+        if self.gates_active:
+            bits = sample_gates(model, self.probs, self.rng_gates)
+            gates = gate_node_map(model, bits, self.probs, self.spc.rescale)
+        out, tape = forward(model.graph, model.params, images, "train", gates)
+        loss, dlogits = softmax_cross_entropy(out.data, labels)
+        if not np.isfinite(loss):
+            detail = _first_non_finite(model, images, "train", gates) or "loss is not finite"
+            raise TrainingDiverged(it, lr, detail)
+        grads = backward(tape, dlogits)
+        rmsprop_step(model.params, grads, self.state, self.hp, lr)
+        bad = model.params.first_non_finite()
+        if bad is not None:
+            key, name = bad
+            node = next(
+                n for n in model.graph.nodes
+                if n.param_key == key and any(s.name == name for s in n.op.param_specs())
+            )
+            raise TrainingDiverged(it, lr, f"non-finite {key}/{name} of {node.where}")
+        self.it += 1
+        model.meta.iteration += 1
+        return loss
 
 
 def train(
@@ -388,82 +414,47 @@ def train(
     augment_cfg: AugmentConfig | None = None,
     checkpoint_dir=None,
 ) -> tuple[Model, TrainHistory]:
-    """Run the optimization loop on the dataset's train split.
-
-    Each iteration: the next batch of :func:`_batches`, path gates if
-    stochastic paths are active, forward in train mode, cross-entropy loss,
-    backward, RMSProp step at the scheduled rate. Held-out metrics are
-    recorded every ``eval_every`` iterations. All randomness comes from the
-    batches, gates and augment streams of :func:`substreams` (``seed``), so
-    equal seeds give identical histories. Checkpoints are written at every
+    """Run ``hp.total_iters`` steps of a :class:`Trainer`, so equal seeds
+    give identical histories. Held-out metrics are recorded every
+    ``eval_every`` iterations and at the end; checkpoints at every
     learning-rate decay and at termination when ``checkpoint_dir`` is set.
     An empty train or val split, or an ``eval_every`` or ``batch_size``
     below 1, raises ValueError before the first step.
     """
-    for name, value in (("eval_every", eval_every), ("batch_size", batch_size)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-    started = time.perf_counter()
+    if eval_every < 1:
+        raise ValueError(f"eval_every must be at least 1, got {eval_every}")
+    trainer = Trainer(model, dataset, hp, spc, seed, batch_size, augment_cfg)
     history = TrainHistory(seed=seed)
-    rng_batches, rng_gates, rng_aug = map(np.random.default_rng, substreams(seed)[:3])
-    dtype = DTYPES[model.meta.precision]
-
-    batches = _batches(
-        dataset, dataset.indices("train"), batch_size, dtype, augment_cfg, rng_batches, rng_aug
-    )
     val_images, val_labels = dataset.subset(dataset.indices("val"))
-    val_images = val_images.astype(dtype)
-
-    probs = gate_probabilities(len(model.modules), spc.max_prob) if spc else []
-    # Paths are dropped from iteration `start` on; None is not yet, and
-    # "auto" sets it at the first overfitting signal.
-    start = None if spc is None or spc.start == "auto" else spc.start
-    state = model.params.zeros_like(trainable_only=True)
+    val_images = val_images.astype(DTYPES[model.meta.precision])
+    # Eval-time rescaling scales each path by its survival probability, from
+    # the first evaluation after training drops paths.
+    survival = [(1.0 - p,) * site.n_paths for site, p in zip(model.modules, trainer.probs)]
+    eval_gates = gate_node_map(model, survival) if spc and spc.rescale == "eval" else None
     recent_losses: list[float] = []
 
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
 
-    lr = lr_at(0, hp)
-    for it, (images, labels) in zip(range(hp.total_iters), batches):
-        new_lr = lr_at(it, hp)
-        if new_lr != lr and checkpoint_dir is not None:
+    for it in range(hp.total_iters):
+        lr = lr_at(it, hp)
+        if it and lr != lr_at(it - 1, hp) and checkpoint_dir is not None:
             save_checkpoint(model, checkpoint_dir / f"iter{it:08d}.ckpt")
-        lr = new_lr
-        gates_active = start is not None and it >= start
-
-        gates_map = None
-        if gates_active:
-            bits = sample_gates(model, probs, rng_gates)
-            gates_map = gate_node_map(model, bits, probs, spc.rescale)
-
-        recent_losses.append(_step(model, images, labels, gates_map, state, hp, lr, it))
-        model.meta.iteration += 1
+        recent_losses.append(trainer.step())
 
         if (it + 1) % eval_every == 0 or it + 1 == hp.total_iters:
-            # Paths are scaled at eval only once training drops them.
-            scaled = gates_active and spc.rescale == "eval"
-            eval_gates = eval_gate_map(model, probs) if scaled else None
-            val_loss, top1, top5 = _evaluate(model, val_images, val_labels, eval_gates, it, lr)
-            history.records.append(
-                EvalRecord(
-                    iteration=it + 1,
-                    train_loss=float(np.mean(recent_losses)),
-                    val_loss=val_loss,
-                    top1=top1,
-                    top5=top5,
-                    lr=lr,
-                    gates_active=gates_active,
-                )
-            )
+            active = trainer.gates_active
+            gates = eval_gates if active else None
+            metrics = _evaluate(model, val_images, val_labels, gates, it, lr)
+            train_loss = float(np.mean(recent_losses))
+            history.records.append(EvalRecord(it + 1, train_loss, *metrics, lr, active))
             recent_losses.clear()
-            if spc is not None and start is None and _overfitting(history.records, spc.window):
-                start = it + 1
+            if spc is not None and trainer.start is None and _overfitting(history.records, spc.window):
+                trainer.start = it + 1
 
     if checkpoint_dir is not None:
         save_checkpoint(model, checkpoint_dir / "final.ckpt")
-    history.wall_time_s = time.perf_counter() - started
     return model, history
 
 

@@ -7,12 +7,13 @@ import re
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polyres import cli, substreams
+from polyres import builder, cli, substreams
 from polyres.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -129,6 +130,28 @@ class TestAnalyzeAndSweep:
         for row in rows:
             assert 0.0 <= row["accuracy"] <= 1.0
             assert row["ms_per_iter"] > 0
+
+    def test_sweep_times_only_the_training_steps(self, tmp_path, capsys, monkeypatch):
+        # Every eval-mode forward sleeps for longer than a step of these
+        # models takes, so a row whose timing counts an evaluation reads
+        # above the delay.
+        delay = 0.05
+        model_forward = builder.forward
+
+        def slow_forward(graph, params, x, mode, *args, **kwargs):
+            if mode == "eval":
+                time.sleep(delay)
+            return model_forward(graph, params, x, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builder, "forward", slow_forward)
+        code, _ = run(
+            capsys, "sweep", "--iters", "2", "--data-n", "64", "--batch-size", "8",
+            "--out", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        rows = json.loads((tmp_path / "sweep.json").read_text())
+        assert len(rows) == 19
+        assert all(0 < row["ms_per_iter"] < 1000 * delay for row in rows), rows
 
     @pytest.mark.parametrize(
         "flag,value,message",

@@ -450,6 +450,49 @@ class TestTrainLoop:
         assert history.records == records
         assert model.params.equal(ref.params)
 
+    @pytest.mark.parametrize(
+        "arch,spc,aug",
+        [
+            (DenseBlock(8, 16), StochasticPathConfig(max_prob=0.5, rescale="train"),
+             AugmentConfig(out_size=16)),
+            (ConvBlock(8, 2), None, None),
+        ],
+        ids=["dense_augmented_gated", "conv"],
+    )
+    def test_a_trainer_stepped_by_hand_ends_where_train_does(
+        self, dataset, monkeypatch, arch, spc, aug
+    ):
+        """``train()`` is its evaluations around ``Trainer.step``: it steps
+        exactly ``total_iters`` times, and a trainer stepped by hand leaves
+        the same parameters, running statistics and per-step losses."""
+        hp, eval_every, seed, batch_size = OptimizerHP.desk(9), 3, 4, 16  # decays at 3 and 6
+        config = parse_network("A: ir -> ir", input_size=16, classes=4, base_width=8)
+        by_hand = lower(config, arch, beta=0.3, seed=1, precision="f32")
+        trainer = training.Trainer(
+            by_hand, dataset, hp, spc, seed=seed, batch_size=batch_size, augment_cfg=aug
+        )
+        losses = [trainer.step() for _ in range(hp.total_iters)]
+
+        steps = []
+        trainer_step = training.Trainer.step
+
+        def counted_step(self):
+            steps.append(self.it)
+            return trainer_step(self)
+
+        monkeypatch.setattr(training.Trainer, "step", counted_step)
+        model, history = train(
+            lower(config, arch, beta=0.3, seed=1, precision="f32"), dataset, hp, spc,
+            eval_every=eval_every, seed=seed, batch_size=batch_size, augment_cfg=aug,
+        )
+        assert steps == list(range(hp.total_iters))
+        assert model.params.equal(by_hand.params)
+        assert model.meta.iteration == by_hand.meta.iteration == hp.total_iters
+        assert [r.train_loss for r in history.records] == [
+            float(np.mean(losses[i : i + eval_every]))
+            for i in range(0, hp.total_iters, eval_every)
+        ]
+
     def count_gate_draws(self, monkeypatch) -> list[int]:
         """Patch gate sampling to log the iteration of each draw."""
         iterations = []
@@ -599,7 +642,7 @@ class TestTrainLoop:
         def step(*args):
             raise AssertionError("a step ran")
 
-        monkeypatch.setattr(training, "_step", step)
+        monkeypatch.setattr(training.Trainer, "step", step)
         with pytest.raises(ValueError, match="the train split of a 1-image dataset is empty"):
             train(self.small_model(), only_val, OptimizerHP.desk(10))
 
@@ -608,7 +651,7 @@ class TestTrainLoop:
         def step(*args):
             raise AssertionError("a step ran")
 
-        monkeypatch.setattr(training, "_step", step)
+        monkeypatch.setattr(training.Trainer, "step", step)
         with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
             train(self.small_model(), dataset, OptimizerHP.desk(10), **{name: value})
 
