@@ -197,7 +197,7 @@ def _sizes(args) -> dict:
 
 
 def _resolve_network(args) -> NetworkConfig:
-    if getattr(args, "preset", None):
+    if getattr(args, "preset", None) is not None:
         return preset(args.preset, **_sizes(args))
     if getattr(args, "network", None):
         return parse_network(args.network, **_sizes(args))
@@ -290,9 +290,22 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+# The options that only --stochastic-paths reads, and their defaults under it.
+_PATH_OPTIONS = {"max_prob": 0.25, "adaptive": "off", "rescale": "none"}
+
+
 def _stochastic_config(args) -> StochasticPathConfig | None:
+    """The path dropping of --stochastic-paths. Its unset options take their
+    defaults in ``args``, so the manifest records them; without it, any of
+    them is a usage error."""
     if not args.stochastic_paths:
+        given = [f"--{k.replace('_', '-')}" for k in _PATH_OPTIONS if getattr(args, k) is not None]
+        if given:
+            raise UsageError(f"train ignores {' and '.join(given)} without --stochastic-paths")
         return None
+    for key, default in _PATH_OPTIONS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
     return StochasticPathConfig(
         max_prob=args.max_prob,
         start="auto" if args.adaptive == "auto" else 0,
@@ -316,6 +329,7 @@ def cmd_train(args) -> int:
     config = _resolve_network(args)
     arch = parse_arch(args.arch)
     hp = _schedule(args)
+    spc = _stochastic_config(args)
     dataset = _dataset(args, config)
     init_seed = _word(substreams(args.seed).init)
     model = lower(config, arch, beta=args.beta, seed=init_seed, precision=args.precision)
@@ -323,7 +337,7 @@ def cmd_train(args) -> int:
     augment_cfg = AugmentConfig(out_size=config.input_size) if args.augment else None
     model, history = train(
         model, dataset, hp,
-        spc=_stochastic_config(args),
+        spc=spc,
         eval_every=args.eval_every,
         seed=args.seed,
         batch_size=args.batch_size,
@@ -528,10 +542,11 @@ def build_parser() -> _Parser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--eval-every", type=int, default=200)
     p.add_argument("--augment", action="store_true")
-    p.add_argument("--stochastic-paths", action="store_true")
-    p.add_argument("--max-prob", type=float, default=0.25)
-    p.add_argument("--adaptive", choices=("off", "auto"), default="off")
-    p.add_argument("--rescale", choices=("none", "train", "eval"), default="none")
+    p.add_argument("--stochastic-paths", action="store_true",
+                   help="drop paths; --max-prob, --adaptive and --rescale need it")
+    p.add_argument("--max-prob", type=float, default=None, help="default 0.25")
+    p.add_argument("--adaptive", choices=("off", "auto"), default=None, help="default off")
+    p.add_argument("--rescale", choices=("none", "train", "eval"), default=None, help="default none")
     _add_common(p, seed=True, precision=True)
     p.set_defaults(func=cmd_train)
 

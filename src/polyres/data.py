@@ -11,13 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
-
-from .engine import EngineError, read_tensor, tensor_parts
 
 __all__ = [
     "Dataset",
@@ -27,8 +23,6 @@ __all__ = [
     "sample_crop_box",
     "bilinear_resize",
     "hflip",
-    "save_dataset",
-    "load_dataset",
 ]
 
 
@@ -58,7 +52,6 @@ class Dataset:
     images: np.ndarray
     labels: np.ndarray
     classes: int
-    seed: int
     val_mask: np.ndarray = field(default=None)
 
     def __post_init__(self):
@@ -122,7 +115,7 @@ def synth_dataset(n: int, classes: int, size: int, seed: int) -> Dataset:
         )
         noise = rng.normal(0.0, 0.6, size=(3, size, size))
         images[i] = (pattern + noise).astype(np.float32)
-    return Dataset(images=images, labels=labels.astype(np.int64), classes=classes, seed=seed)
+    return Dataset(images=images, labels=labels.astype(np.int64), classes=classes)
 
 
 # ---------------------------------------------------------------------------
@@ -241,72 +234,3 @@ def augment(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> 
     if rng.random() < cfg.flip_prob:
         out = hflip(out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Import / export
-# ---------------------------------------------------------------------------
-
-_SAMPLE_RE = re.compile(r"^(\d+)_(\d+)\.tns$")
-
-
-def save_dataset(dataset: Dataset, directory) -> None:
-    """Write one ``<label>_<index>.tns`` tensor file per sample."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for i, (image, label) in enumerate(zip(dataset.images, dataset.labels)):
-        (directory / f"{int(label)}_{i:05d}.tns").write_bytes(b"".join(tensor_parts(image)))
-
-
-def load_dataset(directory, classes: int | None = None) -> Dataset:
-    """Load a directory written by :func:`save_dataset`. The train/val split
-    is recomputed from the sample indices in the file names, so it matches
-    the original even when some indices are missing.
-
-    Two files with the same index, an image that is not (c, h, w), images
-    of different shapes and a label not below ``classes`` raise ValueError
-    naming the files; a file that is not exactly one tensor, or whose image
-    holds a NaN or an infinity, raises EngineError naming it."""
-    directory = Path(directory)
-    entries: list[tuple[int, int, Path]] = []
-    for path in directory.iterdir():
-        m = _SAMPLE_RE.match(path.name)
-        if m:
-            entries.append((int(m.group(2)), int(m.group(1)), path))
-    if not entries:
-        raise FileNotFoundError(f"no .tns samples under {directory}")
-    entries.sort()
-    for (i, _, first), (j, _, second) in zip(entries, entries[1:]):
-        if i == j:
-            raise ValueError(f"{first} and {second} both hold sample index {i}")
-    images = []
-    for _, label, path in entries:
-        if classes is not None and label >= classes:
-            raise ValueError(f"{path}: label {label} is not below classes={classes}")
-        buf = path.read_bytes()
-        try:
-            image, end = read_tensor(buf)
-        except EngineError as e:
-            raise EngineError(f"{path}: {e}") from None
-        if end != len(buf):
-            raise EngineError(f"{path}: {len(buf) - end} trailing bytes after the tensor")
-        if image.ndim != 3:
-            raise ValueError(f"{path}: image shape {image.shape} is not (c, h, w)")
-        if images and image.shape != images[0].shape:
-            raise ValueError(
-                f"{path}: image shape {image.shape} differs from "
-                f"{images[0].shape} in {entries[0][2]}"
-            )
-        images.append(image)
-    images = np.stack(images)
-    finite = np.isfinite(images).all(axis=(1, 2, 3))  # one scan; the file only on failure
-    if not finite.all():
-        raise EngineError(f"{entries[finite.argmin()][2]}: image holds a non-finite value")
-    labels = np.array([label for _, label, _ in entries], dtype=np.int64)
-    return Dataset(
-        images=images,
-        labels=labels,
-        classes=classes if classes is not None else int(labels.max()) + 1,
-        seed=0,
-        val_mask=np.array([_is_val(i) for i, _, _ in entries]),
-    )

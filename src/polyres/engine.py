@@ -235,9 +235,6 @@ class ParamStore:
     def keys(self) -> Iterator[str]:
         return iter(self._groups)
 
-    def items(self) -> Iterator[tuple[str, Mapping[str, np.ndarray]]]:
-        return iter(self._groups.items())
-
     def flat_items(
         self, trainable_only: bool = False
     ) -> Iterator[tuple[str, str, np.ndarray]]:

@@ -248,18 +248,12 @@ class EvalRecord:
 
 @dataclass
 class TrainHistory:
-    seed: int
     records: list[EvalRecord] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(asdict(r)) for r in self.records) + (
             "\n" if self.records else ""
         )
-
-    @classmethod
-    def from_jsonl(cls, text: str, seed: int = 0) -> "TrainHistory":
-        records = [EvalRecord(**json.loads(line)) for line in text.splitlines() if line]
-        return cls(seed=seed, records=records)
 
 
 class TrainingDiverged(NumericError):
@@ -424,7 +418,7 @@ def train(
     if eval_every < 1:
         raise ValueError(f"eval_every must be at least 1, got {eval_every}")
     trainer = Trainer(model, dataset, hp, spc, seed, batch_size, augment_cfg)
-    history = TrainHistory(seed=seed)
+    history = TrainHistory()
     val_images, val_labels = dataset.subset(dataset.indices("val"))
     val_images = val_images.astype(DTYPES[model.meta.precision])
     # Eval-time rescaling scales each path by its survival probability, from

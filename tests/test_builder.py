@@ -482,8 +482,8 @@ def test_each_group_holds_exactly_what_its_nodes_declare(name, arch):
             specs = {(spec.name, spec.shape) for spec in node.op.param_specs()}
             declared.setdefault(node.param_key, set()).update(specs)
     held = {
-        key: {(name, value.shape) for name, value in group.items()}
-        for key, group in model.params.items()
+        key: {(name, value.shape) for name, value in model.params.group(key).items()}
+        for key in model.params.keys()
     }
     assert declared == held
 

@@ -605,6 +605,65 @@ def test_an_option_the_command_would_ignore_is_a_usage_error(tmp_path, capsys, a
 
 
 @pytest.mark.parametrize(
+    "given,ignored",
+    [
+        (["--max-prob", "nan"], "--max-prob"),
+        (["--max-prob", "0.25"], "--max-prob"),
+        (["--adaptive", "auto"], "--adaptive"),
+        (["--rescale", "train"], "--rescale"),
+        (["--rescale", "eval", "--adaptive", "auto"], "--adaptive and --rescale"),
+        (["--config", "{cfg}"], "--max-prob"),
+        (["--config", "{choice_cfg}"], "--rescale"),
+    ],
+    ids=[
+        "max-prob", "max-prob-at-its-default", "adaptive", "rescale", "rescale-adaptive",
+        "config-max-prob", "config-rescale",
+    ],
+)
+def test_a_path_option_without_stochastic_paths_is_a_usage_error(
+    tmp_path, capsys, given, ignored
+):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_prob = 0.9\n")
+    choice_cfg = tmp_path / "choice.cfg"
+    choice_cfg.write_text("rescale = eval\n")
+    argv = ["train", "--network", "A: ir", "--iters", "2", "--data-n", "64"]
+    argv += [a.format(cfg=cfg, choice_cfg=choice_cfg) for a in given]
+    argv += ["--out", str(tmp_path / "out")]
+    assert dispatch(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"usage error: train ignores {ignored} without --stochastic-paths" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config,given,recorded",
+    [
+        ("stochastic_paths = yes\nmax_prob = 0.9\n", ["--rescale", "eval"], (0.9, "off", "eval")),
+        ("", ["--stochastic-paths"], (0.25, "off", "none")),
+        ("", [], (None, None, None)),
+    ],
+    ids=["config-and-flag", "defaults", "no-stochastic-paths"],
+)
+def test_a_train_run_records_the_path_options_it_used(tmp_path, capsys, config, given, recorded):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    argv = ["train", "--network", "A: ir", "--iters", "2", "--data-n", "64", *given]
+    assert dispatch(argv + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    options = json.loads((tmp_path / "out" / "manifest.json").read_text())["options"]
+    assert (options["max_prob"], options["adaptive"], options["rescale"]) == recorded
+
+
+@pytest.mark.parametrize("command", ["analyze", "train"])
+def test_an_empty_preset_is_an_unknown_preset(tmp_path, capsys, command):
+    argv = [command, "--preset", "", "--out", str(tmp_path / "out")]
+    extra = ["--iters", "2", "--data-n", "64"] if command == "train" else []
+    assert dispatch(argv + extra) == EXIT_VALIDATION
+    assert "unknown preset ''" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["parse", "--file", "{dir}"],

@@ -1,23 +1,17 @@
 """Synthetic dataset and crop augmentation."""
 
-import shutil
-
 import numpy as np
 import pytest
 
 from polyres.data import (
     AugmentConfig,
-    Dataset,
     _axis_grid,
     augment,
     bilinear_resize,
     hflip,
-    load_dataset,
     sample_crop_box,
-    save_dataset,
     synth_dataset,
 )
-from polyres.engine import EngineError, tensor_parts
 
 
 class TestSynthDataset:
@@ -243,94 +237,3 @@ class TestAugment:
         with pytest.raises(ValueError):
             AugmentConfig(flip_prob=1.5)
 
-
-def write_tensor(path, a):
-    path.write_bytes(b"".join(tensor_parts(a)))
-
-
-class TestImportExport:
-    def test_saved_f32_file_bytes_are_pinned(self, tmp_path):
-        image = (np.arange(12, dtype=np.float32) - 5.5).reshape(3, 2, 2) / 4
-        save_dataset(Dataset(image[None], np.array([1]), classes=2, seed=0), tmp_path)
-        # Rank 3, extents (3, 2, 2), tag 32, then the values -1.375 to 1.375 in f32.
-        expected = bytes.fromhex(
-            "0300000000000000" "0300000000000000" "0200000000000000" "0200000000000000"
-            "2000000000000000"
-            "0000b0bf000090bf000060bf000020bf0000c0be000000be"
-            "0000003e0000c03e0000203f0000603f0000903f0000b03f"
-        )
-        assert (tmp_path / "1_00000.tns").read_bytes() == expected
-
-    def test_truncated_or_trailing_file_is_rejected_with_its_path(self, tmp_path):
-        save_dataset(synth_dataset(4, 2, 8, seed=0), tmp_path)
-        path = tmp_path / "0_00002.tns"
-        buf = path.read_bytes()
-        for bad, word in ((buf[:-3], "truncated"), (buf + b"\0", "1 trailing bytes")):
-            path.write_bytes(bad)
-            with pytest.raises(EngineError) as err:
-                load_dataset(tmp_path)
-            assert str(path) in str(err.value)
-            assert word in str(err.value)
-
-    def test_directory_round_trip(self, tmp_path):
-        ds = synth_dataset(25, 4, 16, seed=2)
-        save_dataset(ds, tmp_path / "d")
-        back = load_dataset(tmp_path / "d")
-        assert np.array_equal(back.images, ds.images)
-        assert np.array_equal(back.labels, ds.labels)
-        assert np.array_equal(back.val_mask, ds.val_mask)
-        assert back.classes == 4
-
-    def test_split_follows_file_indices_across_gaps(self, tmp_path):
-        ds = synth_dataset(30, 4, 8, seed=2)
-        save_dataset(ds, tmp_path / "d")
-        gone = [0, 7, 8]
-        for i in gone:
-            (tmp_path / "d" / f"{ds.labels[i]}_{i:05d}.tns").unlink()
-        keep = np.setdiff1d(np.arange(30), gone)
-        back = load_dataset(tmp_path / "d")
-        assert np.array_equal(back.images, ds.images[keep])
-        assert np.array_equal(back.val_mask, ds.val_mask[keep])
-
-    def test_duplicate_index_rejected_with_both_paths(self, tmp_path):
-        save_dataset(synth_dataset(4, 2, 8, seed=0), tmp_path)
-        shutil.copy(tmp_path / "1_00001.tns", tmp_path / "0_00001.tns")
-        with pytest.raises(ValueError, match="0_00001.tns and .*1_00001.tns"):
-            load_dataset(tmp_path)
-
-    def test_mixed_image_shapes_name_the_file(self, tmp_path):
-        save_dataset(synth_dataset(4, 2, 16, seed=0), tmp_path)
-        write_tensor(tmp_path / "0_00002.tns", np.zeros((3, 8, 8), np.float32))
-        with pytest.raises(ValueError, match=r"0_00002\.tns.*\(3, 8, 8\)"):
-            load_dataset(tmp_path)
-
-    def test_image_that_is_not_rank_three_names_the_file(self, tmp_path):
-        for i in range(3):
-            write_tensor(tmp_path / f"{i % 2}_{i:05d}.tns", np.zeros((8, 8), np.float32))
-        with pytest.raises(ValueError, match=r"0_00000\.tns.*not \(c, h, w\)"):
-            load_dataset(tmp_path)
-
-    def test_label_not_below_classes_names_the_file(self, tmp_path):
-        ds = synth_dataset(6, 4, 8, seed=0)
-        save_dataset(ds, tmp_path)
-        write_tensor(tmp_path / "7_00006.tns", ds.images[0])
-        assert load_dataset(tmp_path).classes == 8
-        with pytest.raises(ValueError, match=r"7_00006\.tns: label 7 is not below classes=4"):
-            load_dataset(tmp_path, classes=4)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_a_non_finite_pixel_names_the_file(self, tmp_path, value):
-        ds = synth_dataset(6, 2, 8, seed=0)
-        save_dataset(ds, tmp_path)
-        image = ds.images[3].copy()
-        image[1, 4, 5] = value
-        path = tmp_path / f"{ds.labels[3]}_00003.tns"
-        write_tensor(path, image)
-        with pytest.raises(EngineError, match="image holds a non-finite value") as err:
-            load_dataset(tmp_path)
-        assert str(err.value).startswith(f"{path}: ")
-
-    def test_missing_directory_rejected(self, tmp_path):
-        (tmp_path / "empty").mkdir()
-        with pytest.raises(FileNotFoundError):
-            load_dataset(tmp_path / "empty")

@@ -1069,6 +1069,17 @@ class TestTensorFormat:
         assert np.array_equal(back, data)
         assert end == len(buf)
 
+    def test_f32_bytes_are_pinned(self):
+        image = (np.arange(12, dtype=np.float32) - 5.5).reshape(3, 2, 2) / 4
+        # Rank 3, extents (3, 2, 2), tag 32, then the values -1.375 to 1.375 in f32.
+        expected = bytes.fromhex(
+            "0300000000000000" "0300000000000000" "0200000000000000" "0200000000000000"
+            "2000000000000000"
+            "0000b0bf000090bf000060bf000020bf0000c0be000000be"
+            "0000003e0000c03e0000203f0000603f0000903f0000b03f"
+        )
+        assert self.encode(image) == expected
+
     def test_header_layout_is_little_endian(self):
         buf = self.encode(np.zeros((2, 5), dtype=np.float64))
         assert int.from_bytes(buf[0:8], "little") == 2  # rank

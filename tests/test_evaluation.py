@@ -399,7 +399,6 @@ def test_single_crop_eval_runs_an_f64_dataset_at_the_model_precision(setup, monk
         images=dataset.images.astype(np.float64),
         labels=dataset.labels,
         classes=dataset.classes,
-        seed=dataset.seed,
     )
     dtypes = []
     logits = Model.logits
