@@ -196,12 +196,19 @@ def _sizes(args) -> dict:
     return dict(input_size=args.input_size, classes=args.classes, base_width=args.base_width)
 
 
-def _resolve_network(args) -> NetworkConfig:
-    if getattr(args, "preset", None) is not None:
+def _resolve_network(args, default: str | None = None) -> NetworkConfig:
+    """The network of --preset NAME or of --network TEXT, which exclude each
+    other; without either, the ``default`` text, written back to ``args`` so
+    the manifest records it."""
+    if args.preset is not None:
+        if args.network is not None:
+            raise UsageError("--preset ignores --network; give one or the other")
         return preset(args.preset, **_sizes(args))
-    if getattr(args, "network", None):
-        return parse_network(args.network, **_sizes(args))
-    raise UsageError("give either --network TEXT or --preset NAME")
+    if args.network is None:
+        args.network = default
+    if not args.network:
+        raise UsageError("give either --network TEXT or --preset NAME")
+    return parse_network(args.network, **_sizes(args))
 
 
 def _add_size_options(p: _Parser, base_width: int):
@@ -210,8 +217,8 @@ def _add_size_options(p: _Parser, base_width: int):
     p.add_argument("--base-width", type=int, default=base_width)
 
 
-def _add_network_options(p: _Parser, default_network: str | None = None):
-    p.add_argument("--network", default=default_network, help="architecture text")
+def _add_network_options(p: _Parser):
+    p.add_argument("--network", default=None, help="architecture text")
     p.add_argument("--preset", default=None, help="named preset configuration")
     _add_size_options(p, base_width=16)
     p.add_argument("--arch", default="dense:16,32", help="block template, tag:a,b")
@@ -315,18 +322,25 @@ def _stochastic_config(args) -> StochasticPathConfig | None:
 
 def _schedule(args) -> OptimizerHP:
     """The paper's schedule, which takes neither --iters nor --lr, or the desk
-    schedule of --iters (default 2000) at --lr (default 0.045)."""
+    schedule of --iters (default 2000) at --lr (default 0.045). The
+    iterations and base lr the run uses are written back to ``args``, so the
+    manifest records them."""
     if args.paper_schedule:
         given = [flag for flag, v in (("--iters", args.iters), ("--lr", args.lr)) if v is not None]
         if given:
             raise UsageError(f"--paper-schedule ignores {' and '.join(given)}; give one or the other")
-        return OptimizerHP.paper_schedule()
-    iters = 2000 if args.iters is None else args.iters
-    return OptimizerHP.desk(iters, base_lr=0.045 if args.lr is None else args.lr)
+        hp = OptimizerHP.paper_schedule()
+    else:
+        hp = OptimizerHP.desk(
+            2000 if args.iters is None else args.iters,
+            base_lr=0.045 if args.lr is None else args.lr,
+        )
+    args.iters, args.lr = hp.total_iters, hp.base_lr
+    return hp
 
 
 def cmd_train(args) -> int:
-    config = _resolve_network(args)
+    config = _resolve_network(args, default="IR 1-2-1")
     arch = parse_arch(args.arch)
     hp = _schedule(args)
     spc = _stochastic_config(args)
@@ -531,7 +545,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("train", help="train a model on the synthetic dataset")
-    _add_network_options(p, default_network="IR 1-2-1")
+    _add_network_options(p)
     p.add_argument("--beta", type=float, default=0.3, help="residual scaling factor")
     _add_data_options(p)
     p.add_argument("--iters", type=int, default=None, help="default 2000")

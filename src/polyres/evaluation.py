@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
+import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from contextvars import copy_context
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -113,6 +114,22 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _exit_after(work, *args) -> NoReturn:
+    """End a forked child: run ``work(*args)`` with every numpy error
+    category the caller does not ignore set to raise and every warning an
+    error, then exit 0, or 1 if anything raised. ``os._exit`` in ``finally``
+    skips the traceback, the caller's stack and its ``atexit`` handlers."""
+    code = 1
+    try:
+        strict = {k: v if v == "ignore" else "raise" for k, v in np.geterr().items()}
+        with np.errstate(**strict), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            work(*args)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _grid_offsets(excess: int, count: int) -> list[tuple[int, int]]:
     """Deterministic top-left offsets: an evenly spaced grid over the scaled
     image covering corners (and the center when the grid side is odd)."""
@@ -155,7 +172,14 @@ def _pooled_scores(
 ) -> tuple[tuple[float, ...], np.ndarray]:
     """The usable scales and the (images, classes) matrix of pooled crop
     scores. Scales whose image is smaller than the crop are skipped with a
-    warning."""
+    warning.
+
+    One worker per CPU the process may run on scores every n-th image: the
+    caller, and a child forked per call for each other share. A child that
+    fails exits 1 and the caller scores its images again, so every error,
+    warning and errstate callback happens in the caller. Without
+    ``os.fork``, or while another Python thread runs, the caller scores
+    every image."""
     crop = model.meta.config.input_size
     usable = []
     for s in cfg.scales:
@@ -169,7 +193,7 @@ def _pooled_scores(
     dtype = DTYPES[model.meta.precision]
     keys, rows = _crop_plan(images.shape[2], usable, crop, cfg.crops_per_scale)
     sizes = dict.fromkeys(size for size, _, _, _ in keys)
-    pooled = np.zeros((len(images), model.meta.config.classes))
+    shape = (len(images), model.meta.config.classes)
 
     def score(i):
         image = images[i]
@@ -186,23 +210,41 @@ def _pooled_scores(
         probs = softmax(logits)  # a floating-point error the caller raises comes first
         if not np.isfinite(logits).all():
             raise NumericError(_first_non_finite(model, x) or "non-finite logits")
-        pooled[i] = np.mean([topk_pool(probs[r], cfg.top_fraction) for r in rows], axis=0)
+        return np.mean([topk_pool(probs[r], cfg.top_fraction) for r in rows], axis=0)
 
-    # Worker w scores images w, w + n, ...; the caller is worker 0. Helpers
-    # run in a copy of the caller's context, which carries numpy's errstate.
-    # An executor needs max_workers >= 1; with n = 1 it starts no thread.
+    # Worker w scores images w, w + n, ...; the caller is worker 0.
     n = min(len(images), _cpu_count())
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        n = 1  # a fork beside another thread risks a deadlock in the child
 
     def share(w):
         for i in range(w, len(images), n):
-            score(i)
+            pooled[i] = score(i)
 
-    with ThreadPoolExecutor(max(n - 1, 1)) as pool:
-        helpers = [pool.submit(copy_context().run, share, w) for w in range(1, n)]
+    if n < 2:
+        pooled = np.zeros(shape)
         share(0)
-        for helper in helpers:
-            helper.result()
-    return tuple(usable), pooled
+        return tuple(usable), pooled
+    # The other workers are forked children: they read the model and the
+    # images copy-on-write and write their rows into one anonymous shared
+    # map made before the fork.
+    pooled = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * shape[0] * shape[1]))
+    children = {}
+    try:
+        for w in range(1, n):
+            pid = os.fork()
+            if pid == 0:
+                _exit_after(share, w)
+            children[w] = pid
+        share(0)
+    finally:
+        # Reap every child, also when the caller's own share raised.
+        failed = [w for w, pid in children.items() if os.waitpid(pid, 0)[1] != 0]
+    # The caller scores a failed child's images again, so its errors,
+    # warnings and errstate come about here, as in a one-worker run.
+    for w in failed:
+        share(w)
+    return tuple(usable), pooled.copy()
 
 
 @dataclass
@@ -251,9 +293,10 @@ def multicrop_eval(
     cut and scored once; each image resizes once per distinct size and
     scores all its distinct crops in one forward.
 
-    Images are scored concurrently, one worker per CPU the process may run
-    on; the pooled scores are bitwise equal to those of a single worker. A
-    non-finite logit raises NumericError naming its node.
+    Images are scored in parallel, one worker per CPU the process may run
+    on: the caller and forked children, which leave every error and warning
+    to the caller. The pooled scores are bitwise equal to those of a single
+    worker. A non-finite logit raises NumericError naming its node.
     """
     started = time.perf_counter()
     images, labels = dataset.subset(dataset.indices("val"))

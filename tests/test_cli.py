@@ -655,6 +655,37 @@ def test_a_train_run_records_the_path_options_it_used(tmp_path, capsys, config, 
 
 
 @pytest.mark.parametrize("command", ["analyze", "train"])
+@pytest.mark.parametrize("network", ["A: ir", "A: zorp", "IR 1-2-1"], ids=["ir", "junk", "default"])
+def test_a_network_beside_a_preset_is_a_usage_error(tmp_path, capsys, command, network):
+    argv = [command, "--preset", "ir-3-6-3", "--network", network, "--out", str(tmp_path / "out")]
+    extra = ["--iters", "2", "--data-n", "64"] if command == "train" else []
+    assert dispatch(argv + extra) == EXIT_USAGE
+    assert "usage error: --preset ignores --network; give one or the other" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "given,recorded",
+    [
+        ([], ("IR 1-2-1", 2000, 0.045)),
+        (["--network", "A: ir", "--iters", "7", "--lr", "0.1"], ("A: ir", 7, 0.1)),
+        (["--preset", "ir-3-6-3", "--iters", "7"], (None, 7, 0.045)),
+        (["--paper-schedule"], ("IR 1-2-1", 560_000, 0.45)),
+    ],
+    ids=["defaults", "given", "preset", "paper-schedule"],
+)
+def test_a_train_run_records_the_network_and_schedule_it_used(tmp_path, capsys, given, recorded):
+    out = tmp_path / "out"
+    # --data-n 0 stops the run before its first step, after the manifest
+    # is written.
+    argv = ["train", *given, "--data-n", "0", "--base-width", "4", "--out", str(out)]
+    assert dispatch(argv) == EXIT_VALIDATION
+    assert "the train split of a 0-image dataset is empty" in capsys.readouterr().err
+    options = json.loads((out / "manifest.json").read_text())["options"]
+    assert (options["network"], options["iters"], options["lr"]) == recorded
+
+
+@pytest.mark.parametrize("command", ["analyze", "train"])
 def test_an_empty_preset_is_an_unknown_preset(tmp_path, capsys, command):
     argv = [command, "--preset", "", "--out", str(tmp_path / "out")]
     extra = ["--iters", "2", "--data-n", "64"] if command == "train" else []

@@ -1,11 +1,12 @@
 """Top-k metrics and the multi-crop pooling protocol."""
 
-import contextvars
 import json
 import math
+import os
 import re
-import sys
 import threading
+import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -277,31 +278,47 @@ class TestDistinctCrops:
                 else:
                     assert np.array_equal(pooled, expected), (count, fraction)
 
-    def test_one_forward_per_image_over_the_distinct_crops(self, monkeypatch):
+    def test_one_forward_per_image_over_the_distinct_crops(self, monkeypatch, tmp_path):
         # The benchmark protocol at 32 px: scale 1.0 has one grid offset, so
         # its 8 crops are 2 distinct ones; 1.15 and 1.3 add 8 distinct each.
         dataset = synth_dataset(40, 4, 32, seed=2)
         config = parse_network("A: ir", input_size=32, classes=4, base_width=4)
         model = lower(config, ConvBlock(4, 2), seed=0, precision="f32")
-        rows = []
-        logits = Model.logits
-
-        def counting(self, x, mode="eval"):
-            rows.append(len(x))
-            return logits(self, x, mode)
-
-        monkeypatch.setattr(Model, "logits", counting)
+        log = tmp_path / "logits.log"
+        record_logits(monkeypatch, log)
         cfg = PoolingConfig(scales=(1.0, 1.15, 1.3), crops_per_scale=8, top_fraction=0.3)
         report = multicrop_eval(model, dataset, cfg)
         assert report.n_images > 0
-        assert rows == [18] * report.n_images
+        assert [rows for _, rows in logged_calls(log)] == [18] * report.n_images
+
+
+def record_logits(monkeypatch, path, pick=lambda model, x: model):
+    """Patch ``Model.logits`` to run the model ``pick`` chooses for the
+    batch and to append "pid rows" to ``path``, from every process that
+    scores."""
+    logits = Model.logits
+
+    def recording(self, x, mode="eval"):
+        with open(path, "a") as log:
+            log.write(f"{os.getpid()} {len(x)}\n")
+        return logits(pick(self, x), x, mode)
+
+    monkeypatch.setattr(Model, "logits", recording)
+
+
+def logged_calls(path) -> list[tuple[int, int]]:
+    """The (pid, rows) of every call that ``record_logits`` logged."""
+    return [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
 
 
 class TestConcurrentScoring:
-    """Images are scored by one worker per usable CPU; the caller is one of
-    them. Each image's forward, rows and pooling are the serial ones."""
+    """Images are scored by one worker per usable CPU: the caller and a
+    forked child for each other worker. Each image's forward, rows and
+    pooling are the serial ones. A child that fails leaves its images to
+    the caller, so every error and warning happens in the caller."""
 
     PROTOCOL = PoolingConfig(scales=(1.0, 1.15, 1.3), crops_per_scale=8, top_fraction=0.3)
+    IMAGES = synth_dataset(7, 4, 32, seed=5).images
 
     @staticmethod
     def model():
@@ -309,73 +326,185 @@ class TestConcurrentScoring:
         return lower(config, ConvBlock(4, 2), seed=0, precision="f32")
 
     @staticmethod
-    def record_logits(monkeypatch, record):
-        logits = Model.logits
-
-        def recording(self, x, mode="eval"):
-            record(self, x)
-            return logits(self, x, mode)
-
-        monkeypatch.setattr(Model, "logits", recording)
-
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
-    def test_pooled_scores_are_bitwise_equal_for_any_worker_count(self, monkeypatch, cpus):
-        monkeypatch.setattr(evaluation, "_cpu_count", lambda: cpus)
-        model = self.model()
-        images = synth_dataset(7, 4, 32, seed=5).images
-        expected = reference_pooled_scores(model, images, self.PROTOCOL.scales, self.PROTOCOL)
-        rows = []
-        self.record_logits(monkeypatch, lambda model, x: rows.append(len(x)))
-        # More workers than this machine may have cores, switching often.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            usable, pooled = _pooled_scores(model, images, self.PROTOCOL)
-        finally:
-            sys.setswitchinterval(interval)
-        assert usable == self.PROTOCOL.scales
-        assert np.array_equal(pooled, expected)
-        assert rows == [18] * len(images)
-
-    def run_with_poisoned_helpers(self, monkeypatch):
-        # The caller's own images run the finite model; the helper's run a
-        # copy whose head weights are inf, so only a helper meets NaNs.
-        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
-        model = self.model()
+    def poisoned(model):
+        """A copy whose head weights are inf: its logits are NaN."""
         poisoned = model.clone()
         poisoned.params.get("head.fc", "w")[:] = np.inf
-        caller = threading.current_thread()
-        logits = Model.logits
+        return poisoned
 
-        def helpers_poisoned(self, x, mode="eval"):
-            own = threading.current_thread() is caller
-            return logits(self if own else poisoned, x, mode)
+    def poison_images(self, monkeypatch, path, model, bad):
+        """Score the images ``bad`` with the poisoned model, in whichever
+        process scores them. At scale 1.0 a batch's first crop is its image."""
+        poisoned = self.poisoned(model)
 
-        monkeypatch.setattr(Model, "logits", helpers_poisoned)
-        dataset = synth_dataset(40, 4, 32, seed=2)
-        with np.errstate(invalid="raise"):
-            multicrop_eval(model, dataset, self.PROTOCOL)
+        def pick(model, x):
+            return poisoned if any(np.array_equal(x[0], image) for image in bad) else model
 
-    def test_a_helpers_floating_point_error_reaches_the_caller(self, monkeypatch):
-        with pytest.raises(FloatingPointError):
-            self.run_with_poisoned_helpers(monkeypatch)
+        record_logits(monkeypatch, path, pick)
 
-    def test_helpers_without_the_callers_context_would_only_warn(self, monkeypatch):
-        # numpy's errstate lives in a context variable: a helper run in a
-        # fresh context warns where the caller asked for a raise. Its
-        # non-finite logits then stop the evaluation.
-        monkeypatch.setattr(evaluation, "copy_context", contextvars.Context)
-        with pytest.warns(RuntimeWarning, match="invalid value"), pytest.raises(NumericError):
-            self.run_with_poisoned_helpers(monkeypatch)
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_pooled_scores_are_bitwise_equal_for_any_worker_count(
+        self, monkeypatch, tmp_path, cpus
+    ):
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: cpus)
+        model = self.model()
+        images = self.IMAGES
+        expected = reference_pooled_scores(model, images, self.PROTOCOL.scales, self.PROTOCOL)
+        log = tmp_path / "logits.log"
+        record_logits(monkeypatch, log)
+        usable, pooled = _pooled_scores(model, images, self.PROTOCOL)
+        assert usable == self.PROTOCOL.scales
+        assert np.array_equal(pooled, expected)
+        calls = logged_calls(log)
+        assert [rows for _, rows in calls] == [18] * len(images)
+        # Worker w scored images w, w + cpus, ...: one process each, the
+        # caller being worker 0.
+        per_pid = Counter(pid for pid, _ in calls)
+        assert per_pid[os.getpid()] == len(range(0, len(images), cpus))
+        shares = [len(range(w, len(images), cpus)) for w in range(cpus)]
+        assert sorted(per_pid.values(), reverse=True) == shares
 
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 1)
-        before = threading.active_count()
-        seen = []
-        self.record_logits(monkeypatch, lambda model, x: seen.append(threading.active_count()))
-        report = multicrop_eval(self.model(), synth_dataset(40, 4, 32, seed=2), self.PROTOCOL)
-        assert seen == [before] * report.n_images
-        assert threading.active_count() == before
+    def test_a_childs_failure_is_scored_again_by_the_caller(self, monkeypatch, tmp_path):
+        # Only the child meets the poisoned model; the caller then scores
+        # the child's images with the finite one.
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
+        model = self.model()
+        poisoned = self.poisoned(model)
+        caller = os.getpid()
+        expected = reference_pooled_scores(model, self.IMAGES, self.PROTOCOL.scales, self.PROTOCOL)
+        log = tmp_path / "logits.log"
+        record_logits(monkeypatch, log, lambda m, x: m if os.getpid() == caller else poisoned)
+        _, pooled = _pooled_scores(model, self.IMAGES, self.PROTOCOL)
+        assert np.array_equal(pooled, expected)
+        per_pid = Counter(pid for pid, _ in logged_calls(log))
+        # The child stopped at its first image; the caller scored all seven.
+        assert sorted(per_pid.values()) == [1, 7]
+        assert per_pid[caller] == 7
+
+    def test_a_helpers_floating_point_error_reaches_the_caller(self, monkeypatch, tmp_path, capfd):
+        # Images 1, 3 and 5 are the child's share of two workers; only they
+        # meet the poisoned model, so the caller's own share is clean.
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
+        model = self.model()
+        log = tmp_path / "logits.log"
+        self.poison_images(monkeypatch, log, model, self.IMAGES[1::2])
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            _pooled_scores(model, self.IMAGES, self.PROTOCOL)
+        per_pid = Counter(pid for pid, _ in logged_calls(log))
+        # The child stopped at image 1; the caller scored 0, 2, 4, 6, then 1.
+        assert per_pid[os.getpid()] == 5
+        assert sorted(per_pid.values()) == [1, 5]
+        assert capfd.readouterr().err == ""
+
+    def test_a_helpers_non_finite_logits_warn_and_raise_in_the_caller(
+        self, monkeypatch, tmp_path, capfd
+    ):
+        # Under numpy's default errstate the poisoned image warns, then its
+        # NaN logits stop the evaluation, as in a one-worker run.
+        model = self.model()
+        self.poison_images(monkeypatch, tmp_path / "logits.log", model, self.IMAGES[1::2])
+        seen = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(evaluation, "_cpu_count", lambda: cpus)
+            with pytest.warns(RuntimeWarning, match="invalid value") as caught:
+                with pytest.raises(NumericError) as error:
+                    _pooled_scores(model, self.IMAGES, self.PROTOCOL)
+            seen[cpus] = [str(w.message) for w in caught], str(error.value)
+        assert seen[2] == seen[1]
+        assert capfd.readouterr().err == ""
+
+    def run_with_events(self, monkeypatch, tmp_path, event):
+        """Pooled scores of one and of two workers, where ``event()`` runs
+        before each forward of the child's share (images 1, 3 and 5)."""
+        model = self.model()
+        expected = reference_pooled_scores(model, self.IMAGES, self.PROTOCOL.scales, self.PROTOCOL)
+        bad = self.IMAGES[1::2]
+
+        def pick(model, x):
+            if any(np.array_equal(x[0], image) for image in bad):
+                event()
+            return model
+
+        record_logits(monkeypatch, tmp_path / "logits.log", pick)
+        pooled = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(evaluation, "_cpu_count", lambda: cpus)
+            _, pooled[cpus] = _pooled_scores(model, self.IMAGES, self.PROTOCOL)
+        assert np.array_equal(pooled[1], expected) and np.array_equal(pooled[2], expected)
+
+    def test_a_helpers_warning_happens_in_the_caller(self, monkeypatch, tmp_path):
+        # A warning that does not stop the child still fails it, so the
+        # caller scores its images again and the warning shows here.
+        with pytest.warns(UserWarning) as caught:
+            self.run_with_events(monkeypatch, tmp_path, lambda: warnings.warn("seen"))
+        assert [str(w.message) for w in caught] == ["seen"] * 3 * 2
+
+    def test_an_errstate_callback_runs_in_the_caller(self, monkeypatch, tmp_path):
+        calls = []
+        overflow = lambda: np.array([3e38], np.float32) * np.float32(10)  # noqa: E731
+        with np.errstate(over="call", call=lambda kind, flag: calls.append(kind)):
+            self.run_with_events(monkeypatch, tmp_path, overflow)
+        assert calls == ["overflow"] * 3 * 2
+
+    def test_a_failure_on_every_worker_raises_in_the_caller(self, monkeypatch, tmp_path, capfd):
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
+        model = self.model()
+        log = tmp_path / "logits.log"
+        self.poison_images(monkeypatch, log, model, self.IMAGES)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            _pooled_scores(model, self.IMAGES, self.PROTOCOL)
+        # Both workers stopped at their first image, and the child printed
+        # no traceback.
+        assert sorted(Counter(pid for pid, _ in logged_calls(log)).values()) == [1, 1]
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("caller_fails", [False, True], ids=["pass", "caller-raises"])
+    def test_no_child_outlives_a_pass(self, monkeypatch, tmp_path, caller_fails):
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 4)
+        model = self.model()
+        log = tmp_path / "logits.log"
+        self.poison_images(monkeypatch, log, model, self.IMAGES[::4] if caller_fails else [])
+        if caller_fails:
+            with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+                _pooled_scores(model, self.IMAGES, self.PROTOCOL)
+        else:
+            _pooled_scores(model, self.IMAGES, self.PROTOCOL)
+        assert len({pid for pid, _ in logged_calls(log)}) == 4
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("why", ["one-cpu", "live-thread", "no-fork"])
+    def test_one_worker_forks_nothing(self, monkeypatch, why):
+        def no_fork():
+            raise AssertionError("forked")
+
+        if why == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 1 if why == "one-cpu" else 2)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if why == "live-thread":
+            thread.start()
+        try:
+            before = threading.active_count()
+            seen = []
+
+            def pick(model, x):
+                seen.append((os.getpid(), threading.active_count()))
+                return model
+
+            record_logits(monkeypatch, os.devnull, pick)
+            model = self.model()
+            _, pooled = _pooled_scores(model, self.IMAGES, self.PROTOCOL)
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join()
+        assert seen == [(os.getpid(), before)] * len(self.IMAGES)
+        expected = reference_pooled_scores(model, self.IMAGES, self.PROTOCOL.scales, self.PROTOCOL)
+        assert np.array_equal(pooled, expected)
 
 
 def test_an_empty_split_is_named_with_the_dataset_size(setup, monkeypatch):
@@ -383,10 +512,10 @@ def test_an_empty_split_is_named_with_the_dataset_size(setup, monkeypatch):
     tiny = synth_dataset(2, 2, 16, seed=0)
     assert len(tiny.val_indices) == 0
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was built for zero images")
+    def no_fork():
+        raise AssertionError("a worker was forked for zero images")
 
-    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     with pytest.raises(ValueError, match="val split of a 2-image dataset is empty"):
         single_crop_eval(model, tiny)
     with pytest.raises(ValueError, match="val split of a 2-image dataset is empty"):
