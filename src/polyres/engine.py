@@ -500,22 +500,28 @@ def _phase_planes(x_shape, dtype, k: int, stride: int, pad: int):
     return taps, views
 
 
-def _conv_input_grad(g2: np.ndarray, w: np.ndarray, x_shape, stride: int, pad: int) -> np.ndarray:
-    """Input gradient from the row-pitched output gradient ``g2`` (n, c_out,
-    hout*Q), zero in its pad columns: per kernel tap one GEMM ``w[:, :, i,
-    j]^T g`` into a reused work array, added onto the tap's slice of zeroed
-    phase planes, in tap order. The planes' interior is the input gradient."""
-    c, k = x_shape[1], w.shape[-1]
+def _conv_input_grad(g2: np.ndarray, w: np.ndarray, dx: np.ndarray, stride: int, pad: int):
+    """Writes into ``dx`` the input gradient from the row-pitched output
+    gradient ``g2`` (n, c_out, hout*Q), zero in its pad columns: per kernel
+    tap one GEMM ``w[:, :, i, j]^T g`` into a reused work array, added onto
+    the tap's slice of zeroed phase planes, in tap order. The planes'
+    interior is the input gradient."""
+    c, k = dx.shape[1], w.shape[-1]
     w_taps = w.transpose(2, 3, 1, 0).reshape(k * k, c, -1).copy()  # (k*k, c_in, c_out)
-    taps, views = _phase_planes(x_shape, g2.dtype, k, stride, pad)
+    taps, views = _phase_planes(dx.shape, g2.dtype, k, stride, pad)
     work = np.empty_like(taps[0])
     for w_tap, tap in zip(w_taps, taps):
         np.matmul(w_tap, g2, out=work)
         tap += work
-    dx = np.empty(x_shape, dtype=g2.dtype)
     for view, index in views:
         dx[index] = view
     return dx
+
+
+# Bytes of columns one block of a conv's batch may build. A block's columns
+# then stay well within one core's 2 MiB L2 on the benchmark machine, next to
+# its planes and GEMM output; larger blocks were no faster and hold more.
+_COLUMN_BUDGET = 512 * 1024
 
 
 class Conv2D(ParamOp):
@@ -524,13 +530,20 @@ class Conv2D(ParamOp):
 
     A 1x1 stride-1 conv is a batched GEMM of the (c_out, c_in) weight with
     the input itself reshaped to (batch, c_in, h*w): no copy, so nothing may
-    write to the input. Other convs copy the input into zero-bordered phase
-    planes of one row pitch Q (:func:`_phase_planes`), where a kernel tap is
-    one contiguous slice. Forward stacks the tap slices into columns for one
-    GEMM and crops the Q - wout pad columns off its output. Backward builds
-    the planes again, pitches the output gradient with zero pad columns and
-    takes dw per tap with one batched GEMM against the tap's slice; see
-    :func:`_conv_input_grad` for dx. Tensors are named as for :class:`Dense`.
+    write to the input. Other convs walk the batch in blocks of consecutive
+    samples whose columns fit ``_COLUMN_BUDGET`` (at least one sample; a
+    batch that fits is one block), so a conv's transient memory does not
+    grow with the batch. Per block, the input is copied into zero-bordered
+    phase planes of one row pitch Q (:func:`_phase_planes`), where a kernel
+    tap is one contiguous slice. Forward stacks the block's tap slices into
+    columns for one GEMM and writes its output, less the Q - wout pad
+    columns, into the batch's output. Backward builds the block's planes
+    again, pitches its output gradient with zero pad columns and takes each
+    sample's dw product per tap with one batched GEMM against the tap's
+    slice; the products of the whole batch are summed in batch order after
+    the loop. See :func:`_conv_input_grad` for dx. numpy makes one GEMM call
+    per sample either way, so the block size changes no result bit. Tensors
+    are named as for :class:`Dense`.
     """
 
     name = "conv2d"
@@ -564,6 +577,16 @@ class Conv2D(ParamOp):
         hout, wout = _conv_geometry(s[2], s[3], self.kernel, self.stride, self.pad)
         return (s[0], self.c_out, hout, wout)
 
+    def _blocks(self, x):
+        """The batch's blocks: slices of at most as many samples as fit the
+        column budget, and at least one."""
+        n, _, h, w = x.shape
+        pitch = -(-(w + 2 * self.pad) // self.stride)
+        hout = _conv_geometry(h, w, self.kernel, self.stride, self.pad)[0]
+        sample = self.c_in * self.kernel * self.kernel * hout * pitch * x.itemsize
+        step = max(1, _COLUMN_BUDGET // sample)
+        return [slice(lo, lo + step) for lo in range(0, n, step)]
+
     def _input_taps(self, x):
         taps, views = _phase_planes(x.shape, x.dtype, self.kernel, self.stride, self.pad)
         for view, index in views:
@@ -578,14 +601,17 @@ class Conv2D(ParamOp):
         if self.pointwise:
             y = (w2 @ x.reshape(n, self.c_in, -1)).reshape(n, self.c_out, hout, wout)
         else:
-            taps = self._input_taps(x)
-            cols = np.empty((n, self.c_in, len(taps), taps[0].shape[-1]), dtype=x.dtype)
-            for t, tap in enumerate(taps):
-                cols[:, :, t] = tap
-            del taps
-            y = (w2 @ cols.reshape(n, -1, cols.shape[-1])).reshape(n, self.c_out, hout, -1)
-            del cols
-            y = y[..., :wout].copy()  # one copy crops the pad columns
+            y = np.empty((n, self.c_out, hout, wout), dtype=np.result_type(w, x))
+            for blk in self._blocks(x):
+                taps = self._input_taps(x[blk])
+                m, span = taps[0].shape[0], taps[0].shape[-1]
+                cols = np.empty((m, self.c_in, len(taps), span), dtype=x.dtype)
+                for t, tap in enumerate(taps):
+                    cols[:, :, t] = tap
+                del taps, tap  # frees the planes before the GEMM
+                yb = (w2 @ cols.reshape(m, -1, span)).reshape(m, self.c_out, hout, -1)
+                del cols  # before the next block builds its own
+                y[blk] = yb[..., :wout]  # crops the pad columns
         y += b
         return y, (x, w)
 
@@ -596,21 +622,29 @@ class Conv2D(ParamOp):
             g2 = grad.reshape(n, self.c_out, -1)
             dw = np.matmul(g2, x.reshape(n, self.c_in, -1).transpose(0, 2, 1)).sum(axis=0)
         else:
-            taps = self._input_taps(x)
-            g2 = np.zeros((n, self.c_out, hout, taps[0].shape[-1] // hout), dtype=grad.dtype)
-            g2[..., :wout] = grad
-            g2 = g2.reshape(n, self.c_out, -1)
-            dw = np.empty((self.c_out, self.c_in, len(taps)), dtype=grad.dtype)
-            for t, tap in enumerate(taps):
-                dw[:, :, t] = np.matmul(g2, tap.transpose(0, 2, 1)).sum(axis=0)
-            del taps, tap  # frees the planes before the input gradient makes its own
+            prods = np.empty((self.kernel**2, n, self.c_out, self.c_in), dtype=grad.dtype)
+            dx = np.empty(x.shape, dtype=grad.dtype) if input_grads else None
+            for blk in self._blocks(x):
+                taps = self._input_taps(x[blk])
+                m = taps[0].shape[0]
+                g2 = np.zeros((m, self.c_out, hout, taps[0].shape[-1] // hout), dtype=grad.dtype)
+                g2[..., :wout] = grad[blk]
+                g2 = g2.reshape(m, self.c_out, -1)
+                for t, tap in enumerate(taps):
+                    np.matmul(g2, tap.transpose(0, 2, 1), out=prods[t, blk])
+                del taps, tap  # frees the planes before the input gradient makes its own
+                if input_grads:
+                    _conv_input_grad(g2, w, dx[blk], self.stride, self.pad)
+            # One sum over the whole batch, as with one block: dw does not
+            # depend on the blocks.
+            dw = prods.sum(axis=1).transpose(1, 2, 0)
         grads[self.w_name][...] += dw.reshape(w.shape)
         grads[self.b_name][...] += grad.sum(axis=(0, 2, 3))
         if not input_grads:
             return [None]
         if self.pointwise:
             return [(w.reshape(self.c_out, -1).T @ g2).reshape(x.shape)]
-        return [_conv_input_grad(g2, w, x.shape, self.stride, self.pad)]
+        return [dx]
 
     def macs(self, in_shapes, out_shape):
         b, _, hout, wout = out_shape

@@ -928,6 +928,87 @@ class TestConvContexts:
         assert sum(a.nbytes for a in held.values()) <= outputs
 
 
+class TestConvBlocks:
+    """A non-pointwise conv walks its batch in blocks whose columns fit
+    ``_COLUMN_BUDGET``; the block size changes no result bit and bounds the
+    conv's transient memory."""
+
+    @staticmethod
+    def column_bytes(op, shape, itemsize):
+        """One sample's im2col columns: c_in * k*k * hout * Q elements, Q
+        the phase planes' row pitch."""
+        _, c, h, w = shape
+        k, s, pad = op.kernel, op.stride, op.pad
+        hout, pitch = (h + 2 * pad - k) // s + 1, -(-(w + 2 * pad) // s)
+        return c * k * k * hout * pitch * itemsize
+
+    @staticmethod
+    def run(op, x, g):
+        """Forward output, and (dw, db, dx) with the input gradient asked
+        for and (dw, db) without it, all as bytes."""
+        graph = single_op_graph(op, x.shape[1:], key="c")
+        params = params_for([("c", op)], np.random.default_rng(31))
+        params = store_of(*[(k, n, v.astype(x.dtype)) for k, n, v in params.flat_items()])
+        out, tape = forward(graph, params, x, "train")
+        full, dx = backward(tape, g, return_input_grad=True)
+        skipped = backward(tape, g)
+        assert dx.shape == x.shape and dx.dtype == x.dtype
+        return [out.data.tobytes(), dx.tobytes()] + [
+            store.get("c", name).tobytes()
+            for store in (full, skipped) for name in (op.w_name, op.b_name)
+        ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hw", [(7, 5), (9, 9), (6, 11)])
+    @pytest.mark.parametrize(
+        "op", [Conv2D(3, 3, 5), Conv2D(3, 3, 5, stride=3), StridedConvDownsample(3, 5)],
+        ids=["stride1", "stride3", "downsample"],
+    )
+    def test_block_splits_are_bitwise_equal(self, monkeypatch, op, hw, dtype):
+        import polyres.engine as engine
+
+        rng = np.random.default_rng(37)
+        x = rng.standard_normal((7, 3, *hw)).astype(dtype)
+        hout, wout = op.infer_shape([x.shape])[2:]
+        g = rng.standard_normal((7, 5, hout, wout)).astype(dtype)
+        sample = self.column_bytes(op, x.shape, x.itemsize)
+        results = {}
+        for per_block, sizes in [(7, [7]), (3, [3, 3, 1]), (1, [1] * 7)]:
+            monkeypatch.setattr(engine, "_COLUMN_BUDGET", per_block * sample)
+            assert [len(range(7)[b]) for b in op._blocks(x)] == sizes
+            results[per_block] = self.run(op, x, g)
+        assert results[3] == results[7]
+        assert results[1] == results[7]
+
+    def test_transients_do_not_grow_with_the_batch(self):
+        """tracemalloc peak of one StridedConvDownsample(16, 16) forward and
+        backward at 32 px, f32, less its output and gradients: batch 64
+        holds under 1 MiB more than batch 8 (a whole batch's columns would
+        be about 9 MiB more)."""
+        import tracemalloc
+
+        op = StridedConvDownsample(16, 16)
+        params = store_of(*[
+            ("c", spec.name, np.full(spec.shape, 0.01, np.float32)) for spec in op.param_specs()
+        ])
+        transient = {}
+        for n in (8, 64):
+            rng = np.random.default_rng(n)
+            x = rng.standard_normal((n, 16, 32, 32)).astype(np.float32)
+            g = rng.standard_normal((n, 16, 16, 16)).astype(np.float32)
+            grads = params.zeros_like()
+            op.forward([x], params.group("c"), "train")  # warm-up
+            tracemalloc.start()
+            try:
+                y, ctx = op.forward([x], params.group("c"), "train")
+                (dx,) = op.backward(g, ctx, grads.group("c"))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            transient[n] = peak - y.nbytes - dx.nbytes
+        assert transient[64] - transient[8] < 1 << 20, transient
+
+
 class TestArena:
     STATS = ("running_mean", "running_var")
 
