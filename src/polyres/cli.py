@@ -1,14 +1,16 @@
 """Command-line entry point: reproducible experiments over the library.
 
 Subcommands: parse, expand, rewrite, analyze, train, eval, gradcheck,
-surgery, sweep. Every run resolves its options (flags over an optional
-``key = value`` config file), writes a manifest.json under --out, and exits
-0 on success, 1 on usage errors, 2 on validation errors (bad DSL, config or
-checkpoint), 3 on numeric failures (divergence, gradient check over
-tolerance). A command takes --seed or --precision only where it changes the
-output, and an option it would ignore is a usage error. Every random draw
-comes from ``substreams(--seed)``: ``Trainer`` takes --seed itself, datasets
-and gradcheck inputs draw from the data stream, and lowerings from init.
+surgery, sweep. Each command's options are rows of one table,
+``_COMMANDS``, which argparse and the config-file reader both read. Every
+run resolves its options (flags over an optional ``key = value`` config
+file), writes a manifest.json under --out, and exits 0 on success, 1 on
+usage errors, 2 on validation errors (bad DSL, config or checkpoint), 3 on
+numeric failures (divergence, gradient check over tolerance). A command
+takes --seed or --precision only where it changes the output, and an
+option it would ignore is a usage error. Every random draw comes from
+``substreams(--seed)``: ``Trainer`` takes --seed itself, datasets and
+gradcheck inputs draw from the data stream, and lowerings from init.
 """
 
 from __future__ import annotations
@@ -102,55 +104,32 @@ def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
     return values
 
 
-def _apply_config_file(parser: _Parser, argv: list[str]) -> None:
-    """Turn a ``key = value`` file into defaults on the subcommand's parser.
-
-    The subcommand's own parser finds the path, so ``--config FILE``,
-    ``--config=FILE`` and a prefix are all read, and a prefix it finds
-    ambiguous is a usage error before the file is read. Required options are
-    waived for that pass, as the file may supply them. Explicit flags still
-    win; a file value satisfies a required option. A key the subcommand does
-    not take, or a value its option rejects, is a ValueError naming
-    ``path:line`` and the key.
-    """
-    sub_action = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    waived = [a for p in sub_action.choices.values() for a in p._actions if a.required]
-    for action in waived:
-        action.required = False
-    try:
-        known = parser.parse_known_args(argv)[0]
-    finally:
-        for action in waived:
-            action.required = True
-    path, command = known.config, known.command
-    if path is None:
-        return
-    if not path:
-        raise UsageError("--config needs a file path")
-    raw = _read_config_file(path)
-    subparser = sub_action.choices[command]
-    actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
+def _config_defaults(command: str, path: str) -> dict:
+    """A ``key = value`` file's values, converted and checked by the
+    command's rows of ``_COMMANDS``. The key ``config``, a key the command
+    does not take, or a value its option rejects is a ValueError naming
+    ``path:line`` and the key."""
+    kinds = {_dest(name): kind for name, kind, *_ in _COMMANDS[command][2]}
     defaults = {}
-    for key, (where, text) in raw.items():
-        action = actions.get(key)
-        if action is None:
+    for key, (where, text) in _read_config_file(path).items():
+        if key == "config":
+            raise ValueError(f"{where}: config: a config file cannot name another")
+        if key not in kinds:
             raise ValueError(f"{where}: {command} has no option {key!r}")
-        if isinstance(action, argparse._StoreTrueAction):
+        kind = kinds[key]
+        if kind is bool:
             value, allowed = text.lower(), _BOOLEANS
+        elif isinstance(kind, tuple):
+            value, allowed = text, kind
         else:
             try:
-                value = action.type(text) if action.type is not None else text
+                value, allowed = kind(text), None
             except ValueError as exc:
                 raise ValueError(f"{where}: {key}: {exc}") from None
-            allowed = action.choices
         if allowed is not None and value not in allowed:
-            choices = ", ".join(map(str, allowed))
-            raise ValueError(f"{where}: {key}: {text!r} is not one of {choices}")
-        defaults[key] = _BOOLEANS[value] if allowed is _BOOLEANS else value
-        action.required = False
-    subparser.set_defaults(**defaults)
+            raise ValueError(f"{where}: {key}: {text!r} is not one of {', '.join(allowed)}")
+        defaults[key] = _BOOLEANS[value] if kind is bool else value
+    return defaults
 
 
 def _list_of(kind):
@@ -209,33 +188,6 @@ def _resolve_network(args, default: str | None = None) -> NetworkConfig:
     if not args.network:
         raise UsageError("give either --network TEXT or --preset NAME")
     return parse_network(args.network, **_sizes(args))
-
-
-def _add_size_options(p: _Parser, base_width: int):
-    p.add_argument("--input-size", type=int, default=32)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--base-width", type=int, default=base_width)
-
-
-def _add_network_options(p: _Parser):
-    p.add_argument("--network", default=None, help="architecture text")
-    p.add_argument("--preset", default=None, help="named preset configuration")
-    _add_size_options(p, base_width=16)
-    p.add_argument("--arch", default="dense:16,32", help="block template, tag:a,b")
-
-
-def _add_common(p: _Parser, seed: bool = False, precision: bool = False):
-    # --seed and --precision only for the commands whose output they change.
-    p.add_argument("--config", default=None, help="key = value options file")
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="output directory (default runs/<cmd>)")
-    if precision:
-        p.add_argument("--precision", choices=("f32", "f64"), default="f32")
-
-
-def _add_data_options(p: _Parser):
-    p.add_argument("--data-n", type=int, default=512)
 
 
 # ---------------------------------------------------------------------------
@@ -297,22 +249,25 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-# The options that only --stochastic-paths reads, and their defaults under it.
-_PATH_OPTIONS = {"max_prob": 0.25, "adaptive": "off", "rescale": "none"}
+def _read_only_with(args, switch: str, defaults: dict) -> None:
+    """Options that only ``switch`` reads. Without it, any of them that is
+    set is a usage error; with it, each unset one takes its entry of
+    ``defaults`` in ``args``, so the manifest records it."""
+    if not getattr(args, switch):
+        given = " and ".join(_flag(d) for d in defaults if getattr(args, d) is not None)
+        if given:
+            raise UsageError(f"{args.command} ignores {given} without {_flag(switch)}")
+        return
+    for dest, default in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 def _stochastic_config(args) -> StochasticPathConfig | None:
-    """The path dropping of --stochastic-paths. Its unset options take their
-    defaults in ``args``, so the manifest records them; without it, any of
-    them is a usage error."""
+    """The path dropping of --stochastic-paths, or None without it."""
+    _read_only_with(args, "stochastic_paths", dict(max_prob=0.25, adaptive="off", rescale="none"))
     if not args.stochastic_paths:
-        given = [f"--{k.replace('_', '-')}" for k in _PATH_OPTIONS if getattr(args, k) is not None]
-        if given:
-            raise UsageError(f"train ignores {' and '.join(given)} without --stochastic-paths")
         return None
-    for key, default in _PATH_OPTIONS.items():
-        if getattr(args, key) is None:
-            setattr(args, key, default)
     return StochasticPathConfig(
         max_prob=args.max_prob,
         start="auto" if args.adaptive == "auto" else 0,
@@ -483,18 +438,21 @@ def cmd_surgery(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    defaults = dict(seed=0, precision="f32", lr=0.045, batch_size=32, data_n=512)
+    _read_only_with(args, "iters", defaults)
     base = preset(args.base, **_sizes(args))
     arch = parse_arch(args.arch)
     grid = cost.grid_configs(base)
+    hp = OptimizerHP.desk(args.iters, base_lr=args.lr) if args.iters else None
     out = _run_dir(args)
-    init_seed = _word(substreams(args.seed).init)
-    dataset = _dataset(args, base) if args.iters > 0 else None
+    if hp is not None:
+        init_seed = _word(substreams(args.seed).init)
+        dataset = _dataset(args, base)
     rows = cost.efficiency_table(grid, arch, beta=args.beta)
     for (name, config), row in zip(grid, rows):
         row["ms_per_iter"] = None
-        if dataset is not None:
+        if hp is not None:
             model = lower(config, arch, beta=args.beta, seed=init_seed, precision=args.precision)
-            hp = OptimizerHP.desk(args.iters, base_lr=args.lr)
             trainer = Trainer(model, dataset, hp, seed=args.seed, batch_size=args.batch_size)
             step_s = []
             for _ in range(args.iters):
@@ -517,98 +475,130 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
+# Each command's options, in --help order. A row is (name, type, default[,
+# help]): a name without dashes is the positional, a bool type is a switch,
+# a tuple type lists the choices, and a default of ... marks a required
+# option. The rows below are shared by several commands.
+_SIZES = (("--input-size", int, 32), ("--classes", int, 4))
+_NETWORK = (
+    ("--network", str, None, "architecture text"),
+    ("--preset", str, None, "named preset configuration"),
+    *_SIZES, ("--base-width", int, 16),
+    ("--arch", str, "dense:16,32", "block template, tag:a,b"),
+)
+_CONFIG = ("--config", str, None, "key = value options file")
+_OUT = ("--out", str, None, "output directory (default runs/<cmd>)")
+_SEEDED = (_CONFIG, ("--seed", int, 0), _OUT)
+_EXPRESSION = (
+    ("--kind", str, ..., "module token, e.g. poly-2"), ("--beta", float, 1.0), _CONFIG, _OUT,
+)
+
+_COMMANDS = {
+    "parse": (cmd_parse, "parse architecture text, print module table", (
+        ("text", str, None), ("--file", str, None), *_SIZES, ("--base-width", int, 16),
+        _CONFIG, _OUT,
+    )),
+    "expand": (cmd_expand, "print a module kind's naive polynomial", _EXPRESSION),
+    "rewrite": (cmd_rewrite, "print a module kind's cascaded form", _EXPRESSION),
+    "analyze": (cmd_analyze, "cost report for a configuration", (
+        *_NETWORK, ("--channels", int, 3), _CONFIG, _OUT,
+    )),
+    "train": (cmd_train, "train a model on the synthetic dataset", (
+        *_NETWORK,
+        ("--beta", float, 0.3, "residual scaling factor"),
+        ("--data-n", int, 512),
+        ("--iters", int, None, "default 2000"),
+        ("--lr", float, None, "default 0.045"),
+        ("--paper-schedule", bool, False, "use the full-scale schedule (0.45, 160K steps, "
+         "560K iters); takes neither --iters nor --lr"),
+        ("--batch-size", int, 32), ("--eval-every", int, 200), ("--augment", bool, False),
+        ("--stochastic-paths", bool, False,
+         "drop paths; --max-prob, --adaptive and --rescale need it"),
+        ("--max-prob", float, None, "default 0.25"),
+        ("--adaptive", ("off", "auto"), None, "default off"),
+        ("--rescale", ("none", "train", "eval"), None, "default none"),
+        *_SEEDED, ("--precision", ("f32", "f64"), "f32"),
+    )),
+    "eval": (cmd_eval, "single-crop and multi-crop evaluation", (
+        ("--checkpoint", str, ...), ("--data-n", int, 512),
+        ("--scales", _list_of(float), "1.0,1.15,1.3"), ("--crops", int, 8),
+        ("--fraction", float, 0.3),
+        *_SEEDED,
+    )),
+    "gradcheck": (cmd_gradcheck, "backward vs central differences", (
+        ("--kind", str, "all", "module token or 'all'"), ("--arch", str, "dense:4,8"),
+        ("--beta", float, 0.3), *_SEEDED,
+    )),
+    "surgery": (cmd_surgery, "upgrade or deepen a checkpoint", (
+        ("--checkpoint", str, ...),
+        ("--target", str, None, "target architecture text"),
+        ("--interleave", _list_of(int), None, "per-stage new-unit counts, comma separated"),
+        ("--zero-last", bool, False), *_SEEDED,
+    )),
+    "sweep": (cmd_sweep, "stage x module-kind grid, cost table (+ accuracy)", (
+        ("--base", str, "ir-3-6-3"), *_SIZES, ("--base-width", int, 8),
+        ("--arch", str, "dense:8,16"), ("--beta", float, 0.3),
+        ("--iters", int, 0, "0 = cost-only table"),
+        ("--lr", float, None, "default 0.045; needs --iters"),
+        ("--batch-size", int, None, "default 32; needs --iters"),
+        ("--data-n", int, None, "default 512; needs --iters"),
+        _CONFIG, ("--seed", int, None, "default 0; needs --iters"), _OUT,
+        ("--precision", ("f32", "f64"), None, "default f32; needs --iters"),
+    )),
+}
+
+
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def build_parser(config: dict | None = None, required: bool = True) -> _Parser:
+    """Every command's parser, built from ``_COMMANDS``. ``config`` holds a
+    config file's values, which become defaults: explicit flags still win,
+    and a file value satisfies a required option. With ``required`` False
+    no option is required."""
+    config = config or {}
     parser = _Parser(prog="polyres", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse architecture text, print module table")
-    p.add_argument("text", nargs="?", default=None)
-    p.add_argument("--file", default=None)
-    _add_size_options(p, base_width=16)
-    _add_common(p)
-    p.set_defaults(func=cmd_parse)
-
-    for name, func, help_text in (
-        ("expand", cmd_expand, "print a module kind's naive polynomial"),
-        ("rewrite", cmd_rewrite, "print a module kind's cascaded form"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--kind", required=True, help="module token, e.g. poly-2")
-        p.add_argument("--beta", type=float, default=1.0)
-        _add_common(p)
+    for command, (func, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, kind, default, *help_ in options:
+            default = config.get(_dest(name), default)
+            kwargs = dict(default=None if default is ... else default)
+            kwargs["help"] = help_[0] if help_ else None
+            if kind is bool:
+                kwargs["action"] = "store_true"
+            elif isinstance(kind, tuple):
+                kwargs["choices"] = kind
+            else:
+                kwargs["type"] = kind
+            if not name.startswith("-"):
+                kwargs["nargs"] = "?"
+            elif default is ...:
+                kwargs["required"] = required
+            p.add_argument(name, **kwargs)
         p.set_defaults(func=func)
-
-    p = sub.add_parser("analyze", help="cost report for a configuration")
-    _add_network_options(p)
-    p.add_argument("--channels", type=int, default=3)
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("train", help="train a model on the synthetic dataset")
-    _add_network_options(p)
-    p.add_argument("--beta", type=float, default=0.3, help="residual scaling factor")
-    _add_data_options(p)
-    p.add_argument("--iters", type=int, default=None, help="default 2000")
-    p.add_argument("--lr", type=float, default=None, help="default 0.045")
-    p.add_argument("--paper-schedule", action="store_true",
-                   help="use the full-scale schedule (0.45, 160K steps, 560K iters); "
-                   "takes neither --iters nor --lr")
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--eval-every", type=int, default=200)
-    p.add_argument("--augment", action="store_true")
-    p.add_argument("--stochastic-paths", action="store_true",
-                   help="drop paths; --max-prob, --adaptive and --rescale need it")
-    p.add_argument("--max-prob", type=float, default=None, help="default 0.25")
-    p.add_argument("--adaptive", choices=("off", "auto"), default=None, help="default off")
-    p.add_argument("--rescale", choices=("none", "train", "eval"), default=None, help="default none")
-    _add_common(p, seed=True, precision=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="single-crop and multi-crop evaluation")
-    p.add_argument("--checkpoint", required=True)
-    _add_data_options(p)
-    p.add_argument("--scales", type=_list_of(float), default="1.0,1.15,1.3")
-    p.add_argument("--crops", type=int, default=8)
-    p.add_argument("--fraction", type=float, default=0.3)
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("gradcheck", help="backward vs central differences")
-    p.add_argument("--kind", default="all", help="module token or 'all'")
-    p.add_argument("--arch", default="dense:4,8")
-    p.add_argument("--beta", type=float, default=0.3)
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("surgery", help="upgrade or deepen a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--target", default=None, help="target architecture text")
-    p.add_argument("--interleave", type=_list_of(int), default=None,
-                   help="per-stage new-unit counts, comma separated")
-    p.add_argument("--zero-last", action="store_true")
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_surgery)
-
-    p = sub.add_parser("sweep", help="stage x module-kind grid, cost table (+ accuracy)")
-    p.add_argument("--base", default="ir-3-6-3")
-    _add_size_options(p, base_width=8)
-    p.add_argument("--arch", default="dense:8,16")
-    p.add_argument("--beta", type=float, default=0.3)
-    p.add_argument("--iters", type=int, default=0, help="0 = cost-only table")
-    p.add_argument("--lr", type=float, default=0.045)
-    p.add_argument("--batch-size", type=int, default=32)
-    _add_data_options(p)
-    _add_common(p, seed=True, precision=True)
-    p.set_defaults(func=cmd_sweep)
-
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The options of ``argv`` over those of its config file. A first pass,
+    with nothing required, finds --config under every spelling argparse
+    takes, so an ambiguous prefix fails before the file is read."""
+    known = build_parser(required=False).parse_known_args(argv)[0]
+    if known.config == "":
+        raise UsageError("--config needs a file path")
+    config = _config_defaults(known.command, known.config) if known.config else None
+    return build_parser(config).parse_args(argv)
+
+
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -83,7 +83,10 @@ class TestParseCommand:
         manifest = json.loads((tmp_path / "parse" / "manifest.json").read_text())
         assert manifest["command"] == "parse"
         assert manifest["options"]["text"] == "A: ir"
-        run(capsys, "sweep", "--base-width", "4", "--out", str(tmp_path / "sweep"), "--seed", "5")
+        run(
+            capsys, "sweep", "--base-width", "4", "--iters", "1", "--data-n", "16",
+            "--out", str(tmp_path / "sweep"), "--seed", "5",
+        )
         manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
         assert manifest["command"] == "sweep"
         assert manifest["seed"] == 5
@@ -111,8 +114,8 @@ class TestAnalyzeAndSweep:
         assert {r["config"] for r in rows} >= {"baseline", "B=mpoly-3", "A=2-way"}
 
     def test_sweep_is_reproducible(self, tmp_path, capsys):
-        run(capsys, "sweep", "--iters", "0", "--out", str(tmp_path / "a"), "--seed", "3")
-        run(capsys, "sweep", "--iters", "0", "--out", str(tmp_path / "b"), "--seed", "3")
+        run(capsys, "sweep", "--iters", "0", "--out", str(tmp_path / "a"))
+        run(capsys, "sweep", "--iters", "0", "--out", str(tmp_path / "b"))
         assert (tmp_path / "a" / "sweep.csv").read_text() == (
             tmp_path / "b" / "sweep.csv"
         ).read_text()
@@ -130,6 +133,46 @@ class TestAnalyzeAndSweep:
         for row in rows:
             assert 0.0 <= row["accuracy"] <= 1.0
             assert row["ms_per_iter"] > 0
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "option,value",
+        [("seed", "1"), ("precision", "f64"), ("lr", "9"), ("batch_size", "0"), ("data_n", "3")],
+    )
+    def test_a_cost_only_sweep_rejects_the_training_options(
+        self, tmp_path, capsys, form, option, value
+    ):
+        flag = "--" + option.replace("_", "-")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option} = {value}\n")
+        given = [flag, value] if form == "flag" else ["--config", str(cfg)]
+        for iters in ([], ["--iters", "0"]):
+            argv = ["sweep", *given, *iters, "--out", str(tmp_path / "out")]
+            assert dispatch(argv) == EXIT_USAGE
+            assert f"usage error: sweep ignores {flag} without --iters" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_cost_only_sweep_names_every_training_option_given(self, tmp_path, capsys):
+        argv = ["sweep", "--seed", "1", "--precision", "f64", "--lr", "9", "--batch-size", "0",
+                "--data-n", "3", "--out", str(tmp_path / "out")]
+        assert dispatch(argv) == EXIT_USAGE
+        given = "--seed and --precision and --lr and --batch-size and --data-n"
+        assert f"usage error: sweep ignores {given} without --iters" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_training_sweep_records_the_defaults_it_used(self, tmp_path, capsys):
+        argv = ["sweep", "--base-width", "4", "--iters", "1", "--out", str(tmp_path)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("data_n = 16\n")
+        assert dispatch(argv + ["--config", str(cfg)]) == EXIT_OK
+        options = json.loads((tmp_path / "manifest.json").read_text())["options"]
+        recorded = tuple(options[k] for k in ("seed", "precision", "lr", "batch_size", "data_n"))
+        assert recorded == (0, "f32", 0.045, 32, 16)
+
+    def test_a_negative_iteration_count_is_a_validation_error(self, tmp_path, capsys):
+        assert dispatch(["sweep", "--iters", "-1", "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert "total_iters must be at least 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_times_only_the_training_steps(self, tmp_path, capsys, monkeypatch):
         # Every eval-mode forward sleeps for longer than a step of these
@@ -522,6 +565,51 @@ class TestUnreadOptions:
         assert dispatch(self.argv(command, tmp_path) + ["--config", str(cfg)]) == EXIT_VALIDATION
         assert f"{cfg}:1: {command} has no option '{flag}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# Every (command, option) pair of the option table but --config, with a
+# value other than the option's default; a switch is given as a bare flag
+# and as "yes".
+TABLE_OPTIONS = [
+    (command, name, kind)
+    for command, (_, _, rows) in cli._COMMANDS.items()
+    for name, kind, *_ in rows
+    if name != "--config"
+]
+
+
+def option_value(kind) -> str:
+    if isinstance(kind, tuple):
+        return kind[-1]
+    return {bool: "yes", int: "7", float: "0.5", str: "x"}.get(kind, "1,2")
+
+
+@pytest.mark.parametrize(
+    "command,name,kind", TABLE_OPTIONS, ids=[f"{c}-{n.lstrip('-')}" for c, n, _ in TABLE_OPTIONS]
+)
+def test_a_flag_and_a_config_key_agree(tmp_path, command, name, kind):
+    rows = cli._COMMANDS[command][2]
+    required = [a for row in rows if row[2] is ... and row[0] != name for a in (row[0], "req")]
+    value = option_value(kind)
+    flag = [name] if kind is bool else [name, value] if name.startswith("-") else [value]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name.lstrip('-')} = {value}\n")
+    plain = vars(cli.build_parser(required=False).parse_args([command, *required]))
+    from_flag = vars(cli.parse_args([command, *required, *flag]))
+    from_file = vars(cli.parse_args([command, *required, "--config", str(cfg)]))
+    assert from_file.pop("config") == str(cfg)
+    from_flag.pop("config")
+    plain.pop("config")
+    assert from_flag == from_file != plain
+
+
+def test_a_config_file_cannot_name_another(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = poly-2\nconfig = /nonexistent.cfg\n")
+    code = dispatch(["rewrite", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert f"{cfg}:2: config: a config file cannot name another" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def first_word(stream) -> int:
